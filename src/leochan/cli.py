@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from datetime import timedelta
 
 from .config import ConfigError, parse_config
-from .passes import Ephemeris, NoPassFound, find_pass
-from .simulate import (dump_debug_paths, emit_outputs, run_pass_simulation,
-                       simulate_snapshot)
+from .passes import NoPassFound, find_pass
+from .simulate import (dump_debug_paths, emit_outputs, first_element_set,
+                       prepare_pass, run_pass_simulation)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,8 +77,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pass(args) -> int:
-    from .tle import read_tle_file
-
     parts = args.site.split(",")
     if len(parts) != 3:
         raise ConfigError("--site expects lat_deg,lon_deg,alt_km")
@@ -85,13 +84,10 @@ def _cmd_pass(args) -> int:
         site = (float(parts[0]), float(parts[1]), float(parts[2]))
     except ValueError:
         raise ConfigError(f"bad --site value: {args.site!r}") from None
-    tles = read_tle_file(args.tle)
-    if not tles:
-        raise ConfigError(f"no element sets in {args.tle}")
-    window = find_pass(tles[0], site,
-                       theta_min=math.radians(args.min_elev),
+    tle = first_element_set(args.tle)
+    window = find_pass(tle, site, theta_min=math.radians(args.min_elev),
                        step_s=args.step)
-    print(f"satellite      {tles[0].name or tles[0].satnum}")
+    print(f"satellite      {tle.name or tle.satnum}")
     print(f"rise           {window.t_start.isoformat()}")
     print(f"culminate      {window.t0.isoformat()}")
     print(f"set            {window.t_end.isoformat()}")
@@ -102,39 +98,14 @@ def _cmd_pass(args) -> int:
 
 
 def _cmd_trace_once(args) -> int:
-    import numpy as np
-    from datetime import timedelta
-
-    from . import frames, passes
-    from .link import LinkParams
-    from .simulate import _build_scene
-    from .tle import read_tle_file
-
     config = parse_config(args.config)
-    tles = read_tle_file(config.tle_path)
-    if not tles:
-        raise ConfigError(f"no element sets in {config.tle_path}")
-    ephem = Ephemeris(tles[0])
-    window = find_pass(tles[0], config.site_geodetic,
-                       theta_min=math.radians(config.theta_min_deg),
-                       ephemeris=ephem)
+    window, snapshot = prepare_pass(config)
     t = window.t_start + timedelta(minutes=args.at_minute)
     if not window.t_start <= t <= window.t_end:
         raise ConfigError(
             f"--at-minute {args.at_minute} falls outside the "
             f"{window.t_du_min:.2f} min window")
-    city = _build_scene(config)
-    site_ecef = frames.geodetic_to_ecef(*config.site_geodetic)
-    local_frame = frames.build_local_frame(config.site_geodetic)
-    receiver = np.array([config.rx_x_m, config.rx_y_m, config.rx_z_m]) / 1e3
-    lp = LinkParams(fc_mhz=config.fc_mhz, pt_dbm=config.pt_dbm,
-                    rain_rate_mm_h=config.rain_rate_mm_h,
-                    rain_k=config.rain_k, rain_alpha=config.rain_alpha,
-                    polarization=config.polarization,
-                    rain_path_mode=config.rain_path_mode,
-                    site_lat_deg=config.site_lat_deg)
-    snap = simulate_snapshot(t, ephem, local_frame, site_ecef, city,
-                             receiver, lp, config)
+    snap = snapshot(t)
     print(f"t              {snap.t.isoformat()}")
     print(f"elevation      {snap.elevation_deg:.4f} deg")
     print(f"paths          {len(snap.paths)}")

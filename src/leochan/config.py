@@ -7,7 +7,7 @@ a typo should fail, not silently fall back to a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 

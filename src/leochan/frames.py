@@ -43,10 +43,6 @@ NUTATION_TERMS = (
 )
 
 
-class PoleDegenerate(ValueError):
-    """Raised only when a caller explicitly forbids the polar fallback."""
-
-
 def rot1(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])

@@ -1,17 +1,17 @@
-"""Urban scene geometry: triangle soup, procedural grid city, BVH queries.
+"""Urban scene geometry: triangle soup, procedural grid city, batch ray
+queries.
 
 All geometry is stored in kilometers in the LOCAL frame (generator inputs
-are meters and are converted).  Intersection queries through the BVH are
-required to agree exactly with brute force over every triangle; both
-paths share one Moller-Trumbore kernel and break distance ties on the
-lower face id.
+are meters and are converted).  ``Scene.intersect_batch`` is the one
+intersection engine; it must agree exactly with a brute-force oracle over
+every triangle (same Moller-Trumbore arithmetic) and breaks distance ties
+on the lower face id.
 """
 
 from __future__ import annotations
 
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,8 @@ M_PER_KM = 1000.0
 _DET_EPS = 1e-14
 MIN_TRIANGLE_AREA_KM2 = 1e-12
 
-# BVH leaves hold at most this many triangles; boxes are padded so that
-# floating-point slab rounding can never prune a genuine hit.
-_LEAF_SIZE = 4
+# The ray-cull box is padded so that floating-point slab rounding can
+# never prune a genuine hit on the edge of the scene.
 _BOX_PAD = 1e-9
 
 
@@ -49,181 +48,8 @@ class Material:
 CONCRETE = Material("concrete", 5.31, 0.1395)
 
 
-@dataclass(frozen=True)
-class Hit:
-    distance: float
-    face_id: int
-    normal: np.ndarray  # unit, oriented against the incoming ray
-    material_id: int
-
-
-def _triangle_fields(triangles: np.ndarray):
-    v0 = triangles[:, 0, :]
-    e1 = triangles[:, 1, :] - v0
-    e2 = triangles[:, 2, :] - v0
-    return v0, e1, e2
-
-
-def _ray_tris_t(origin, direction, v0, e1, e2) -> np.ndarray:
-    """Hit parameters of one ray against a triangle block; +inf = miss."""
-    pvec = np.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > _DET_EPS
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = origin - v0
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1)
-    v = np.einsum("j,ij->i", direction, qvec) * inv
-    t = np.einsum("ij,ij->i", e2, qvec) * inv
-    ok &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
-    return np.where(ok, t, np.inf)
-
-
-class Bvh:
-    """Static bounding-volume hierarchy, median split on the longest
-    centroid axis.  Construction is fully deterministic.
-
-    Nodes and triangle data are flattened to plain Python floats: the
-    per-ray traversal is scalar code, which beats numpy dispatch overhead
-    at the few-triangles-per-leaf scale this tree uses.
-    """
-
-    def __init__(self, triangles: np.ndarray):
-        n = len(triangles)
-        tri_min = triangles.min(axis=1) - _BOX_PAD
-        tri_max = triangles.max(axis=1) + _BOX_PAD
-        centroids = triangles.mean(axis=1)
-
-        nodes: list[tuple] = []   # (bmin3, bmax3, left, right, start, count)
-        order: list[int] = []
-
-        def build(idx: np.ndarray) -> int:
-            node = len(nodes)
-            lo = tuple(float(v) for v in tri_min[idx].min(axis=0))
-            hi = tuple(float(v) for v in tri_max[idx].max(axis=0))
-            nodes.append(None)
-            if len(idx) <= _LEAF_SIZE:
-                nodes[node] = (lo, hi, -1, -1, len(order), len(idx))
-                order.extend(int(i) for i in idx)
-                return node
-            extent = centroids[idx].max(axis=0) - centroids[idx].min(axis=0)
-            axis = int(np.argmax(extent))
-            sorted_idx = idx[np.argsort(centroids[idx, axis], kind="stable")]
-            mid = len(sorted_idx) // 2
-            left = build(sorted_idx[:mid])
-            right = build(sorted_idx[mid:])
-            nodes[node] = (lo, hi, left, right, -1, 0)
-            return node
-
-        if n:
-            build(np.arange(n))
-        self._nodes = nodes
-        self._order = order
-        v0, e1, e2 = _triangle_fields(triangles)
-        self._tri = [tuple(map(float, np.concatenate([v0[i], e1[i], e2[i]])))
-                     for i in range(n)]
-
-    def nearest(self, origin, direction, t_min, t_max):
-        """Nearest (t, face_id) in (t_min, t_max], or None."""
-        nodes = self._nodes
-        if not nodes:
-            return None
-        ox, oy, oz = float(origin[0]), float(origin[1]), float(origin[2])
-        dx, dy, dz = (float(direction[0]), float(direction[1]),
-                      float(direction[2]))
-        inv_x = 1.0 / dx if dx != 0.0 else math.inf
-        inv_y = 1.0 / dy if dy != 0.0 else math.inf
-        inv_z = 1.0 / dz if dz != 0.0 else math.inf
-        tri = self._tri
-        order = self._order
-        best_t = math.inf
-        best_fid = -1
-        stack = [0]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            lo, hi, left, right, start, count = nodes[pop()]
-            limit = t_max if t_max < best_t else best_t
-            # slab test against the padded box
-            if dx != 0.0:
-                t0 = (lo[0] - ox) * inv_x
-                t1 = (hi[0] - ox) * inv_x
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                enter, exit_ = t0, t1
-            elif lo[0] <= ox <= hi[0]:
-                enter, exit_ = -math.inf, math.inf
-            else:
-                continue
-            if dy != 0.0:
-                t0 = (lo[1] - oy) * inv_y
-                t1 = (hi[1] - oy) * inv_y
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                if t0 > enter:
-                    enter = t0
-                if t1 < exit_:
-                    exit_ = t1
-                if enter > exit_:
-                    continue
-            elif not lo[1] <= oy <= hi[1]:
-                continue
-            if dz != 0.0:
-                t0 = (lo[2] - oz) * inv_z
-                t1 = (hi[2] - oz) * inv_z
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                if t0 > enter:
-                    enter = t0
-                if t1 < exit_:
-                    exit_ = t1
-                if enter > exit_:
-                    continue
-            elif not lo[2] <= oz <= hi[2]:
-                continue
-            if enter > limit or exit_ < t_min:
-                continue
-            if left < 0:
-                for k in range(start, start + count):
-                    fid = order[k]
-                    (v0x, v0y, v0z, e1x, e1y, e1z,
-                     e2x, e2y, e2z) = tri[fid]
-                    # Moller-Trumbore, same arithmetic as the array kernel
-                    px = dy * e2z - dz * e2y
-                    py = dz * e2x - dx * e2z
-                    pz = dx * e2y - dy * e2x
-                    det = e1x * px + e1y * py + e1z * pz
-                    if -_DET_EPS < det < _DET_EPS:
-                        continue
-                    inv = 1.0 / det
-                    tx = ox - v0x
-                    ty = oy - v0y
-                    tz = oz - v0z
-                    u = (tx * px + ty * py + tz * pz) * inv
-                    if u < 0.0 or u > 1.0:
-                        continue
-                    qx = ty * e1z - tz * e1y
-                    qy = tz * e1x - tx * e1z
-                    qz = tx * e1y - ty * e1x
-                    v = (dx * qx + dy * qy + dz * qz) * inv
-                    if v < 0.0 or u + v > 1.0:
-                        continue
-                    t = (e2x * qx + e2y * qy + e2z * qz) * inv
-                    if t <= t_min or t > t_max:
-                        continue
-                    if t < best_t or (t == best_t and fid < best_fid):
-                        best_t = t
-                        best_fid = fid
-            else:
-                push(right)
-                push(left)
-        if best_fid < 0:
-            return None
-        return best_t, best_fid
-
-
 class Scene:
-    """Immutable triangle soup with materials and a spatial index."""
+    """Immutable triangle soup with materials and batch ray queries."""
 
     def __init__(self, triangles: np.ndarray, material_ids: np.ndarray,
                  materials: list[Material]):
@@ -231,7 +57,9 @@ class Scene:
         material_ids = np.asarray(material_ids, dtype=int)
         if len(material_ids) != len(triangles):
             raise ValueError("one material id per triangle required")
-        v0, e1, e2 = _triangle_fields(triangles)
+        v0 = triangles[:, 0, :]
+        e1 = triangles[:, 1, :] - v0
+        e2 = triangles[:, 2, :] - v0
         areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
         if len(triangles) and areas.min() <= MIN_TRIANGLE_AREA_KM2:
             raise ValueError("degenerate triangle in scene")
@@ -247,56 +75,17 @@ class Scene:
                                     triangles.max(axis=(0, 1))])
         else:
             self.bounds = np.zeros((2, 3))
-        self.accel = Bvh(triangles)
 
     def __len__(self) -> int:
         return len(self.triangles)
-
-    def _make_hit(self, t: float, fid: int, direction) -> Hit:
-        n = self._normals[fid]
-        if float(np.dot(n, direction)) > 0.0:
-            n = -n
-        return Hit(distance=t, face_id=fid, normal=n,
-                   material_id=int(self.material_ids[fid]))
-
-    def intersect(self, origin, direction, t_min: float = 0.0,
-                  t_max: float = np.inf) -> Hit | None:
-        """Nearest hit in (t_min, t_max] through the BVH.
-
-        ``direction`` must be unit length (within 1e-9) so hit distances
-        are metric.
-        """
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-        res = self.accel.nearest(origin, direction, t_min, t_max)
-        if res is None:
-            return None
-        return self._make_hit(res[0], res[1], direction)
-
-    def intersect_brute(self, origin, direction, t_min: float = 0.0,
-                        t_max: float = np.inf) -> Hit | None:
-        """Reference query over every triangle (no acceleration)."""
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        if len(self.triangles) == 0:
-            return None
-        ts = _ray_tris_t(origin, direction, self._v0, self._e1, self._e2)
-        ts = np.where((ts > t_min) & (ts <= t_max), ts, np.inf)
-        fid = int(np.argmin(ts))
-        if not np.isfinite(ts[fid]):
-            return None
-        return self._make_hit(float(ts[fid]), fid, direction)
 
     def intersect_batch(self, origins: np.ndarray, directions: np.ndarray,
                         t_min: float = 0.0):
         """Nearest hits for many rays at once.
 
         Returns (t, face_id, normal): misses get t = +inf, face_id = -1.
-        Normals are unit and oriented against each ray.  Used by the
-        tracer; agrees with the single-ray queries by construction (same
-        kernel, same tie-break).
+        Normals are unit and oriented against each ray.  Hits lie in
+        (t_min, +inf); among equal distances the lower face id wins.
         """
         origins = np.asarray(origins, dtype=float)
         directions = np.asarray(directions, dtype=float)
@@ -309,15 +98,16 @@ class Scene:
 
         # Cull rays whose forward half-line misses the scene box; after a
         # reflection most rays head up and away, so this pays off.
+        box_lo = self.bounds[0] - _BOX_PAD
+        box_hi = self.bounds[1] + _BOX_PAD
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / directions
-            t_a = (self.bounds[0][None, :] - origins) * inv
-            t_b = (self.bounds[1][None, :] - origins) * inv
+            t_a = (box_lo - origins) * inv
+            t_b = (box_hi - origins) * inv
             lo = np.minimum(t_a, t_b)
             hi = np.maximum(t_a, t_b)
             par = directions == 0.0
-            inside = ((origins >= self.bounds[0][None, :])
-                      & (origins <= self.bounds[1][None, :]))
+            inside = (origins >= box_lo) & (origins <= box_hi)
             lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
             hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
         enter = np.nanmax(lo, axis=1)

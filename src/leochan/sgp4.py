@@ -58,10 +58,6 @@ class GravityConstants:
     j4: float
 
     @property
-    def tumin(self) -> float:
-        return 1.0 / self.xke
-
-    @property
     def j3oj2(self) -> float:
         return self.j3 / self.j2
 

@@ -10,6 +10,7 @@ the output byte-identical at any worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -18,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import frames, link, passes, scene as scene_mod, tracer
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .link import ChannelSnapshot, LinkParams
 from .passes import Ephemeris, PassWindow
-from .states import Frame
-from .tle import read_tle_file
+from .tle import Tle, read_tle_file
 from .tracer import SatelliteBelowHorizon
 
 
@@ -83,17 +83,29 @@ def simulate_snapshot(t: datetime, ephem: Ephemeris,
                                city.materials, dopplers)
 
 
-def run_pass_simulation(config: SimConfig) -> PassReport:
-    """Find the first pass and simulate every time step inside it."""
-    tles = read_tle_file(config.tle_path)
+def first_element_set(path) -> Tle:
+    """The first element set in a TLE file; an empty file is a config
+    error."""
+    tles = read_tle_file(path)
     if not tles:
-        raise ValueError(f"no element sets in {config.tle_path}")
-    tle = tles[0]
+        raise ConfigError(f"no element sets in {path}")
+    return tles[0]
+
+
+def prepare_pass(config: SimConfig) -> tuple[
+        PassWindow, Callable[[datetime], ChannelSnapshot]]:
+    """Turn a config into its first pass window and a call that
+    simulates one instant.
+
+    The ephemeris, scene, site, local frame, receiver and link parameters
+    are built once here and only read by the call, so it may run on
+    several threads at once.
+    """
+    tle = first_element_set(config.tle_path)
     ephem = Ephemeris(tle)
     window = passes.find_pass(tle, config.site_geodetic,
                               theta_min=math.radians(config.theta_min_deg),
                               ephemeris=ephem)
-
     city = _build_scene(config)
     site_ecef = frames.geodetic_to_ecef(*config.site_geodetic)
     local_frame = frames.build_local_frame(config.site_geodetic)
@@ -105,14 +117,20 @@ def run_pass_simulation(config: SimConfig) -> PassReport:
                     rain_path_mode=config.rain_path_mode,
                     site_lat_deg=config.site_lat_deg)
 
+    def snapshot(t: datetime) -> ChannelSnapshot:
+        return simulate_snapshot(t, ephem, local_frame, site_ecef, city,
+                                 receiver, lp, config)
+
+    return window, snapshot
+
+
+def run_pass_simulation(config: SimConfig) -> PassReport:
+    """Find the first pass and simulate every time step inside it."""
+    window, job = prepare_pass(config)
     n_steps = int(math.floor(
         (window.t_end - window.t_start).total_seconds() / config.time_step_s))
     times = [window.t_start + timedelta(seconds=config.time_step_s * k)
              for k in range(n_steps + 1)]
-
-    def job(t: datetime) -> ChannelSnapshot:
-        return simulate_snapshot(t, ephem, local_frame, site_ecef, city,
-                                 receiver, lp, config)
 
     if config.jobs > 1:
         snapshots: list[ChannelSnapshot | None] = [None] * len(times)

@@ -50,11 +50,6 @@ def jd_pair(t: datetime) -> tuple[float, float]:
     return jd, frac
 
 
-def julian_date(t: datetime) -> float:
-    jd, frac = jd_pair(t)
-    return jd + frac
-
-
 def julian_centuries_tt(t: datetime) -> float:
     """Julian centuries of Terrestrial Time since J2000 for a UTC instant."""
     tt = _ensure_utc(t) + timedelta(seconds=TT_MINUS_UTC_S)

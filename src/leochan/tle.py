@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .timebase import epoch_from_year_day, jd_midnight
+from .timebase import epoch_from_year_day
 
 LINE_LENGTH = 69
 
@@ -61,15 +61,6 @@ class Tle:
     mean_anomaly_deg: float
     mean_motion_revs_per_day: float
     rev_number: int
-
-    @property
-    def epoch_jd(self) -> float:
-        jan1 = jd_midnight(self.epoch_year, 1, 1)
-        return jan1 + (self.epoch_day - 1.0)
-
-    @property
-    def period_minutes(self) -> float:
-        return 1440.0 / self.mean_motion_revs_per_day
 
 
 def tle_checksum(payload: str) -> int:

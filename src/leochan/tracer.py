@@ -15,7 +15,7 @@ rather than snapped away, so oracle tests can assert the bound directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class LaunchPlane:
     plane_altitude: float    # km clearance above the scene along -direction
     d_atmosphere: float      # km from the satellite to the plane
     sat_position: np.ndarray
-
-    @property
-    def extent(self) -> tuple[float, float]:
-        return 2.0 * self.half_u, 2.0 * self.half_v
 
     def grid_shape(self) -> tuple[int, int]:
         nu = int(math.floor(2.0 * self.half_u / self.spacing)) + 1

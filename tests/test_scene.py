@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle import nearest_hits
 from leochan.scene import (CONCRETE, InvalidDimensions, Material, Scene,
                            generate_city, ground_plane, scene_from_text,
                            scene_to_text)
@@ -53,97 +55,153 @@ def test_degenerate_triangle_rejected():
         Scene(tri, np.zeros(1, dtype=int), [CONCRETE])
 
 
+def _one_ray(scene, origin, direction):
+    t, fid, normal = scene.intersect_batch(np.array([origin], dtype=float),
+                                           np.array([direction], dtype=float))
+    return t[0], fid[0], normal[0]
+
+
 def test_vertical_ray_hits_ground():
     g = ground_plane(1000.0)
-    hit = g.intersect(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-    assert hit is not None
-    assert hit.distance == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(hit.normal, [0.0, 0.0, 1.0])
-    assert hit.material_id == 0
+    t, fid, normal = _one_ray(g, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    assert fid >= 0
+    assert t == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(normal, [0.0, 0.0, 1.0])
+    assert g.material_ids[fid] == 0
 
 
 def test_parallel_outside_ray_misses():
     g = ground_plane(1000.0)
-    hit = g.intersect(np.array([2.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-    assert hit is None
+    t, fid, _ = _one_ray(g, [2.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    assert fid == -1 and t == np.inf
 
 
 def test_normal_faces_against_ray():
     g = ground_plane(1000.0)
-    up = g.intersect(np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0]))
-    assert up is not None
-    assert up.normal[2] == -1.0
+    _, fid, normal = _one_ray(g, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
+    assert fid >= 0
+    assert normal[2] == -1.0
 
 
-def test_bvh_equals_brute_force_random_rays(rng):
+def _assert_matches_oracle(scene, origins, dirs, t_min):
+    t, fid, normals = scene.intersect_batch(origins, dirs, t_min)
+    t_ref, fid_ref, normals_ref = nearest_hits(scene, origins, dirs, t_min)
+    assert np.array_equal(fid, fid_ref)
+    assert np.array_equal(t, t_ref)
+    assert np.allclose(normals, normals_ref)
+
+
+def test_batch_equals_oracle_random_rays(rng):
     city = generate_city(6, 6, seed=2)
     n = 20_000
     origins = rng.uniform(-0.9, 0.9, (n, 3))
     origins[:, 2] = rng.uniform(-0.05, 0.4, n)
     dirs = rng.normal(size=(n, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # exercise axis-parallel traversal too
+    # axis-parallel rays take the cull's zero-direction branch
     dirs[:200] = [0.0, 0.0, -1.0]
     origins[:200, 2] = 1.0
     dirs[200:400] = [0.0, 1.0, 0.0]
-    mismatches = 0
-    for i in range(n):
-        a = city.intersect(origins[i], dirs[i], 1e-9)
-        b = city.intersect_brute(origins[i], dirs[i], 1e-9)
-        if (a is None) != (b is None):
-            mismatches += 1
-        elif a is not None:
-            if a.face_id != b.face_id or abs(a.distance - b.distance) > 1e-9:
-                mismatches += 1
-    assert mismatches == 0
+    _assert_matches_oracle(city, origins, dirs, 1e-9)
 
 
-def test_batch_equals_single_queries(rng):
-    city = generate_city(5, 4, seed=9)
-    n = 3000
-    origins = rng.uniform(-0.8, 0.8, (n, 3))
-    origins[:, 2] = rng.uniform(0.0, 0.4, n)
-    dirs = rng.normal(size=(n, 3))
+def test_rays_at_ground_perimeter_survive_box_cull():
+    # Hits on the edge of the scene box must not be culled by slab
+    # rounding: aim every ray at a point on the ground plane's border.
+    city = generate_city(6, 6, seed=2)
+    rng = np.random.default_rng(5)
+    n = 5000
+    (x0, y0, _), (x1, y1, _) = city.bounds
+    side = rng.integers(0, 4, n)
+    s = rng.uniform(0.0, 1.0, n)
+    targets = np.zeros((n, 3))
+    targets[:, 0] = np.select([side < 2, side == 2], [x0 + s * (x1 - x0), x0],
+                              x1)
+    targets[:, 1] = np.select([side >= 2, side == 0],
+                              [y0 + s * (y1 - y0), y0], y1)
+    origins = rng.uniform(-1.5, 1.5, (n, 3))
+    origins[:, 2] = rng.uniform(0.05, 1.0, n)
+    dirs = targets - origins
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    ts, fids, normals = city.intersect_batch(origins, dirs, 1e-9)
-    for i in range(n):
-        ref = city.intersect_brute(origins[i], dirs[i], 1e-9)
-        if ref is None:
-            assert fids[i] == -1
-        else:
-            assert fids[i] == ref.face_id
-            assert ts[i] == ref.distance
-            assert np.allclose(normals[i], ref.normal)
+    _assert_matches_oracle(city, origins, dirs, 1e-9)
+
+
+# Coordinates on a coarse grid give shared edges, axis-aligned faces and
+# exact distance ties; free floats give everything else.
+_coord = st.one_of(st.integers(-4, 4).map(lambda k: k / 4.0),
+                   st.floats(-1.0, 1.0, allow_subnormal=False))
+_vertex = st.tuples(_coord, _coord, _coord)
+
+
+def _area(tri) -> float:
+    v = np.asarray(tri)
+    return 0.5 * float(np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0])))
+
+
+_triangle = st.tuples(_vertex, _vertex, _vertex).filter(
+    lambda tri: _area(tri) > 1e-6)
+_axes = [[s * (k == j) for j in range(3)] for k in range(3) for s in (1, -1)]
+_direction = st.one_of(
+    st.sampled_from(_axes),
+    st.tuples(*[st.integers(-1, 1)] * 3).filter(any),
+    st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 3).filter(
+        lambda d: np.linalg.norm(d) > 1e-3))
+
+
+@st.composite
+def _scene_and_rays(draw):
+    tris = draw(st.lists(_triangle, max_size=6))
+    scene = Scene(np.asarray(tris, dtype=float).reshape(-1, 3, 3),
+                  np.zeros(len(tris), dtype=int), [CONCRETE])
+    # origin components on the box faces, on the grid (mostly inside the
+    # box) or anywhere around it
+    lo, hi = scene.bounds
+    n = draw(st.integers(1, 8))
+    origins = np.array([[draw(st.one_of(st.sampled_from([lo[k], hi[k]]),
+                                        _coord, st.floats(-3.0, 3.0)))
+                         for k in range(3)] for _ in range(n)])
+    dirs = np.array(draw(st.lists(_direction, min_size=n, max_size=n)),
+                    dtype=float)
+    # some rays graze a vertex, where edge rounding decides the hit
+    corners = scene.triangles.reshape(-1, 3)
+    for k in range(n):
+        if len(corners) and draw(st.booleans()):
+            aim = draw(st.sampled_from(list(corners))) - origins[k]
+            if np.linalg.norm(aim) > 1e-3:
+                dirs[k] = aim
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    t_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    return scene, origins, dirs, t_min
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_scene_and_rays())
+def test_batch_equals_oracle_small_scenes(case):
+    _assert_matches_oracle(*case)
 
 
 def test_watertight_box_entry_exit_parity(rng):
     city = generate_city(1, 1, height_law="constant", h_const_m=50.0)
     # strip the ground so only the box remains
     box = Scene(city.triangles[:12], city.material_ids[:12], city.materials)
-    even = 0
     n = 10_000
-    for _ in range(n):
-        # aim from a random outside point at a random point inside the box
-        origin = rng.uniform(-1.0, 1.0, 3)
-        origin[2] = rng.uniform(0.2, 1.0)
-        inside = np.array([rng.uniform(-0.03, 0.03),
-                           rng.uniform(-0.03, 0.03),
-                           rng.uniform(0.005, 0.045)])
-        d = inside - origin
-        d /= np.linalg.norm(d)
-        crossings = 0
-        t_min = 1e-9
-        while True:
-            hit = box.intersect(origin, d, t_min)
-            if hit is None:
-                break
-            crossings += 1
-            t_min = hit.distance + 1e-9
-            if crossings > 10:
-                break
-        if crossings % 2 == 0:
-            even += 1
-    assert even == n
+    # aim from random outside points at random points inside the box
+    origins = rng.uniform(-1.0, 1.0, (n, 3))
+    origins[:, 2] = rng.uniform(0.2, 1.0, n)
+    inside = np.column_stack([rng.uniform(-0.03, 0.03, n),
+                              rng.uniform(-0.03, 0.03, n),
+                              rng.uniform(0.005, 0.045, n)])
+    dirs = inside - origins
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    crossings = np.zeros(n, dtype=int)
+    t_min = np.full(n, 1e-9)
+    live = np.ones(n, dtype=bool)
+    while live.any():
+        t, fid, _ = nearest_hits(box, origins, dirs, t_min)
+        live &= (fid >= 0) & (crossings <= 10)
+        crossings += live
+        t_min = np.where(live, t + 1e-9, t_min)
+    assert np.all(crossings % 2 == 0)
 
 
 def test_text_round_trip():
@@ -158,8 +216,3 @@ def test_text_import_rejects_bad_field_count():
     with pytest.raises(ValueError):
         scene_from_text("1,2,3,4,5\n")
 
-
-def test_intersect_requires_unit_direction():
-    g = ground_plane(100.0)
-    with pytest.raises(ValueError):
-        g.intersect(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -2.0]))

@@ -178,6 +178,17 @@ class TestCli:
                        "site_lon_deg = 0.0\n")
         assert main(["simulate", "--config", str(cfg)]) == 3
 
+    def test_empty_tle_file_exit_two(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tle"
+        empty.write_text("")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {empty}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert main(["trace-once", "--config", str(cfg),
+                     "--at-minute", "1"]) == 2
+        assert main(["pass", "--tle", str(empty), "--site", "0,0,0"]) == 2
+        assert "no element sets" in capsys.readouterr().err
+
     def test_pass_subcommand_prints_window(self, capsys):
         code = main(["pass", "--tle", str(DEMO_TLE),
                      "--site", "1.9,0.7791238226849033,0.0"])

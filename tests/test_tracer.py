@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import nearest_hits
 from leochan.scene import generate_city, ground_plane
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
@@ -147,8 +148,9 @@ def test_specularity_and_segment_validity():
             assert abs(float(np.cross(direction, normal) @ out)) < 1e-9
             assert abs(angle_in - inter.incidence_angle) < 1e-9
             # no scene hit strictly inside the segment
-            blocker = city.intersect(start, seg_dir, 1e-7, seg_len - 1e-7)
-            assert blocker is None
+            _, blocker, _ = nearest_hits(city, start[None], seg_dir[None],
+                                         1e-7, seg_len - 1e-7)
+            assert blocker[0] == -1
             start = inter.point
             direction = out
 
