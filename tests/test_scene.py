@@ -91,7 +91,9 @@ def _assert_matches_oracle(scene, origins, dirs, t_min):
     assert np.allclose(normals, normals_ref)
 
 
-def test_batch_equals_oracle_random_rays(rng):
+# intersect_batch (box cull, chunked kernel) against the brute-force
+# oracle; the name is kept from the BVH this engine replaced.
+def test_bvh_equals_brute_force_random_rays(rng):
     city = generate_city(6, 6, seed=2)
     n = 20_000
     origins = rng.uniform(-0.9, 0.9, (n, 3))
@@ -103,6 +105,24 @@ def test_batch_equals_oracle_random_rays(rng):
     origins[:200, 2] = 1.0
     dirs[200:400] = [0.0, 1.0, 0.0]
     _assert_matches_oracle(city, origins, dirs, 1e-9)
+
+
+def test_batch_equals_single_queries(rng):
+    # A ray's hit must not depend on the batch it is queried in: the box
+    # cull and the chunking run per batch, so query each ray on its own.
+    city = generate_city(5, 4, seed=9)
+    n = 3000
+    origins = rng.uniform(-0.8, 0.8, (n, 3))
+    origins[:, 2] = rng.uniform(0.0, 0.4, n)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    ts, fids, normals = city.intersect_batch(origins, dirs, 1e-9)
+    for i in range(n):
+        t, fid, normal = city.intersect_batch(origins[i:i + 1],
+                                              dirs[i:i + 1], 1e-9)
+        assert fids[i] == fid[0]
+        assert ts[i] == t[0]
+        assert np.array_equal(normals[i], normal[0])
 
 
 def test_rays_at_ground_perimeter_survive_box_cull():
