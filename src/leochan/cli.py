@@ -84,6 +84,12 @@ def _cmd_pass(args) -> int:
         site = (float(parts[0]), float(parts[1]), float(parts[2]))
     except ValueError:
         raise ConfigError(f"bad --site value: {args.site!r}") from None
+    if not all(map(math.isfinite, site)) or not -90.0 <= site[0] <= 90.0:
+        raise ConfigError(f"bad --site value: {args.site!r}")
+    if not 0.0 <= args.min_elev < 90.0:
+        raise ConfigError("--min-elev must be in [0, 90)")
+    if not 0.0 < args.step < math.inf:
+        raise ConfigError("--step must be positive and finite")
     tle = first_element_set(args.tle)
     window = find_pass(tle, site, theta_min=math.radians(args.min_elev),
                        step_s=args.step)

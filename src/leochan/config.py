@@ -7,8 +7,12 @@ a typo should fail, not silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .link import POLARIZATIONS, RAIN_PATH_MODES
+from .scene import HEIGHT_LAWS
 
 
 class ConfigError(ValueError):
@@ -57,6 +61,10 @@ class SimConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.time_step_s <= 0.0:
             raise ConfigError("time_step_s must be positive")
         if self.spacing_m <= 0.0:
@@ -69,6 +77,22 @@ class SimConfig:
             raise ConfigError("site_lat_deg must be in [-90, 90]")
         if self.rx_radius_m < 0.0:
             raise ConfigError("rx_radius_m must be >= 0 (0 = auto)")
+        if not 0.0 <= self.theta_min_deg < 90.0:
+            raise ConfigError("theta_min_deg must be in [0, 90)")
+        if self.fc_mhz <= 0.0:
+            raise ConfigError("fc_mhz must be positive")
+        if self.rain_rate_mm_h < 0.0:
+            raise ConfigError("rain_rate_mm_h must be >= 0")
+        if self.rain_k <= 0.0 or self.rain_alpha <= 0.0:
+            raise ConfigError("rain_k and rain_alpha must be positive")
+        if self.polarization not in POLARIZATIONS:
+            raise ConfigError(f"polarization must be one of {POLARIZATIONS}")
+        if self.rain_path_mode not in RAIN_PATH_MODES:
+            raise ConfigError(
+                f"rain_path_mode must be one of {RAIN_PATH_MODES}")
+        if self.scene_height_law not in HEIGHT_LAWS:
+            raise ConfigError(
+                f"scene_height_law must be one of {HEIGHT_LAWS}")
 
     @property
     def effective_rx_radius_m(self) -> float:

@@ -7,8 +7,8 @@ scene scale), and the precession polynomials to J2000.  The Earth-fixed
 side rotates by apparent sidereal time; polar motion is ignored (< 15 m).
 
 The LOCAL frame is the scene frame: two rotations (about z then y) map
-the Earth-center-to-anchor direction onto +z, and a translation puts the
-anchor at the origin, so local +z is the site zenith.
+the Earth-center-to-site direction onto +z, and a translation puts the
+site at the origin, so local +z is the site zenith.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class EarthOrientation:
     precession_angles: tuple[float, float, float]  # (zeta, z, theta)
     nutation: tuple[float, float]                  # (dpsi, deps)
     mean_obliquity: float
-    earth_rotation_rate: float = EARTH_ROTATION_RATE
 
     @property
     def equation_of_equinoxes(self) -> float:
@@ -96,13 +95,8 @@ class EarthOrientation:
         return self.gmst + self.equation_of_equinoxes
 
 
-def earth_orientation(t: datetime,
-                      extra_nutation_terms=()) -> EarthOrientation:
-    """Compute Earth orientation angles for a UTC instant.
-
-    ``extra_nutation_terms`` extends the built-in truncated series with
-    additional rows in the same ((l,l',F,D,Om), S, St, C, Ct) layout.
-    """
+def earth_orientation(t: datetime) -> EarthOrientation:
+    """Compute Earth orientation angles for a UTC instant."""
     ttt = julian_centuries_tt(t)
 
     zeta = (2306.2181 * ttt + 0.30188 * ttt * ttt
@@ -118,8 +112,7 @@ def earth_orientation(t: datetime,
     args = _delaunay_arguments(ttt)
     dpsi = 0.0
     deps = 0.0
-    for mult, s_const, s_t, c_const, c_t in (
-            tuple(NUTATION_TERMS) + tuple(extra_nutation_terms)):
+    for mult, s_const, s_t, c_const, c_t in NUTATION_TERMS:
         ang = sum(m * a for m, a in zip(mult, args))
         dpsi += (s_const + s_t * ttt) * math.sin(ang)
         deps += (c_const + c_t * ttt) * math.cos(ang)
@@ -174,14 +167,14 @@ def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
     to_tod = (precession_matrix(eo) @ nutation_matrix(eo)).T
     spin = rot3(eo.gast)
     r_ecef = spin @ (to_tod @ state.position)
-    omega = np.array([0.0, 0.0, eo.earth_rotation_rate])
+    omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
     v_ecef = spin @ (to_tod @ state.velocity) - np.cross(omega, r_ecef)
     return StateVector(Frame.ECEF, state.t, r_ecef, v_ecef)
 
 
 def ecef_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
     state.require(Frame.ECEF)
-    omega = np.array([0.0, 0.0, eo.earth_rotation_rate])
+    omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
     v_inertial_pef = state.velocity + np.cross(omega, state.position)
     unspin = rot3(-eo.gast)
     to_eci = precession_matrix(eo) @ nutation_matrix(eo)
@@ -236,60 +229,39 @@ def ecef_to_geodetic(r: np.ndarray) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class LocalFrame:
     """Scene frame: rotation about z by gamma, about y by beta, then a
-    translation that puts the anchor at the local origin."""
+    translation that puts the site at the local origin."""
 
     origin_ecef: np.ndarray
     gamma: float
     beta: float
-    translation: np.ndarray   # equals origin_ecef in the local->global form
     rotation: np.ndarray      # ECEF -> LOCAL direction cosine matrix
 
     def to_local_point(self, r_ecef: np.ndarray) -> np.ndarray:
         return self.rotation @ (np.asarray(r_ecef, dtype=float)
-                                - self.translation)
+                                - self.origin_ecef)
 
     def to_global_point(self, r_local: np.ndarray) -> np.ndarray:
         return self.rotation.T @ np.asarray(r_local, dtype=float) \
-            + self.translation
+            + self.origin_ecef
 
 
-def _active_rz(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _active_ry(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def build_local_frame(site_geodetic: tuple[float, float, float],
-                      ecef_anchor: np.ndarray | None = None) -> LocalFrame:
+def build_local_frame(site_geodetic: tuple[float, float, float]) -> LocalFrame:
     """Construct the scene frame for a site.
 
-    ``site_geodetic`` is (lat_deg, lon_deg, alt_km).  If an explicit ECEF
-    anchor is supplied it must sit within 1 km of the geodetic site.  At
-    the poles the first rotation angle is undefined and fixed to zero.
+    ``site_geodetic`` is (lat_deg, lon_deg, alt_km); the site is the
+    origin.  At the poles the first rotation angle is undefined and fixed
+    to zero.
     """
     if not -90.0 <= site_geodetic[0] <= 90.0:
         raise ValueError("latitude must be in [-90, 90] degrees")
-    site_ecef = geodetic_to_ecef(*site_geodetic)
-    if ecef_anchor is None:
-        anchor = site_ecef
-    else:
-        anchor = np.asarray(ecef_anchor, dtype=float)
-        if np.linalg.norm(anchor - site_ecef) > 1.0:
-            raise ValueError(
-                "ECEF anchor disagrees with the geodetic site by more "
-                "than 1 km")
-
-    ux, uy, uz = anchor
+    site = geodetic_to_ecef(*site_geodetic)
+    ux, uy, uz = site
     rho = math.hypot(ux, uy)
     gamma = 0.0 if rho == 0.0 else math.atan2(uy, ux)
     beta = math.atan2(rho, uz)
-    rotation = _active_ry(-beta) @ _active_rz(-gamma)
-    return LocalFrame(origin_ecef=anchor, gamma=gamma, beta=beta,
-                      translation=anchor, rotation=rotation)
+    rotation = rot2(beta) @ rot3(gamma)
+    return LocalFrame(origin_ecef=site, gamma=gamma, beta=beta,
+                      rotation=rotation)
 
 
 def global_to_local(state: StateVector, frame: LocalFrame) -> StateVector:

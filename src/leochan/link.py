@@ -26,6 +26,9 @@ SPEED_OF_LIGHT_KM_S = 299792.458
 # latitude-dependent alternate is selectable per LinkParams.
 RAIN_PATH_CONSTANT = 0.232 - 0.00018
 
+POLARIZATIONS = ("H", "V")
+RAIN_PATH_MODES = ("verbatim", "latitude")
+
 
 class NonPositiveInput(ValueError):
     pass
@@ -61,9 +64,9 @@ class LinkParams:
             raise ValueError("rain rate must be >= 0")
         if self.rain_k <= 0.0 or self.rain_alpha <= 0.0:
             raise ValueError("rain coefficients must be positive")
-        if self.polarization not in ("H", "V"):
+        if self.polarization not in POLARIZATIONS:
             raise ValueError("polarization must be 'H' or 'V'")
-        if self.rain_path_mode not in ("verbatim", "latitude"):
+        if self.rain_path_mode not in RAIN_PATH_MODES:
             raise ValueError("rain_path_mode must be verbatim or latitude")
 
     @property

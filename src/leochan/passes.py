@@ -18,14 +18,12 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import frames
-from .frames import EarthOrientation, earth_orientation, geodetic_to_ecef
-from .sgp4 import GravityConstants, PropagatorState, sgp4_init, sgp4_propagate
+from .frames import EARTH_ROTATION_RATE, earth_orientation, geodetic_to_ecef
+from .link import SPEED_OF_LIGHT_KM_S
+from .sgp4 import PropagatorState, sgp4_init, sgp4_propagate
 from .states import StateVector
 from .tle import Tle
 from .timebase import minutes_between
-
-SPEED_OF_LIGHT_KM_S = 299792.458
-OMEGA_EARTH = frames.EARTH_ROTATION_RATE
 
 
 class NoPassFound(RuntimeError):
@@ -40,24 +38,19 @@ class Ephemeris:
     """One satellite's propagated states by UTC instant, through the full
     TEME -> ECI -> ECEF chain.  Pure and safe to share."""
 
-    def __init__(self, tle: Tle, consts: GravityConstants | None = None):
+    def __init__(self, tle: Tle):
         self.tle = tle
-        self.state: PropagatorState = sgp4_init(tle, consts)
+        self.state: PropagatorState = sgp4_init(tle)
 
     def teme_at(self, t: datetime) -> StateVector:
         return sgp4_propagate(self.state, minutes_between(self.tle.epoch, t))
 
-    def eci_at(self, t: datetime,
-               eo: EarthOrientation | None = None) -> StateVector:
-        if eo is None:
-            eo = earth_orientation(t)
-        return frames.teme_to_eci(self.teme_at(t), eo)
+    def eci_at(self, t: datetime) -> StateVector:
+        return frames.teme_to_eci(self.teme_at(t), earth_orientation(t))
 
-    def ecef_at(self, t: datetime,
-                eo: EarthOrientation | None = None) -> StateVector:
-        if eo is None:
-            eo = earth_orientation(t)
-        return frames.eci_to_ecef(self.eci_at(t, eo), eo)
+    def ecef_at(self, t: datetime) -> StateVector:
+        eo = earth_orientation(t)
+        return frames.eci_to_ecef(frames.teme_to_eci(self.teme_at(t), eo), eo)
 
     def inertial_angular_rate(self, t: datetime, h_s: float = 0.5) -> float:
         """Instantaneous angular speed of the position vector in ECI,
@@ -227,7 +220,6 @@ def _golden_max(f, t_lo: datetime, t_hi: datetime,
 def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
               theta_min: float = 0.0, step_s: float = 30.0,
               search_hours: float = 48.0,
-              consts: GravityConstants | None = None,
               ephemeris: Ephemeris | None = None) -> PassWindow:
     """Locate the first pass above ``theta_min`` after the element epoch.
 
@@ -237,7 +229,7 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
     comparison.  A pass already in progress at the epoch is skipped so
     the window is always a complete rise-culminate-set arc.
     """
-    ephem = ephemeris if ephemeris is not None else Ephemeris(tle, consts)
+    ephem = ephemeris if ephemeris is not None else Ephemeris(tle)
     site_ecef = geodetic_to_ecef(*site_geodetic)
 
     def el(t: datetime) -> float:
@@ -284,7 +276,7 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
 
     omega_s = ephem.inertial_angular_rate(t0)
     incl = math.radians(tle.inclination_deg)
-    omega_f = omega_s - OMEGA_EARTH * math.cos(incl)
+    omega_f = omega_s - EARTH_ROTATION_RATE * math.cos(incl)
 
     gamma_min = gamma_at_culmination(theta_min, r_e, r)
     ratio = math.cos(gamma_min) / math.cos(gamma_t0)
@@ -316,10 +308,10 @@ def build_pass_geometry(ephem: Ephemeris, window: PassWindow,
 
     omega_s = ephem.inertial_angular_rate(window.t0)
     incl = math.radians(ephem.tle.inclination_deg)
-    omega_f = omega_s - OMEGA_EARTH * math.cos(incl)
+    omega_f = omega_s - EARTH_ROTATION_RATE * math.cos(incl)
 
     return PassGeometry(
         r_e=r_e, r=r, gamma_t0=gamma_measured, omega_s=omega_s,
-        omega_e=OMEGA_EARTH, inclination=incl, omega_f=omega_f,
+        omega_e=EARTH_ROTATION_RATE, inclination=incl, omega_f=omega_f,
         fc_hz=fc_hz, t0=window.t0, subsat0=subsat0, ephemeris=ephem,
     )

@@ -26,6 +26,8 @@ MIN_TRIANGLE_AREA_KM2 = 1e-12
 # never prune a genuine hit on the edge of the scene.
 _BOX_PAD = 1e-9
 
+HEIGHT_LAWS = ("uniform", "constant")
+
 
 class InvalidDimensions(ValueError):
     pass
@@ -57,6 +59,10 @@ class Scene:
         material_ids = np.asarray(material_ids, dtype=int)
         if len(material_ids) != len(triangles):
             raise ValueError("one material id per triangle required")
+        if len(material_ids) and (material_ids.min() < 0
+                                  or material_ids.max() >= len(materials)):
+            raise ValueError(
+                f"material ids must be in [0, {len(materials)})")
         v0 = triangles[:, 0, :]
         e1 = triangles[:, 1, :] - v0
         e2 = triangles[:, 2, :] - v0
@@ -191,7 +197,7 @@ def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
         raise InvalidDimensions("grid counts and widths must be positive")
     if grid_nx * grid_ny > 10_000:
         raise InvalidDimensions("more than 10^4 blocks requested")
-    if height_law not in ("uniform", "constant"):
+    if height_law not in HEIGHT_LAWS:
         raise InvalidDimensions(f"unknown height law {height_law!r}")
     if height_law == "uniform" and not 0.0 < h_min_m <= h_max_m:
         raise InvalidDimensions("need 0 < h_min <= h_max")
@@ -253,6 +259,9 @@ def scene_to_text(scene: Scene) -> str:
 
 def scene_from_text(text: str,
                     materials: list[Material] | None = None) -> Scene:
+    """Parse ``scene_to_text`` output; errors name the offending line."""
+    if materials is None:
+        materials = [CONCRETE]
     tris = []
     mats = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -263,10 +272,18 @@ def scene_from_text(text: str,
         if len(parts) != 10:
             raise ValueError(f"line {lineno}: expected 10 fields, "
                              f"got {len(parts)}")
-        values = [float(p) for p in parts[:9]]
-        tris.append(np.asarray(values).reshape(3, 3))
-        mats.append(int(parts[9]))
-    if materials is None:
-        materials = [CONCRETE]
+        try:
+            values = [float(p) for p in parts[:9]]
+            mat = int(parts[9])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        tri = np.asarray(values).reshape(3, 3)
+        if not np.isfinite(tri).all():
+            raise ValueError(f"line {lineno}: non-finite coordinate")
+        if not 0 <= mat < len(materials):
+            raise ValueError(f"line {lineno}: material id {mat} not in "
+                             f"[0, {len(materials)})")
+        tris.append(tri)
+        mats.append(mat)
     return Scene(np.asarray(tris).reshape(-1, 3, 3),
                  np.asarray(mats, dtype=int), materials)

@@ -13,11 +13,20 @@ import math
 from dataclasses import dataclass
 from datetime import timedelta
 
+from .frames import DEG2RAD
 from .states import Frame, StateVector
 from .tle import Tle
 
 TWOPI = 2.0 * math.pi
-DEG2RAD = math.pi / 180.0
+
+# WGS-72 geopotential: the constant set SGP4 element sets are fitted with.
+MU = 398600.8               # km^3/s^2
+RE = 6378.135               # km
+XKE = 60.0 / math.sqrt(RE ** 3 / MU)   # sqrt(mu) in canonical units (1/min)
+J2 = 0.001082616
+J3 = -0.00000253881
+J4 = -0.00000165597
+J3OJ2 = J3 / J2
 
 DEEP_SPACE_PERIOD_MIN = 225.0
 KEPLER_TOL = 1e-12
@@ -46,43 +55,10 @@ class KeplerNonConvergence(PropagationError):
 
 
 @dataclass(frozen=True)
-class GravityConstants:
-    """Geopotential and sizing constants used by the propagator."""
-
-    name: str
-    mu: float               # km^3/s^2
-    earth_radius_km: float
-    xke: float              # sqrt(mu) in canonical units (1/min)
-    j2: float
-    j3: float
-    j4: float
-
-    @property
-    def j3oj2(self) -> float:
-        return self.j3 / self.j2
-
-
-def wgs72() -> GravityConstants:
-    mu = 398600.8
-    re = 6378.135
-    return GravityConstants("wgs72", mu, re, 60.0 / math.sqrt(re ** 3 / mu),
-                            0.001082616, -0.00000253881, -0.00000165597)
-
-
-def wgs84() -> GravityConstants:
-    mu = 398600.5
-    re = 6378.137
-    return GravityConstants("wgs84", mu, re, 60.0 / math.sqrt(re ** 3 / mu),
-                            0.00108262998905, -0.00000253215306,
-                            -0.00000161098761)
-
-
-@dataclass(frozen=True)
 class PropagatorState:
     """All precomputed SGP4 coefficients for one element set."""
 
     tle: Tle
-    consts: GravityConstants
     # recovered mean elements
     no_unkozai: float   # rad/min, Brouwer mean motion
     ecco: float
@@ -126,18 +102,15 @@ class PropagatorState:
 
     @property
     def semi_major_axis_km(self) -> float:
-        return self.ao * self.consts.earth_radius_km
+        return self.ao * RE
 
 
-def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorState:
+def sgp4_init(tle: Tle) -> PropagatorState:
     """Initialize the propagator from an element set.
 
     Raises :class:`DeepSpaceUnsupported` for periods above 225 minutes and
     :class:`DecayedOrbit` when the recovered perigee is below the surface.
     """
-    if consts is None:
-        consts = wgs72()
-
     ecco = tle.eccentricity
     inclo = tle.inclination_deg * DEG2RAD
     nodeo = tle.raan_deg * DEG2RAD
@@ -146,11 +119,6 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
     no_kozai = tle.mean_motion_revs_per_day * TWOPI / 1440.0  # rad/min
     bstar = tle.bstar
 
-    xke = consts.xke
-    j2 = consts.j2
-    j3oj2 = consts.j3oj2
-    j4 = consts.j4
-    radiusearthkm = consts.earth_radius_km
     x2o3 = 2.0 / 3.0
 
     # Brouwer mean motion recovery (un-Kozai).
@@ -159,8 +127,8 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
     rteosq = math.sqrt(omeosq)
     cosio = math.cos(inclo)
     cosio2 = cosio * cosio
-    ak = (xke / no_kozai) ** x2o3
-    d1 = 0.75 * j2 * (3.0 * cosio2 - 1.0) / (rteosq * omeosq)
+    ak = (XKE / no_kozai) ** x2o3
+    d1 = 0.75 * J2 * (3.0 * cosio2 - 1.0) / (rteosq * omeosq)
     del_ = d1 / (ak * ak)
     adel = ak * (1.0 - del_ * del_
                  - del_ * (1.0 / 3.0 + 134.0 * del_ * del_ / 81.0))
@@ -172,7 +140,7 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
             f"period {TWOPI / no_unkozai:.1f} min exceeds the near-Earth "
             f"regime ({DEEP_SPACE_PERIOD_MIN:.0f} min)")
 
-    ao = (xke / no_unkozai) ** x2o3
+    ao = (XKE / no_unkozai) ** x2o3
     sinio = math.sin(inclo)
     po = ao * omeosq
     con42 = 1.0 - 5.0 * cosio2
@@ -182,23 +150,23 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
 
     if rp <= 1.0:
         raise DecayedOrbit(
-            f"perigee radius {rp * radiusearthkm:.1f} km is at or below "
+            f"perigee radius {rp * RE:.1f} km is at or below "
             f"the surface")
 
     # Density-function fitting altitudes (s4, q0 terms).
-    ss = 78.0 / radiusearthkm + 1.0
-    qzms2ttemp = (120.0 - 78.0) / radiusearthkm
+    ss = 78.0 / RE + 1.0
+    qzms2ttemp = (120.0 - 78.0) / RE
     qzms2t = qzms2ttemp ** 4
-    isimp = rp < 220.0 / radiusearthkm + 1.0
+    isimp = rp < 220.0 / RE + 1.0
     sfour = ss
     qzms24 = qzms2t
-    perige = (rp - 1.0) * radiusearthkm
+    perige = (rp - 1.0) * RE
     if perige < 156.0:
         sfour = perige - 78.0
         if perige < 98.0:
             sfour = 20.0
-        qzms24 = ((120.0 - sfour) / radiusearthkm) ** 4
-        sfour = sfour / radiusearthkm + 1.0
+        qzms24 = ((120.0 - sfour) / RE) ** 4
+        sfour = sfour / RE + 1.0
 
     pinvsq = 1.0 / posq
     tsi = 1.0 / (ao - sfour)
@@ -210,16 +178,16 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
     coef1 = coef / psisq ** 3.5
     cc2 = coef1 * no_unkozai * (
         ao * (1.0 + 1.5 * etasq + eeta * (4.0 + etasq))
-        + 0.375 * j2 * tsi / psisq * con41
+        + 0.375 * J2 * tsi / psisq * con41
         * (8.0 + 3.0 * etasq * (8.0 + etasq)))
     cc1 = bstar * cc2
     cc3 = 0.0
     if ecco > 1.0e-4:
-        cc3 = -2.0 * coef * tsi * j3oj2 * no_unkozai * sinio / ecco
+        cc3 = -2.0 * coef * tsi * J3OJ2 * no_unkozai * sinio / ecco
     x1mth2 = 1.0 - cosio2
     cc4 = 2.0 * no_unkozai * coef1 * ao * omeosq * (
         eta * (2.0 + 0.5 * etasq) + ecco * (0.5 + 2.0 * etasq)
-        - j2 * tsi / (ao * psisq)
+        - J2 * tsi / (ao * psisq)
         * (-3.0 * con41 * (1.0 - 2.0 * eeta + etasq * (1.5 - 0.5 * eeta))
            + 0.75 * x1mth2 * (2.0 * etasq - eeta * (1.0 + etasq))
            * math.cos(2.0 * argpo)))
@@ -227,9 +195,9 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
         1.0 + 2.75 * (etasq + eeta) + eeta * etasq)
 
     cosio4 = cosio2 * cosio2
-    temp1 = 1.5 * j2 * pinvsq * no_unkozai
-    temp2 = 0.5 * temp1 * j2 * pinvsq
-    temp3 = -0.46875 * j4 * pinvsq * pinvsq * no_unkozai
+    temp1 = 1.5 * J2 * pinvsq * no_unkozai
+    temp2 = 0.5 * temp1 * J2 * pinvsq
+    temp3 = -0.46875 * J4 * pinvsq * pinvsq * no_unkozai
     mdot = (no_unkozai + 0.5 * temp1 * rteosq * con41
             + 0.0625 * temp2 * rteosq
             * (13.0 - 78.0 * cosio2 + 137.0 * cosio4))
@@ -249,10 +217,10 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
 
     # Long-period coefficients; guarded against inclination near 180 deg.
     if abs(cosio + 1.0) > 1.5e-12:
-        xlcof = -0.25 * j3oj2 * sinio * (3.0 + 5.0 * cosio) / (1.0 + cosio)
+        xlcof = -0.25 * J3OJ2 * sinio * (3.0 + 5.0 * cosio) / (1.0 + cosio)
     else:
-        xlcof = -0.25 * j3oj2 * sinio * (3.0 + 5.0 * cosio) / 1.5e-12
-    aycof = -0.5 * j3oj2 * sinio
+        xlcof = -0.25 * J3OJ2 * sinio * (3.0 + 5.0 * cosio) / 1.5e-12
+    aycof = -0.5 * J3OJ2 * sinio
 
     delmo = (1.0 + eta * math.cos(mo)) ** 3
     sinmao = math.sin(mo)
@@ -271,7 +239,7 @@ def sgp4_init(tle: Tle, consts: GravityConstants | None = None) -> PropagatorSta
                        + 15.0 * cc1sq * (2.0 * d2 + cc1sq))
 
     return PropagatorState(
-        tle=tle, consts=consts,
+        tle=tle,
         no_unkozai=no_unkozai, ecco=ecco, inclo=inclo, nodeo=nodeo,
         argpo=argpo, mo=mo, bstar=bstar,
         ao=ao, con41=con41, x1mth2=x1mth2, x7thm1=x7thm1,
@@ -309,11 +277,7 @@ def _solve_kepler(u: float, axnl: float, aynl: float) -> tuple[float, float, flo
 def sgp4_propagate(state: PropagatorState, tsince_min: float) -> StateVector:
     """Propagate to ``tsince_min`` minutes after epoch; TEME km, km/s."""
     s = state
-    consts = s.consts
-    xke = consts.xke
-    j2 = consts.j2
-    radiusearthkm = consts.earth_radius_km
-    vkmpersec = radiusearthkm * xke / 60.0
+    vkmpersec = RE * XKE / 60.0
     x2o3 = 2.0 / 3.0
     t = tsince_min
 
@@ -346,8 +310,8 @@ def sgp4_propagate(state: PropagatorState, tsince_min: float) -> StateVector:
     em = s.ecco
     inclm = s.inclo
 
-    am = (xke / nm) ** x2o3 * tempa * tempa
-    nm = xke / am ** 1.5
+    am = (XKE / nm) ** x2o3 * tempa * tempa
+    nm = XKE / am ** 1.5
     em -= tempe
 
     if em >= 1.0 or em < -0.001:
@@ -400,7 +364,7 @@ def sgp4_propagate(state: PropagatorState, tsince_min: float) -> StateVector:
     sin2u = (cosu + cosu) * sinu
     cos2u = 1.0 - 2.0 * sinu * sinu
     temp = 1.0 / pl
-    temp1 = 0.5 * j2 * temp
+    temp1 = 0.5 * J2 * temp
     temp2 = temp1 * temp
 
     mrt = (rl * (1.0 - 1.5 * temp2 * betal * s.con41)
@@ -408,8 +372,8 @@ def sgp4_propagate(state: PropagatorState, tsince_min: float) -> StateVector:
     su -= 0.25 * temp2 * s.x7thm1 * sin2u
     xnode = nodep + 1.5 * temp2 * cosip * sin2u
     xinc = xincp + 1.5 * temp2 * cosip * sinip * cos2u
-    mvt = rdotl - nm * temp1 * s.x1mth2 * sin2u / xke
-    rvdot = rvdotl + nm * temp1 * (s.x1mth2 * cos2u + 1.5 * s.con41) / xke
+    mvt = rdotl - nm * temp1 * s.x1mth2 * sin2u / XKE
+    rvdot = rvdotl + nm * temp1 * (s.x1mth2 * cos2u + 1.5 * s.con41) / XKE
 
     # Orientation vectors and final state.
     sinsu = math.sin(su)
@@ -429,12 +393,12 @@ def sgp4_propagate(state: PropagatorState, tsince_min: float) -> StateVector:
 
     if mrt < 1.0:
         raise SatelliteDecayed(
-            f"orbit radius {mrt * radiusearthkm:.1f} km is below the "
+            f"orbit radius {mrt * RE:.1f} km is below the "
             f"surface at t={t:.1f} min")
 
-    r = (mrt * ux * radiusearthkm,
-         mrt * uy * radiusearthkm,
-         mrt * uz * radiusearthkm)
+    r = (mrt * ux * RE,
+         mrt * uy * RE,
+         mrt * uz * RE)
     v = ((mvt * ux + rvdot * vx) * vkmpersec,
          (mvt * uy + rvdot * vy) * vkmpersec,
          (mvt * uz + rvdot * vz) * vkmpersec)

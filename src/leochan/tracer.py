@@ -19,18 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene
+from .scene import M_PER_KM, Scene
 from .states import Frame, StateVector
 
-M_PER_KM = 1000.0
-
 # Minimum satellite-distance to scene-height ratio for the plane-wave
-# assumption, and the self-occlusion offset after a reflection (km).
+# assumption, the self-occlusion offset after a reflection (km), and the
+# launch plane's clearance above the nearest scene corner (km).
 PLANE_WAVE_MIN_RATIO = 100.0
 _SELF_HIT_EPS = 1e-7
+PLANE_MARGIN_KM = 0.05
 
 DEFAULT_MAX_BOUNCES = 2
-RX_RADIUS_SPACING_FACTOR = 1.5
 
 
 class SatelliteBelowHorizon(ValueError):
@@ -95,14 +94,14 @@ class LaunchPlane:
 
 
 def build_launch_plane(sat_local: StateVector, scene: Scene,
-                       spacing_m: float, margin_km: float = 0.05,
+                       spacing_m: float,
                        extent_pad_km: float | None = None) -> LaunchPlane:
     """Place the launch plane for one satellite position.
 
     The plane is perpendicular to the satellite-to-scene direction,
-    offset ``margin_km`` above the closest scene corner, and sized to the
-    scene footprint projected along the ray direction plus a pad that
-    covers bounce spread (default: scene height plus ten spacings).
+    offset ``PLANE_MARGIN_KM`` above the closest scene corner, and sized
+    to the scene footprint projected along the ray direction plus a pad
+    that covers bounce spread (default: scene height plus ten spacings).
     """
     sat_local.require(Frame.LOCAL)
     sat = np.asarray(sat_local.position, dtype=float)
@@ -128,7 +127,7 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
                         for z in (bmin[2], bmax[2])])
     # Plane: direction . x = c, just before the nearest corner.
     proj = corners @ direction
-    c = float(proj.min()) - margin_km
+    c = float(proj.min()) - PLANE_MARGIN_KM
     d_atmosphere = c - float(direction @ sat)
     if d_atmosphere <= 0.0:
         raise SatelliteBelowHorizon("satellite is below the launch plane")
@@ -156,7 +155,7 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
 
     return LaunchPlane(direction=direction, origin=origin, e1=e1, e2=e2,
                        half_u=float(half_u), half_v=float(half_v),
-                       spacing=spacing_km, plane_altitude=margin_km,
+                       spacing=spacing_km, plane_altitude=PLANE_MARGIN_KM,
                        d_atmosphere=float(d_atmosphere), sat_position=sat)
 
 

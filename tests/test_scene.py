@@ -236,3 +236,28 @@ def test_text_import_rejects_bad_field_count():
     with pytest.raises(ValueError):
         scene_from_text("1,2,3,4,5\n")
 
+
+
+def test_scene_rejects_material_id_out_of_range():
+    city = generate_city(1, 1)
+    ids = city.material_ids.copy()
+    for bad in (1, -1):
+        ids[3] = bad
+        with pytest.raises(ValueError, match="material ids"):
+            Scene(city.triangles, ids, city.materials)
+
+
+def test_text_import_names_line_of_bad_material_id():
+    lines = scene_to_text(ground_plane()).splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",3"
+    with pytest.raises(ValueError, match=r"line 2: material id 3"):
+        scene_from_text("\n".join(lines))
+
+
+def test_text_import_names_line_of_bad_coordinate():
+    lines = scene_to_text(ground_plane()).splitlines()
+    with pytest.raises(ValueError, match=r"line 3: could not convert"):
+        scene_from_text("\n".join(["# header", lines[0], "x" + lines[1]]))
+    with pytest.raises(ValueError, match=r"line 2: non-finite"):
+        scene_from_text("\n".join([lines[0],
+                                    "nan," + lines[1].split(",", 1)[1]]))

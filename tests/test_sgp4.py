@@ -5,7 +5,7 @@ import pytest
 
 from conftest import WGS72_RE, circular_mean_motion, make_circular_tle
 from leochan.sgp4 import (DecayedOrbit, DeepSpaceUnsupported, sgp4_init,
-                          sgp4_propagate, wgs72, wgs84)
+                          sgp4_propagate)
 from leochan.states import Frame
 from leochan.tle import parse_tle, synthetic_tle
 from leochan.timebase import utc
@@ -187,14 +187,6 @@ def test_angular_momentum_drift_below_one_percent():
         hs.append(np.linalg.norm(np.cross(sv.position, sv.velocity)))
     hs = np.asarray(hs)
     assert (hs.max() - hs.min()) / hs.mean() < 0.01
-
-
-def test_wgs84_constants_selectable():
-    tle = make_circular_tle(542.0, inclination_deg=31.0)
-    r72 = sgp4_propagate(sgp4_init(tle, wgs72()), 10.0).position
-    r84 = sgp4_propagate(sgp4_init(tle, wgs84()), 10.0).position
-    # different constant sets must give close but not identical output
-    assert 1e-6 < np.linalg.norm(r72 - r84) < 5.0
 
 
 def test_kepler_iteration_cap_raises(monkeypatch):

@@ -1,10 +1,14 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leochan import passes
 from leochan.cli import main
-from leochan.config import ConfigError, parse_config, parse_config_text
+from leochan.config import (ConfigError, SimConfig, parse_config,
+                            parse_config_text)
 from leochan.link import total_power_dbm
 from leochan.simulate import PassReport, emit_outputs, run_pass_simulation
 
@@ -44,7 +48,49 @@ def light_report(light_config):
     return run_pass_simulation(parse_config(light_config))
 
 
+@pytest.fixture()
+def no_pass_search(monkeypatch):
+    """Fail the test if a pass search runs."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("pass search ran")
+
+    monkeypatch.setattr(passes, "find_pass", no_search)
+    monkeypatch.setattr("leochan.cli.find_pass", no_search)
+
+
+_FLOAT_KEYS = sorted(f.name for f in fields(SimConfig) if f.type == "float")
+_OUT_OF_RANGE = {
+    "fc_mhz": st.floats(max_value=0.0),
+    "rain_rate_mm_h": st.floats(max_value=0.0, exclude_max=True),
+    "rain_k": st.floats(max_value=0.0),
+    "rain_alpha": st.floats(max_value=0.0),
+    "time_step_s": st.floats(max_value=0.0),
+    "spacing_m": st.floats(max_value=0.0),
+    "rx_radius_m": st.floats(max_value=0.0, exclude_max=True),
+    "site_lat_deg": st.floats(min_value=90.0, exclude_min=True)
+    | st.floats(max_value=-90.0, exclude_max=True),
+    "theta_min_deg": st.floats(min_value=90.0)
+    | st.floats(max_value=0.0, exclude_max=True),
+}
+
+
+def _bad_float_entry():
+    non_finite = st.tuples(st.sampled_from(_FLOAT_KEYS),
+                           st.sampled_from([math.nan, math.inf, -math.inf]))
+    out_of_range = st.sampled_from(sorted(_OUT_OF_RANGE)).flatmap(
+        lambda key: st.tuples(st.just(key), _OUT_OF_RANGE[key]))
+    return non_finite | out_of_range
+
+
 class TestConfig:
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=200)
+    @given(_bad_float_entry())
+    def test_bad_float_value_names_key(self, entry):
+        key, value = entry
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value!r}\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("volume_db = 11\n")
@@ -172,6 +218,39 @@ class TestCli:
         bad.write_text("nonsense_key = 1\n")
         assert main(["simulate", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("fc_mhz", "-5"), ("polarization", "X"), ("rain_rate_mm_h", "-1"),
+        ("rain_path_mode", "foo"), ("scene_height_law", "foo"),
+        ("time_step_s", "nan"), ("spacing_m", "inf"),
+        ("site_lon_deg", "nan"), ("theta_min_deg", "-5"),
+    ])
+    def test_bad_value_exit_two_before_pass_search(self, tmp_path, capsys,
+                                                   no_pass_search, key,
+                                                   value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\n{key} = {value}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,expected", [
+        ("0,0,0, 0.1,0,0, 0,0.1,0, 3", "line 2: material id 3"),
+        ("x-0.09,0,0, 0.1,0,0, 0,0.1,0, 0", "line 2: could not convert"),
+    ])
+    def test_bad_scene_file_exit_two_names_file_and_line(
+            self, tmp_path, capsys, no_pass_search, line, expected):
+        scene_file = tmp_path / "city.txt"
+        scene_file.write_text("0,0,0, 0.1,0,0, 0,0.1,0, 0\n" + line + "\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(scene_file) in err and expected in err
+
+    def test_bad_city_size_exit_two(self, tmp_path, no_pass_search):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_grid_nx = 0\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+
     def test_missing_pass_exit_three(self, tmp_path):
         cfg = tmp_path / "polar.cfg"
         cfg.write_text(f"tle_path = {DEMO_TLE}\nsite_lat_deg = 80.0\n"
@@ -198,6 +277,16 @@ class TestCli:
 
     def test_pass_subcommand_bad_site(self):
         assert main(["pass", "--tle", str(DEMO_TLE), "--site", "1,2"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--site", "nan,0,0"], ["--site", "91,0,0"],
+        ["--min-elev", "-5"], ["--min-elev", "90"], ["--step", "0"],
+        ["--step", "nan"],
+    ])
+    def test_pass_subcommand_bad_argument_exit_two(self, no_pass_search,
+                                                   args):
+        argv = ["pass", "--tle", str(DEMO_TLE), "--site", "1.9,0.8,0"]
+        assert main(argv + args) == 2
 
     def test_trace_once(self, light_config, capsys):
         code = main(["trace-once", "--config", str(light_config),

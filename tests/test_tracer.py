@@ -34,7 +34,7 @@ def test_plane_at_zenith_sits_above_scene_top():
     # scene top at 0.15 km, margin 0.05 -> plane plane at z = 0.2
     city = generate_city(2, 2, height_law="constant", h_const_m=150.0)
     sat = _sat_state([0.0, 0.0, 550.0])
-    plane = build_launch_plane(sat, city, spacing_m=5.0, margin_km=0.05)
+    plane = build_launch_plane(sat, city, spacing_m=5.0)
     assert np.allclose(plane.direction, [0.0, 0.0, -1.0], atol=1e-12)
     assert plane.origin[2] == pytest.approx(0.2, abs=1e-9)
     assert plane.plane_altitude == 0.05
