@@ -6,6 +6,25 @@ are meters and are converted).  ``Scene.intersect_batch`` is the one
 intersection engine; it must agree exactly with a brute-force oracle over
 every triangle (same Moller-Trumbore arithmetic) and breaks distance ties
 on the lower face id.
+
+The engine is a linear bounding-volume hierarchy (Karras, "Maximizing
+Parallelism in the Construction of BVHs, Octrees, and k-d Trees", HPG
+2012), built without recursion when the scene is made.  The faces are
+stably sorted by the Morton code of their box centres and cut into
+leaves of ``_LEAF_SIZE`` consecutive faces.  Each leaf box is padded by
+``_BOX_PAD``, and each level above is the pairwise min/max of the level
+below, up to one root: node i of a level has children 2i and 2i + 1.
+Where a level has an odd number of nodes, its last parent has an empty
+right child, which the traversal masks out.
+
+The query walks the tree breadth-first over (ray, node) pairs, as a
+wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful", HPG
+2013).  The root level culls every ray against the padded scene box.
+Then each chunk of ``_RAY_CHUNK`` rays goes down one level at a time,
+testing both children of every surviving pair with the slab test.  At
+the leaves, Moller-Trumbore runs on the surviving (ray, face) pairs with
+the oracle's row-wise ``np.cross`` and ``einsum`` arithmetic, and the
+nearest hit per ray is kept, ties going to the lower face id.
 """
 
 from __future__ import annotations
@@ -22,9 +41,14 @@ M_PER_KM = 1000.0
 _DET_EPS = 1e-14
 MIN_TRIANGLE_AREA_KM2 = 1e-12
 
-# The ray-cull box is padded so that floating-point slab rounding can
-# never prune a genuine hit on the edge of the scene.
+# Tree boxes are padded so that floating-point slab rounding can never
+# prune a genuine hit on the edge of a box.
 _BOX_PAD = 1e-9
+
+# Faces per BVH leaf and rays per traversal chunk (the chunk bounds the
+# size of the (ray, node) pair arrays).
+_LEAF_SIZE = 2
+_RAY_CHUNK = 1024
 
 HEIGHT_LAWS = ("uniform", "constant")
 
@@ -50,6 +74,62 @@ class Material:
 CONCRETE = Material("concrete", 5.31, 0.1395)
 
 
+def _morton_order(points: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Stable order of ``points`` (inside the box [lo, hi]) along a
+    30-bit Morton curve: 10 bits per axis, interleaved x, y, z."""
+    extent = np.where(hi > lo, hi - lo, 1.0)
+    q = ((points - lo) / extent * 1023.0).astype(np.int64)
+    # spread each coordinate's 10 bits to every third bit
+    for shift, mask in ((16, 0xFF0000FF), (8, 0x0F00F00F),
+                        (4, 0xC30C30C3), (2, 0x49249249)):
+        q = (q | (q << shift)) & mask
+    codes = (q[:, 0] << 2) | (q[:, 1] << 1) | q[:, 2]
+    return np.argsort(codes, kind="stable")
+
+
+def _slab(origins, inv_dirs, lo, hi, t_min):
+    """Whether ray ``origin + t * direction`` meets box [lo, hi] for some
+    t > t_min, per row and box.  ``inv_dirs`` is 1 / direction.  The
+    last axis of each (rows, 3k) argument holds k boxes' x, y, z (the
+    ray repeated k times); the result has shape (rows, k)."""
+    with np.errstate(invalid="ignore"):
+        t_a = (lo - origins) * inv_dirs
+        t_b = (hi - origins) * inv_dirs
+    near = np.minimum(t_a, t_b)
+    far = np.maximum(t_a, t_b)
+    # a zero direction component (infinite inverse) stays in the slab
+    # everywhere or nowhere; 0 * inf above gave NaN where it starts on it
+    par = np.isinf(inv_dirs)
+    if par.any():
+        inside = (origins >= lo) & (origins <= hi)
+        near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+    boxes = (len(near), near.shape[1] // 3, 3)
+    near = near.reshape(boxes)
+    far = far.reshape(boxes)
+    enter = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
+    exit_ = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
+    return (enter <= exit_) & (exit_ > t_min)
+
+
+def _moller_trumbore(origins, directions, v0, e1, e2, t_min):
+    """Distance of each (ray, triangle) row's hit in (t_min, +inf), or
+    +inf.  Row-wise ``np.cross`` and ``einsum`` dot products, exactly as
+    the test oracle computes them."""
+    pvec = np.cross(directions, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > _DET_EPS
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = origins - v0
+    u = np.einsum("ij,ij->i", tvec, pvec) * inv
+    qvec = np.cross(tvec, e1)
+    v = np.einsum("ij,ij->i", directions, qvec) * inv
+    t = np.einsum("ij,ij->i", e2, qvec) * inv
+    ok &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
+    return np.where(ok & (t > t_min), t, np.inf)
+
+
 class Scene:
     """Immutable triangle soup with materials and batch ray queries."""
 
@@ -66,21 +146,59 @@ class Scene:
         v0 = triangles[:, 0, :]
         e1 = triangles[:, 1, :] - v0
         e2 = triangles[:, 2, :] - v0
-        areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+        normals = np.cross(e1, e2)
+        lengths = np.linalg.norm(normals, axis=1)
+        areas = 0.5 * lengths
         if len(triangles) and areas.min() <= MIN_TRIANGLE_AREA_KM2:
             raise ValueError("degenerate triangle in scene")
         self.triangles = triangles
         self.material_ids = material_ids
         self.materials = list(materials)
         self._v0, self._e1, self._e2 = v0, e1, e2
-        normals = np.cross(e1, e2)
-        self._normals = normals / np.linalg.norm(normals, axis=1)[:, None] \
-            if len(triangles) else normals
+        self._normals = normals / lengths[:, None]
+        # face boxes, as elementwise min/max (a reduction over the
+        # length-3 vertex axis is several times slower)
+        tri_lo = np.minimum(np.minimum(v0, triangles[:, 1]), triangles[:, 2])
+        tri_hi = np.maximum(np.maximum(v0, triangles[:, 1]), triangles[:, 2])
         if len(triangles):
-            self.bounds = np.stack([triangles.min(axis=(0, 1)),
-                                    triangles.max(axis=(0, 1))])
+            self.bounds = np.stack([tri_lo.min(axis=0), tri_hi.max(axis=0)])
         else:
             self.bounds = np.zeros((2, 3))
+        self._build_tree(tri_lo, tri_hi)
+
+    def _build_tree(self, tri_lo: np.ndarray, tri_hi: np.ndarray) -> None:
+        """Linear BVH (see the module docstring).  Leaf k holds the faces
+        ``_leaf_faces[k]``, -1 marking an empty slot.  ``_levels`` lists,
+        from the root down, (lo, hi, node count) per level, where row j
+        of lo and hi, shape (parents, 6), holds the boxes of node j's two
+        children, x, y, z each."""
+        self._levels = []
+        n = len(self.triangles)
+        if n == 0:
+            return
+        order = _morton_order(0.5 * (tri_lo + tri_hi), *self.bounds)
+        # Empty boxes (lo = +inf, hi = -inf) fill the last leaf's spare
+        # slots and the missing child of an odd level's last node; the
+        # min/max of a parent absorbs them.
+        n_pad = -n % _LEAF_SIZE
+        self._leaf_faces = np.concatenate(
+            [order, np.full(n_pad, -1)]).reshape(-1, _LEAF_SIZE)
+        lo = np.concatenate([tri_lo[order], np.full((n_pad, 3), np.inf)])
+        hi = np.concatenate([tri_hi[order], np.full((n_pad, 3), -np.inf)])
+        lo = lo.reshape(-1, _LEAF_SIZE, 3).min(axis=1) - _BOX_PAD
+        hi = hi.reshape(-1, _LEAF_SIZE, 3).max(axis=1) + _BOX_PAD
+        while len(lo) > 1:
+            n_nodes = len(lo)
+            if n_nodes % 2:
+                lo = np.concatenate([lo, np.full((1, 3), np.inf)])
+                hi = np.concatenate([hi, np.full((1, 3), -np.inf)])
+            lo = lo.reshape(-1, 6)
+            hi = hi.reshape(-1, 6)
+            self._levels.append((lo, hi, n_nodes))
+            lo = np.minimum(lo[:, :3], lo[:, 3:])
+            hi = np.maximum(hi[:, :3], hi[:, 3:])
+        self._levels.reverse()
+        self._root = lo[0], hi[0]
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -98,87 +216,80 @@ class Scene:
         m = len(origins)
         t_out = np.full(m, np.inf)
         fid_out = np.full(m, -1, dtype=int)
-        n_tris = len(self.triangles)
-        if n_tris == 0 or m == 0:
-            return t_out, fid_out, np.zeros((m, 3))
-
-        # Cull rays whose forward half-line misses the scene box; after a
-        # reflection most rays head up and away, so this pays off.
-        box_lo = self.bounds[0] - _BOX_PAD
-        box_hi = self.bounds[1] + _BOX_PAD
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / directions
-            t_a = (box_lo - origins) * inv
-            t_b = (box_hi - origins) * inv
-            lo = np.minimum(t_a, t_b)
-            hi = np.maximum(t_a, t_b)
-            par = directions == 0.0
-            inside = (origins >= box_lo) & (origins <= box_hi)
-            lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
-            hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
-        enter = np.nanmax(lo, axis=1)
-        exit_ = np.nanmin(hi, axis=1)
-        live = np.flatnonzero((enter <= exit_) & (exit_ > t_min))
-        if len(live) == 0:
-            return t_out, fid_out, np.zeros((m, 3))
-        origins_live = origins[live]
-        directions_live = directions[live]
-        m_live = len(live)
-
-        chunk = max(1, min(int(2e6) // n_tris, 1 << 18))
-        v0 = self._v0[None, :, :]
-        e1 = self._e1[None, :, :]
-        e2 = self._e2[None, :, :]
-        for a in range(0, m_live, chunk):
-            b = min(a + chunk, m_live)
-            o = origins_live[a:b, None, :]
-            d = directions_live[a:b, None, :]
-            pvec = np.cross(d, e2)
-            det = np.einsum("mtj,mtj->mt", np.broadcast_arrays(e1, pvec)[0],
-                            pvec)
-            ok = np.abs(det) > _DET_EPS
-            inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-            tvec = o - v0
-            u = np.einsum("mtj,mtj->mt", tvec, pvec) * inv
-            qvec = np.cross(tvec, e1)
-            v = np.einsum("mtj,mtj->mt", np.broadcast_arrays(d, qvec)[0],
-                          qvec) * inv
-            t = np.einsum("mtj,mtj->mt", np.broadcast_arrays(e2, qvec)[0],
-                          qvec) * inv
-            ok &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
-            t = np.where(ok & (t > t_min), t, np.inf)
-            idx = np.argmin(t, axis=1)
-            rows = np.arange(b - a)
-            tbest = t[rows, idx]
-            hit = np.isfinite(tbest)
-            t_out[live[a:b]] = tbest
-            fid_out[live[a:b]] = np.where(hit, idx, -1)
-
         normals = np.zeros((m, 3))
-        hit_mask = fid_out >= 0
-        if hit_mask.any():
-            n = self._normals[fid_out[hit_mask]]
-            flip = np.einsum("ij,ij->i", n, directions[hit_mask]) > 0.0
-            n = np.where(flip[:, None], -n, n)
-            normals[hit_mask] = n
+        if len(self.triangles) == 0 or m == 0:
+            return t_out, fid_out, normals
+
+        with np.errstate(divide="ignore"):
+            inv_dirs = 1.0 / directions
+        # The root level culls every ray against the scene box; after a
+        # reflection most rays head up and away.
+        live = np.flatnonzero(
+            _slab(origins, inv_dirs, *self._root, t_min)[:, 0])
+        for a in range(0, len(live), _RAY_CHUNK):
+            rays = live[a:a + _RAY_CHUNK]
+            ray, t, face = self._nearest_hits(
+                origins[rays], directions[rays], inv_dirs[rays], t_min)
+            t_out[rays[ray]] = t
+            fid_out[rays[ray]] = face
+
+        hit = fid_out >= 0
+        if hit.any():
+            n = self._normals[fid_out[hit]]
+            flip = np.einsum("ij,ij->i", n, directions[hit]) > 0.0
+            normals[hit] = np.where(flip[:, None], -n, n)
         return t_out, fid_out, normals
 
+    def _nearest_hits(self, origins, directions, inv_dirs, t_min):
+        """(ray, t, face id) of the nearest hit of each ray that has one,
+        walking (ray, node) pairs breadth-first from the root down."""
+        ray = np.arange(len(origins))
+        node = np.zeros(len(origins), dtype=np.intp)
+        # each ray twice, against both children of a node; np.take
+        # gathers rows several times faster than fancy indexing
+        origins2 = np.tile(origins, 2)
+        inv_dirs2 = np.tile(inv_dirs, 2)
+        for lo, hi, n_nodes in self._levels:
+            keep = _slab(np.take(origins2, ray, axis=0),
+                         np.take(inv_dirs2, ray, axis=0),
+                         np.take(lo, node, axis=0), np.take(hi, node, axis=0),
+                         t_min)
+            # the right child of an odd level's last node is empty, and
+            # an empty box passes the slab test
+            keep[:, 1] &= 2 * node + 1 < n_nodes
+            pair, side = np.nonzero(keep)
+            ray, node = ray[pair], 2 * node[pair] + side
 
-def _box(x0, x1, y0, y1, z0, z1) -> np.ndarray:
-    """12 triangles of an axis-aligned box, outward winding."""
-    c = np.array([[x0, y0, z0], [x1, y0, z0], [x1, y1, z0], [x0, y1, z0],
-                  [x0, y0, z1], [x1, y0, z1], [x1, y1, z1], [x0, y1, z1]])
-    quads = [(0, 3, 2, 1),   # bottom (z0, normal -z)
-             (4, 5, 6, 7),   # top
-             (0, 1, 5, 4),   # south
-             (2, 3, 7, 6),   # north
-             (1, 2, 6, 5),   # east
-             (3, 0, 4, 7)]   # west
-    tris = []
-    for a, b, cc, d in quads:
-        tris.append(c[[a, b, cc]])
-        tris.append(c[[a, cc, d]])
-    return np.asarray(tris)
+        faces = self._leaf_faces[node]
+        pair, slot = np.nonzero(faces >= 0)
+        ray, face = ray[pair], faces[pair, slot]
+        t = _moller_trumbore(origins[ray], directions[ray], self._v0[face],
+                             self._e1[face], self._e2[face], t_min)
+        keep = t < np.inf
+        ray, t, face = ray[keep], t[keep], face[keep]
+        # nearest per ray, equal distances to the lower face id
+        order = np.lexsort((face, t, ray))
+        ray, t, face = ray[order], t[order], face[order]
+        first = np.ones(len(ray), dtype=bool)
+        first[1:] = ray[1:] != ray[:-1]
+        return ray[first], t[first], face[first]
+
+
+# A box's corners 0-3 are its bottom ring and 4-7 its top ring, both
+# counter-clockwise from (x0, y0): corner k is (x[_CORNER_X[k]],
+# y[_CORNER_Y[k]], z[_CORNER_Z[k]]).  Each face quad (a, b, c, d) splits
+# into triangles (a, b, c) and (a, c, d), wound outward.
+_CORNER_X = [0, 1, 1, 0, 0, 1, 1, 0]
+_CORNER_Y = [0, 0, 1, 1, 0, 0, 1, 1]
+_CORNER_Z = [0, 0, 0, 0, 1, 1, 1, 1]
+_BOX_QUADS = ((0, 3, 2, 1),   # bottom (z0, normal -z)
+              (4, 5, 6, 7),   # top
+              (0, 1, 5, 4),   # south
+              (2, 3, 7, 6),   # north
+              (1, 2, 6, 5),   # east
+              (3, 0, 4, 7))   # west
+_BOX_TRIANGLES = np.array([tri for a, b, c, d in _BOX_QUADS
+                           for tri in ((a, b, c), (a, c, d))])
 
 
 def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
@@ -216,19 +327,19 @@ def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
     else:
         heights = np.full(grid_nx * grid_ny, h_const_m)
 
-    tris = []
-    k = 0
-    for i in range(grid_nx):
-        bx0 = x0 + street_w_m + i * period
-        for j in range(grid_ny):
-            by0 = y0 + street_w_m + j * period
-            tris.append(_box(bx0, bx0 + block_w_m, by0, by0 + block_w_m,
-                             0.0, heights[k]))
-            k += 1
+    # one box per block, blocks in (i, j) row-major order
+    bx0 = np.repeat(x0 + street_w_m + np.arange(grid_nx) * period, grid_ny)
+    by0 = np.tile(y0 + street_w_m + np.arange(grid_ny) * period, grid_nx)
+    xs = np.stack([bx0, bx0 + block_w_m], axis=1)
+    ys = np.stack([by0, by0 + block_w_m], axis=1)
+    zs = np.stack([np.zeros_like(heights), heights], axis=1)
+    corners = np.stack([xs[:, _CORNER_X], ys[:, _CORNER_Y],
+                        zs[:, _CORNER_Z]], axis=2)
     ground = np.array([[x0, y0, 0.0], [x0 + width_x, y0, 0.0],
                        [x0 + width_x, y0 + width_y, 0.0],
                        [x0, y0 + width_y, 0.0]])
-    tris.append(np.asarray([ground[[0, 1, 2]], ground[[0, 2, 3]]]))
+    tris = [corners[:, _BOX_TRIANGLES].reshape(-1, 3, 3),
+            ground[[[0, 1, 2], [0, 2, 3]]]]
 
     triangles = np.concatenate(tris) / M_PER_KM
     if materials is None:

@@ -74,7 +74,6 @@ class LaunchPlane:
     half_u: float            # km
     half_v: float
     spacing: float           # km between adjacent launch points
-    plane_altitude: float    # km clearance above the scene along -direction
     d_atmosphere: float      # km from the satellite to the plane
     sat_position: np.ndarray
 
@@ -155,8 +154,8 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
 
     return LaunchPlane(direction=direction, origin=origin, e1=e1, e2=e2,
                        half_u=float(half_u), half_v=float(half_v),
-                       spacing=spacing_km, plane_altitude=PLANE_MARGIN_KM,
-                       d_atmosphere=float(d_atmosphere), sat_position=sat)
+                       spacing=spacing_km, d_atmosphere=float(d_atmosphere),
+                       sat_position=sat)
 
 
 def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,

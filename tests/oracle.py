@@ -1,10 +1,14 @@
 """Brute-force test oracle for ``Scene.intersect_batch``.
 
-No box cull and no chunking: every face is tested against every ray,
-face by face in id order, with the engine's own Moller-Trumbore array
-arithmetic (``np.cross``, ``einsum`` dot products), so the two agree bit
-for bit.  A face replaces the best hit only at a strictly smaller
-distance, so ties go to the lower face id.
+No tree, no box cull and no chunking: every face is tested against every
+ray, face by face in id order.  A face replaces the best hit only at a
+strictly smaller distance, so ties go to the lower face id.  The
+arithmetic is the engine's: its leaves run Moller-Trumbore on gathered
+(ray, face) pair rows with the same row-wise ``np.cross`` and
+``einsum("ij,ij->i", ...)`` dot products used here, and face normals come
+from the same ``np.cross``/``np.linalg.norm`` over all faces, so the two
+agree bit for bit.  (A hand-written ``ax*bx + ay*by + az*bz`` does not:
+``einsum`` sums the three products in another order.)
 """
 
 import numpy as np
@@ -25,7 +29,10 @@ def nearest_hits(scene, origins, directions, t_min=0.0, t_max=np.inf):
     best_t = np.full(m, np.inf)
     best_fid = np.full(m, -1)
     normals = np.zeros((m, 3))
-    for fid, (v0, a, b) in enumerate(scene.triangles):
+    tris = scene.triangles
+    face_normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    face_normals /= np.linalg.norm(face_normals, axis=1)[:, None]
+    for fid, (v0, a, b) in enumerate(tris):
         edge1, edge2 = a - v0, b - v0
         e1 = np.broadcast_to(edge1, (m, 3))
         e2 = np.broadcast_to(edge2, (m, 3))
@@ -42,8 +49,7 @@ def nearest_hits(scene, origins, directions, t_min=0.0, t_max=np.inf):
         better = ok & (t > t_min) & (t <= t_max) & (t < best_t)
         best_t[better] = t[better]
         best_fid[better] = fid
-        n = np.cross(edge1, edge2)
-        normals[better] = n / np.linalg.norm(n)
+        normals[better] = face_normals[fid]
     flip = np.einsum("ij,ij->i", normals, directions) > 0.0
     normals[flip] = -normals[flip]
     return best_t, best_fid, normals

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import nearest_hits
-from leochan.scene import (CONCRETE, InvalidDimensions, Material, Scene,
-                           generate_city, ground_plane, scene_from_text,
-                           scene_to_text)
+from leochan.scene import (_LEAF_SIZE, CONCRETE, InvalidDimensions,
+                           Material, Scene, generate_city, ground_plane,
+                           scene_from_text, scene_to_text)
 
 
 def test_single_block_triangle_count():
@@ -88,11 +88,9 @@ def _assert_matches_oracle(scene, origins, dirs, t_min):
     t_ref, fid_ref, normals_ref = nearest_hits(scene, origins, dirs, t_min)
     assert np.array_equal(fid, fid_ref)
     assert np.array_equal(t, t_ref)
-    assert np.allclose(normals, normals_ref)
+    assert np.array_equal(normals, normals_ref)
 
 
-# intersect_batch (box cull, chunked kernel) against the brute-force
-# oracle; the name is kept from the BVH this engine replaced.
 def test_bvh_equals_brute_force_random_rays(rng):
     city = generate_city(6, 6, seed=2)
     n = 20_000
@@ -197,6 +195,67 @@ def _scene_and_rays(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_scene_and_rays())
 def test_batch_equals_oracle_small_scenes(case):
+    _assert_matches_oracle(*case)
+
+
+def _soup(rng, n):
+    """n non-degenerate triangles, half of them on a coarse grid so that
+    they share edges and tie on distance."""
+    tris = np.empty((0, 3, 3))
+    while len(tris) < n:
+        cand = rng.uniform(-1.0, 1.0, (n, 3, 3))
+        snap = rng.random(n) < 0.5
+        cand[snap] = np.round(cand[snap] * 4.0) / 4.0
+        keep = [_area(c) > 1e-6 for c in cand]
+        tris = np.concatenate([tris, cand[keep]])
+    return Scene(tris[:n], np.zeros(n, dtype=int), [CONCRETE])
+
+
+@st.composite
+def _tree_scene_and_rays(draw):
+    # Cities of 1x1 to 4x4 blocks, or soups one to _LEAF_SIZE + 1 faces
+    # past 2^k full leaves: some level then has an odd node count, and
+    # the last node's padded right child is empty.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scene = generate_city(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                              seed=draw(st.integers(0, 2**31 - 1)))
+    else:
+        n = (2 ** draw(st.integers(1, 6)) * _LEAF_SIZE
+             + draw(st.integers(1, _LEAF_SIZE + 1)))
+        scene = _soup(rng, n)
+    tris = scene.triangles
+    m = 300
+    face = rng.integers(0, len(tris), m)
+    # targets: vertices, edge midpoints, and points on the faces of each
+    # face's bounding box
+    corner = rng.integers(0, 3, m)
+    targets = tris[face, corner]
+    mid = rng.random(m) < 0.35
+    targets[mid] = 0.5 * (targets[mid] + tris[face, (corner + 1) % 3][mid])
+    on_box = rng.random(m) < 0.3
+    lo, hi = tris[face].min(axis=1), tris[face].max(axis=1)
+    box_pts = lo + rng.random((m, 3)) * (hi - lo)
+    rows, axis = np.arange(m), rng.integers(0, 3, m)
+    box_pts[rows, axis] = np.where(rng.random(m) < 0.5, lo[rows, axis],
+                                   hi[rows, axis])
+    targets[on_box] = box_pts[on_box]
+    dirs = rng.normal(size=(m, 3))
+    # axis-parallel rays, and rays with one or two components of +-0.0
+    n_zero = np.where(rng.random(m) < 0.4, rng.integers(1, 3, m), 0)
+    for k in np.flatnonzero(n_zero):
+        zero_axes = rng.choice(3, n_zero[k], replace=False)
+        dirs[k, zero_axes] = np.copysign(0.0, rng.normal(size=n_zero[k]))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    origins = targets - rng.uniform(0.05, 2.0, m)[:, None] * dirs
+    t_min = draw(st.one_of(st.just(0.0), st.just(1e-9),
+                           st.floats(0.0, 2.0)))
+    return scene, origins, dirs, t_min
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(_tree_scene_and_rays())
+def test_batch_equals_oracle_multi_level_trees(case):
     _assert_matches_oracle(*case)
 
 

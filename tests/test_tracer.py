@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from oracle import nearest_hits
 from leochan.scene import generate_city, ground_plane
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
-from leochan.tracer import (LaunchPlane, SatelliteBelowHorizon,
-                            build_launch_plane, dump_paths, trace)
+from leochan.tracer import (SatelliteBelowHorizon, build_launch_plane,
+                            dump_paths, trace)
 
 T0 = utc(2023, 1, 1)
 
@@ -37,7 +38,6 @@ def test_plane_at_zenith_sits_above_scene_top():
     plane = build_launch_plane(sat, city, spacing_m=5.0)
     assert np.allclose(plane.direction, [0.0, 0.0, -1.0], atol=1e-12)
     assert plane.origin[2] == pytest.approx(0.2, abs=1e-9)
-    assert plane.plane_altitude == 0.05
     assert plane.d_atmosphere == pytest.approx(550.0 - 0.2, abs=1e-9)
 
 
@@ -173,11 +173,7 @@ def test_refining_spacing_keeps_coarse_paths():
     coarse_spacing = 4.0
     scene, plane, rx = _flat_setup(50.0, spacing_m=coarse_spacing,
                                    pad_km=0.05)
-    fine_plane = LaunchPlane(
-        direction=plane.direction, origin=plane.origin, e1=plane.e1,
-        e2=plane.e2, half_u=plane.half_u, half_v=plane.half_v,
-        spacing=plane.spacing / 2.0, plane_altitude=plane.plane_altitude,
-        d_atmosphere=plane.d_atmosphere, sat_position=plane.sat_position)
+    fine_plane = dataclasses.replace(plane, spacing=plane.spacing / 2.0)
     coarse = trace(plane, scene, rx, rx_radius_m=1.5 * coarse_spacing,
                    max_bounces=2)
     fine = trace(fine_plane, scene, rx, rx_radius_m=1.5 * coarse_spacing,
