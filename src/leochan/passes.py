@@ -227,7 +227,10 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
     bisection to 0.1 s, culmination by golden-section search; the
     closed-form window-duration estimate is evaluated alongside for
     comparison.  A pass already in progress at the epoch is skipped so
-    the window is always a complete rise-culminate-set arc.
+    the window is always a complete rise-culminate-set arc.  The scan
+    stops at the first complete window: no instant after its set is
+    propagated, and only a search that finds no complete window scans
+    all of ``search_hours``.
     """
     ephem = ephemeris if ephemeris is not None else Ephemeris(tle)
     site_ecef = geodetic_to_ecef(*site_geodetic)
@@ -240,36 +243,36 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
 
     t_epoch = tle.epoch
     n_steps = int(search_hours * 3600.0 / step_s)
-    times = [t_epoch + timedelta(seconds=step_s * k)
-             for k in range(n_steps + 1)]
-    above = [margin(t) > 0.0 for t in times]
 
-    rise_idx = None
-    for k in range(len(times) - 1):
-        if not above[k] and above[k + 1]:
-            rise_idx = k
+    def scan_time(k: int) -> datetime:
+        return t_epoch + timedelta(seconds=step_s * k)
+
+    rise_idx = set_idx = None
+    was_above = margin(scan_time(0)) > 0.0
+    for k in range(1, n_steps + 1):
+        is_above = margin(scan_time(k)) > 0.0
+        if rise_idx is None:
+            if is_above and not was_above:
+                rise_idx = k - 1
+        elif was_above and not is_above:
+            set_idx = k - 1
             break
+        was_above = is_above
     if rise_idx is None:
         raise NoPassFound(
             f"no pass above {math.degrees(theta_min):.1f} deg within "
             f"{search_hours:.0f} h of epoch")
-
-    set_idx = None
-    for k in range(rise_idx + 1, len(times) - 1):
-        if above[k] and not above[k + 1]:
-            set_idx = k
-            break
     if set_idx is None:
         raise NoPassFound("pass does not set within the search horizon")
 
-    t_start = _bisect_crossing(margin, times[rise_idx], times[rise_idx + 1],
-                               rising=True)
-    t_end = _bisect_crossing(margin, times[set_idx], times[set_idx + 1],
-                             rising=False)
+    t_start = _bisect_crossing(margin, scan_time(rise_idx),
+                               scan_time(rise_idx + 1), rising=True)
+    t_end = _bisect_crossing(margin, scan_time(set_idx),
+                             scan_time(set_idx + 1), rising=False)
     t0 = _golden_max(el, t_start, t_end)
-    theta_max = el(t0)
 
     sat0 = ephem.ecef_at(t0)
+    theta_max = elevation(site_ecef, sat0.position)
     r = float(np.linalg.norm(sat0.position))
     r_e = float(np.linalg.norm(site_ecef))
     gamma_t0 = gamma_at_culmination(theta_max, r_e, r)

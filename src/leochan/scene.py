@@ -143,6 +143,8 @@ class Scene:
                                   or material_ids.max() >= len(materials)):
             raise ValueError(
                 f"material ids must be in [0, {len(materials)})")
+        if not np.isfinite(triangles).all():
+            raise ValueError("non-finite vertex coordinate in scene")
         v0 = triangles[:, 0, :]
         e1 = triangles[:, 1, :] - v0
         e2 = triangles[:, 2, :] - v0

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from leochan.tle import synthetic_tle
 
 WGS72_MU = 398600.8
 WGS72_RE = 6378.135
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Acceptance results are collected here and printed as a summary table.
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
@@ -25,6 +30,17 @@ def pytest_terminal_summary(terminalreporter):
     for name, passed, detail in ACCEPTANCE_RESULTS:
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{status}  {name}: {detail}")
+
+
+def load_perfbench(stem: str):
+    """Import ``perfbench/<stem>.py`` without putting that directory on
+    the import path; the module is registered as ``perfbench_<stem>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}",
+                                                  PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def circular_mean_motion(altitude_km: float) -> float:

@@ -1,0 +1,17 @@
+"""The benchmark checks every op against its recorded golden output
+(``perfbench/golden/``).  The pass-search workload is cheap enough to
+run here, so a change that moves a window's bytes fails the test suite
+and not only the benchmark."""
+
+from conftest import load_perfbench
+
+
+def test_pass_search_matches_golden(tmp_path):
+    workloads = load_perfbench("workloads")
+    wl = workloads.pass_search(0)
+    workloads.write_inputs(wl, tmp_path)
+    _, out = workloads._run_pass_search(wl, tmp_path)
+    golden = workloads.load_golden(wl)
+    assert golden is not None
+    assert out.ops == golden.ops
+    assert not out.bad

@@ -1,15 +1,23 @@
 import math
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_circular_tle
-from leochan.frames import geodetic_to_ecef
-from leochan.passes import (DomainError, NoPassFound, doppler_closed_form,
-                            elevation, elevation_triangle, find_pass,
+from conftest import circular_mean_motion, make_circular_tle
+from leochan.frames import ecef_to_geodetic, geodetic_to_ecef
+from leochan.passes import (DomainError, Ephemeris, NoPassFound,
+                            doppler_closed_form, elevation,
+                            elevation_triangle, find_pass,
                             gamma_at_culmination, per_path_doppler)
+from leochan.sgp4 import SatelliteDecayed
+from leochan.timebase import utc
+from leochan.tle import read_tle_file, synthetic_tle
 from leochan.tracer import PathRecord
+
+DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
+DEMO_SITE = (1.9, 0.7791238226849033, 0.0)
 
 
 def _unit(v):
@@ -190,6 +198,62 @@ class TestFindPass:
     def test_analytic_duration_close_to_scan(self, equatorial_pass):
         w = equatorial_pass["window"]
         assert abs(w.t_du_min - w.t_du_analytic_min) / w.t_du_min < 0.05
+
+    def test_scan_stops_at_first_complete_window(self, monkeypatch):
+        # the demo window sets 26.5 min after the epoch; scanning the whole
+        # 48 h horizon would take 5,761 instants
+        tle = read_tle_file(DEMO_TLE)[0]
+        ecef_at = Ephemeris.ecef_at
+        calls = []
+
+        def counted(self, t):
+            calls.append(t)
+            return ecef_at(self, t)
+
+        monkeypatch.setattr(Ephemeris, "ecef_at", counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            find_pass(tle, DEMO_SITE, theta_min=0.0, step_s=30.0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 150
+
+    def test_decaying_satellite_gets_first_pass(self):
+        # bstar 0.2 brings this 300 km orbit down about 5.5 h after the
+        # epoch, well after its first pass over a site under the track
+        tle = synthetic_tle(
+            epoch=utc(2023, 6, 1, 12, 0, 0), inclination_deg=51.6,
+            raan_deg=10.0, eccentricity=0.0, arg_perigee_deg=0.0,
+            mean_anomaly_deg=0.0,
+            mean_motion_revs_per_day=circular_mean_motion(300.0), bstar=0.2)
+        with pytest.raises(SatelliteDecayed):
+            Ephemeris(tle).ecef_at(tle.epoch + timedelta(hours=6))
+        w = find_pass(tle, (50.76, 39.12, 0.0))
+        assert utc(2023, 6, 1, 12, 20, 0) < w.t_start \
+            < utc(2023, 6, 1, 12, 21, 0)
+        assert utc(2023, 6, 1, 12, 29, 0) < w.t_end \
+            < utc(2023, 6, 1, 12, 30, 0)
+
+    def test_pass_cut_by_horizon_raises(self, equatorial_pass):
+        tle = equatorial_pass["tle"]
+        w = equatorial_pass["window"]
+        horizon = timedelta(minutes=20)
+        assert w.t_start < tle.epoch + horizon < w.t_end
+        with pytest.raises(NoPassFound, match="does not set"):
+            find_pass(tle, equatorial_pass["site"],
+                      search_hours=horizon.total_seconds() / 3600.0)
+
+    def test_pass_in_progress_at_epoch_is_skipped(self, equatorial_pass):
+        tle = equatorial_pass["tle"]
+        ephem = equatorial_pass["ephem"]
+        sat = ephem.ecef_at(tle.epoch).position
+        lat, lon, _ = ecef_to_geodetic(sat)
+        site = (lat, lon, 0.0)
+        assert elevation(geodetic_to_ecef(*site), sat) > math.radians(80.0)
+        w = find_pass(tle, site, ephemeris=ephem)
+        # the next pass comes one revolution relative to the site later
+        assert w.t_start > tle.epoch + timedelta(minutes=60)
+        assert w.t_start < w.t0 < w.t_end
 
 
 def test_window_duration_formula_reference_case():

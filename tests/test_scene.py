@@ -306,6 +306,17 @@ def test_scene_rejects_material_id_out_of_range():
             Scene(city.triangles, ids, city.materials)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scene_rejects_non_finite_vertices(bad):
+    # a non-finite vertex spoils the tree's boxes, so that every ray
+    # misses, even one aimed straight at the other, valid face
+    g = ground_plane()
+    tris = g.triangles.copy()
+    tris[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite vertex"):
+        Scene(tris, g.material_ids, g.materials)
+
+
 def test_text_import_names_line_of_bad_material_id():
     lines = scene_to_text(ground_plane()).splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",3"
