@@ -7,24 +7,44 @@ intersection engine; it must agree exactly with a brute-force oracle over
 every triangle (same Moller-Trumbore arithmetic) and breaks distance ties
 on the lower face id.
 
-The engine is a linear bounding-volume hierarchy (Karras, "Maximizing
-Parallelism in the Construction of BVHs, Octrees, and k-d Trees", HPG
-2012), built without recursion when the scene is made.  The faces are
-stably sorted by the Morton code of their box centres and cut into
-leaves of ``_LEAF_SIZE`` consecutive faces.  Each leaf box is padded by
-``_BOX_PAD``, and each level above is the pairwise min/max of the level
-below, up to one root: node i of a level has children 2i and 2i + 1.
-Where a level has an odd number of nodes, its last parent has an empty
-right child, which the traversal masks out.
+The engine has two sources of candidate (ray, face) pairs and one
+nearest-hit step.  Each chunk of ``_RAY_CHUNK`` consecutive rays gets
+its candidates from one source.  Then Moller-Trumbore runs on every
+pair, with the oracle's row-wise ``np.cross`` and ``einsum`` arithmetic,
+and the nearest hit per ray is kept, ties going to the lower face id.
+The arithmetic is per pair, so any candidate set that holds every true
+hit gives the same hits to the bit.
 
-The query walks the tree breadth-first over (ray, node) pairs, as a
-wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful", HPG
-2013).  The root level culls every ray against the padded scene box.
-Then each chunk of ``_RAY_CHUNK`` rays goes down one level at a time,
-testing both children of every surviving pair with the slab test.  At
-the leaves, Moller-Trumbore runs on the surviving (ray, face) pairs with
-the oracle's row-wise ``np.cross`` and ``einsum`` arithmetic, and the
-nearest hit per ray is kept, ties going to the lower face id.
+The first source, for rays in any direction, is a linear bounding-volume
+hierarchy (Karras, "Maximizing Parallelism in the Construction of BVHs,
+Octrees, and k-d Trees", HPG 2012), built without recursion when the
+scene is made.  The faces are stably sorted by the Morton code of their
+box centres and cut into leaves of ``_LEAF_SIZE`` consecutive faces.
+Each leaf box is padded by ``_BOX_PAD``, and each level above is the
+pairwise min/max of the level below, up to one root: node i of a level
+has children 2i and 2i + 1.  Where a level has an odd number of nodes,
+its last parent has an empty right child, which the traversal masks
+out.  The query walks the tree breadth-first over (ray, node) pairs, as
+a wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful",
+HPG 2013).  The root level culls every ray against the padded scene
+box.  Then each chunk of rays goes down one level at a time, testing
+both children of every surviving pair with the slab test, and the faces
+of the leaves reached are the candidates.
+
+The second source is for the launch grid, whose rays are parallel and
+leave from the points of a regular (u, v) grid on a plane: the first
+bounce of shooting and bouncing rays (Ling, Chou & Lee, "Shooting and
+Bouncing Rays", IEEE TAP 1989).  Their first hit is a 2-D coverage
+problem, so the faces are rasterized instead of walked.  Each vertex is
+projected onto the plane along the rays, in grid units.  For every grid
+row i a face spans, its three edges are clipped to the strip [i - pad,
+i + pad], and the grid points between the clipped ends, rounded inward,
+are its candidates: a per-row span rasterizer, as the edge functions of
+Pineda ("A Parallel Algorithm for Polygon Rasterization", SIGGRAPH 1988)
+traverse a triangle's rows.  ``pad`` is ``_BOX_PAD`` in grid units,
+which is far above the rounding between a launch point and its grid
+coordinates, so no true hit on a face's edge or vertex is lost.  Rays no
+face covers cost nothing.
 """
 
 from __future__ import annotations
@@ -41,12 +61,13 @@ M_PER_KM = 1000.0
 _DET_EPS = 1e-14
 MIN_TRIANGLE_AREA_KM2 = 1e-12
 
-# Tree boxes are padded so that floating-point slab rounding can never
-# prune a genuine hit on the edge of a box.
+# Tree boxes, and the launch-grid raster's strips and spans, are padded
+# so that floating-point rounding can never prune a genuine hit on the
+# edge of a box or a face.
 _BOX_PAD = 1e-9
 
-# Faces per BVH leaf and rays per traversal chunk (the chunk bounds the
-# size of the (ray, node) pair arrays).
+# Faces per BVH leaf and rays per query chunk (the chunk bounds the size
+# of the (ray, node) and (ray, face) pair arrays).
 _LEAF_SIZE = 2
 _RAY_CHUNK = 1024
 
@@ -111,6 +132,14 @@ def _slab(origins, inv_dirs, lo, hi, t_min):
     enter = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
     exit_ = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
     return (enter <= exit_) & (exit_ > t_min)
+
+
+def _expand(start, count):
+    """(k, start[k] + r) for every k and r in range(count[k]), in that
+    order: the members of a list of integer ranges."""
+    source = np.repeat(np.arange(len(count)), count)
+    base = np.cumsum(count) - count
+    return source, np.arange(len(source)) + np.repeat(start - base, count)
 
 
 def _moller_trumbore(origins, directions, v0, e1, e2, t_min):
@@ -206,12 +235,21 @@ class Scene:
         return len(self.triangles)
 
     def intersect_batch(self, origins: np.ndarray, directions: np.ndarray,
-                        t_min: float = 0.0):
+                        t_min: float = 0.0, grid=None):
         """Nearest hits for many rays at once.
 
         Returns (t, face_id, normal): misses get t = +inf, face_id = -1.
         Normals are unit and oriented against each ray.  Hits lie in
         (t_min, +inf); among equal distances the lower face id wins.
+
+        ``grid`` is the launch plane the rays leave from, when they all
+        do (any object with ``direction``, ``origin``, ``e1``, ``e2``,
+        ``half_u``, ``half_v``, ``spacing`` and ``grid_shape()``, such
+        as ``tracer.LaunchPlane``).  Its precondition: ``origins`` are
+        exactly that plane's ``launch_points()``, in their order, and
+        every direction is its ``direction``.  The candidate pairs then
+        come from the span raster instead of the tree walk; the hits are
+        the same.
         """
         origins = np.asarray(origins, dtype=float)
         directions = np.asarray(directions, dtype=float)
@@ -222,18 +260,15 @@ class Scene:
         if len(self.triangles) == 0 or m == 0:
             return t_out, fid_out, normals
 
-        with np.errstate(divide="ignore"):
-            inv_dirs = 1.0 / directions
-        # The root level culls every ray against the scene box; after a
-        # reflection most rays head up and away.
-        live = np.flatnonzero(
-            _slab(origins, inv_dirs, *self._root, t_min)[:, 0])
-        for a in range(0, len(live), _RAY_CHUNK):
-            rays = live[a:a + _RAY_CHUNK]
-            ray, t, face = self._nearest_hits(
-                origins[rays], directions[rays], inv_dirs[rays], t_min)
-            t_out[rays[ray]] = t
-            fid_out[rays[ray]] = face
+        if grid is None:
+            candidates = self._walk(origins, directions, t_min)
+        else:
+            candidates = self._raster(grid, m)
+        for ray, face in candidates:
+            ray, t, face = self._nearest_hits(origins, directions, ray, face,
+                                              t_min)
+            t_out[ray] = t
+            fid_out[ray] = face
 
         hit = fid_out >= 0
         if hit.any():
@@ -242,31 +277,15 @@ class Scene:
             normals[hit] = np.where(flip[:, None], -n, n)
         return t_out, fid_out, normals
 
-    def _nearest_hits(self, origins, directions, inv_dirs, t_min):
+    def _nearest_hits(self, origins, directions, ray, face, t_min):
         """(ray, t, face id) of the nearest hit of each ray that has one,
-        walking (ray, node) pairs breadth-first from the root down."""
-        ray = np.arange(len(origins))
-        node = np.zeros(len(origins), dtype=np.intp)
-        # each ray twice, against both children of a node; np.take
-        # gathers rows several times faster than fancy indexing
-        origins2 = np.tile(origins, 2)
-        inv_dirs2 = np.tile(inv_dirs, 2)
-        for lo, hi, n_nodes in self._levels:
-            keep = _slab(np.take(origins2, ray, axis=0),
-                         np.take(inv_dirs2, ray, axis=0),
-                         np.take(lo, node, axis=0), np.take(hi, node, axis=0),
-                         t_min)
-            # the right child of an odd level's last node is empty, and
-            # an empty box passes the slab test
-            keep[:, 1] &= 2 * node + 1 < n_nodes
-            pair, side = np.nonzero(keep)
-            ray, node = ray[pair], 2 * node[pair] + side
-
-        faces = self._leaf_faces[node]
-        pair, slot = np.nonzero(faces >= 0)
-        ray, face = ray[pair], faces[pair, slot]
-        t = _moller_trumbore(origins[ray], directions[ray], self._v0[face],
-                             self._e1[face], self._e2[face], t_min)
+        among the candidate (ray, face) pairs."""
+        # np.take gathers rows several times faster than fancy indexing
+        t = _moller_trumbore(np.take(origins, ray, axis=0),
+                             np.take(directions, ray, axis=0),
+                             np.take(self._v0, face, axis=0),
+                             np.take(self._e1, face, axis=0),
+                             np.take(self._e2, face, axis=0), t_min)
         keep = t < np.inf
         ray, t, face = ray[keep], t[keep], face[keep]
         # nearest per ray, equal distances to the lower face id
@@ -275,6 +294,109 @@ class Scene:
         first = np.ones(len(ray), dtype=bool)
         first[1:] = ray[1:] != ray[:-1]
         return ray[first], t[first], face[first]
+
+    def _walk(self, origins, directions, t_min):
+        """Candidate (ray, face) pairs from the tree, for one chunk of
+        ``_RAY_CHUNK`` rays at a time: the faces of every leaf a ray
+        reaches, walking (ray, node) pairs breadth-first from the root
+        down."""
+        with np.errstate(divide="ignore"):
+            inv_dirs = 1.0 / directions
+        # The root level culls every ray against the scene box; after a
+        # reflection most rays head up and away.
+        live = np.flatnonzero(
+            _slab(origins, inv_dirs, *self._root, t_min)[:, 0])
+        for a in range(0, len(live), _RAY_CHUNK):
+            rays = live[a:a + _RAY_CHUNK]
+            ray = np.arange(len(rays))
+            node = np.zeros(len(rays), dtype=np.intp)
+            # each ray twice, against both children of a node
+            origins2 = np.tile(origins[rays], 2)
+            inv_dirs2 = np.tile(inv_dirs[rays], 2)
+            for lo, hi, n_nodes in self._levels:
+                keep = _slab(np.take(origins2, ray, axis=0),
+                             np.take(inv_dirs2, ray, axis=0),
+                             np.take(lo, node, axis=0),
+                             np.take(hi, node, axis=0), t_min)
+                # the right child of an odd level's last node is empty,
+                # and an empty box passes the slab test
+                keep[:, 1] &= 2 * node + 1 < n_nodes
+                pair, side = np.nonzero(keep)
+                ray, node = ray[pair], 2 * node[pair] + side
+            faces = self._leaf_faces[node]
+            pair, slot = np.nonzero(faces >= 0)
+            yield rays[ray[pair]], faces[pair, slot]
+
+    def _raster(self, grid, m):
+        """Candidate (ray, face) pairs of a launch grid's parallel rays,
+        for one chunk of ``_RAY_CHUNK`` consecutive rays at a time: the
+        grid points each face's projection covers (see the module
+        docstring).  Ray i * nv + j leaves from grid point (i, j)."""
+        nu, nv = grid.grid_shape()
+        if m != nu * nv:
+            raise ValueError(f"{m} rays for a {nu} x {nv} launch grid")
+        # grid coordinates of each vertex's foot on the plane along the
+        # rays, one row per vertex: a1 and a2 are e1 and e2 with their
+        # component along the rays taken out
+        d = grid.direction
+        a1 = grid.e1 - (grid.e1 @ d) * d
+        a2 = grid.e2 - (grid.e2 @ d) * d
+        w = self.triangles.transpose(1, 0, 2) - grid.origin
+        gi = (w @ a1 + grid.half_u) / grid.spacing
+        gj = (w @ a2 + grid.half_v) / grid.spacing
+        pad = _BOX_PAD / grid.spacing
+
+        # the rows each face covers, as (face, row) spans
+        i_lo = np.minimum(np.minimum(gi[0], gi[1]), gi[2])
+        i_hi = np.maximum(np.maximum(gi[0], gi[1]), gi[2])
+        r0 = np.clip(np.ceil(i_lo - pad), 0, nu).astype(np.intp)
+        r1 = np.clip(np.floor(i_hi + pad), -1, nu - 1).astype(np.intp)
+        face, row = _expand(r0, np.maximum(r1 - r0 + 1, 0))
+        # clip each of the face's edges p -> q to the strip
+        # [row - pad, row + pad] and take the columns between the ends
+        pi, pj = gi[:, face], gj[:, face]
+        qi, qj = pi[[1, 2, 0]], pj[[1, 2, 0]]
+        # An edge along a row (qi == pi) gets s = +-inf: all of it when
+        # inside the strip, none otherwise.  On the strip's border it
+        # gets NaN and is dropped, but its ends are the neighbouring
+        # edges' ends, which are kept.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_a = (row - pad - pi) / (qi - pi)
+            s_b = (row + pad - pi) / (qi - pi)
+            s0 = np.maximum(np.minimum(s_a, s_b), 0.0)
+            s1 = np.minimum(np.maximum(s_a, s_b), 1.0)
+            ok = s0 <= s1
+            j0 = pj + s0 * (qj - pj)
+            j1 = pj + s1 * (qj - pj)
+        j_lo = np.where(ok, np.minimum(j0, j1), np.inf).min(axis=0)
+        j_hi = np.where(ok, np.maximum(j0, j1), -np.inf).max(axis=0)
+        c0 = np.maximum(np.ceil(j_lo - pad), 0.0)
+        c1 = np.minimum(np.floor(j_hi + pad), nv - 1.0)
+        keep = c0 <= c1
+        if not keep.any():
+            return
+        face = face[keep]
+        first = row[keep] * nv + c0[keep].astype(np.intp)
+        last = row[keep] * nv + c1[keep].astype(np.intp)
+
+        # cut the spans into chunks of _RAY_CHUNK consecutive covered
+        # rays, as the walk chunks the rays inside the scene box
+        depth = np.cumsum(np.bincount(first, minlength=m)
+                          - np.bincount(last + 1, minlength=m + 1)[:m])
+        starts = np.flatnonzero(depth)[::_RAY_CHUNK]
+        ends = np.append(starts[1:], m) - 1
+        chunk0 = np.searchsorted(starts, first, side="right") - 1
+        chunk1 = np.searchsorted(starts, last, side="right") - 1
+        span, chunk = _expand(chunk0, chunk1 - chunk0 + 1)
+        order = np.argsort(chunk, kind="stable")
+        span, chunk = span[order], chunk[order]
+        face = face[span]
+        first = np.maximum(first[span], starts[chunk])
+        last = np.minimum(last[span], ends[chunk])
+        bounds = np.flatnonzero(np.diff(chunk)) + 1
+        for a, b in zip(np.r_[0, bounds], np.r_[bounds, len(chunk)]):
+            piece, ray = _expand(first[a:b], last[a:b] - first[a:b] + 1)
+            yield ray, face[a:b][piece]
 
 
 # A box's corners 0-3 are its bottom ring and 4-7 its top ring, both

@@ -190,8 +190,10 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     for segment in range(max_bounces + 1):
         if len(origins) == 0:
             break
+        # segment 0's rays are the launch grid's; later ones scatter
         t_hit, fid_hit, normals = scene.intersect_batch(
-            origins, dirs, _SELF_HIT_EPS)
+            origins, dirs, _SELF_HIT_EPS,
+            grid=plane if segment == 0 else None)
 
         to_rx = rx[None, :] - origins
         s_star = np.einsum("ij,ij->i", to_rx, dirs)

@@ -1,10 +1,13 @@
-"""Brute-force test oracle for ``Scene.intersect_batch``.
+"""Brute-force test oracle for ``Scene.intersect_batch``, for both of
+its candidate sources: the BVH walk (any rays) and the span raster
+(``grid=``, the launch grid's parallel rays).
 
-No tree, no box cull and no chunking: every face is tested against every
-ray, face by face in id order.  A face replaces the best hit only at a
-strictly smaller distance, so ties go to the lower face id.  The
-arithmetic is the engine's: its leaves run Moller-Trumbore on gathered
-(ray, face) pair rows with the same row-wise ``np.cross`` and
+No tree, no raster, no box cull and no chunking: every face is tested
+against every ray, face by face in id order.  A face replaces the best
+hit only at a strictly smaller distance, so ties go to the lower face
+id.  The arithmetic is the engine's: whichever source lists the
+candidate (ray, face) pairs, the engine runs Moller-Trumbore on the
+gathered pair rows with the same row-wise ``np.cross`` and
 ``einsum("ij,ij->i", ...)`` dot products used here, and face normals come
 from the same ``np.cross``/``np.linalg.norm`` over all faces, so the two
 agree bit for bit.  (A hand-written ``ax*bx + ay*by + az*bz`` does not:

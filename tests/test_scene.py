@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,9 @@ from oracle import nearest_hits
 from leochan.scene import (_LEAF_SIZE, CONCRETE, InvalidDimensions,
                            Material, Scene, generate_city, ground_plane,
                            scene_from_text, scene_to_text)
+from leochan.states import Frame, StateVector
+from leochan.timebase import utc
+from leochan.tracer import build_launch_plane
 
 
 def test_single_block_triangle_count():
@@ -83,8 +88,8 @@ def test_normal_faces_against_ray():
     assert normal[2] == -1.0
 
 
-def _assert_matches_oracle(scene, origins, dirs, t_min):
-    t, fid, normals = scene.intersect_batch(origins, dirs, t_min)
+def _assert_matches_oracle(scene, origins, dirs, t_min, grid=None):
+    t, fid, normals = scene.intersect_batch(origins, dirs, t_min, grid=grid)
     t_ref, fid_ref, normals_ref = nearest_hits(scene, origins, dirs, t_min)
     assert np.array_equal(fid, fid_ref)
     assert np.array_equal(t, t_ref)
@@ -257,6 +262,115 @@ def _tree_scene_and_rays(draw):
 @given(_tree_scene_and_rays())
 def test_batch_equals_oracle_multi_level_trees(case):
     _assert_matches_oracle(*case)
+
+
+def _launch_plane(scene, elevation_deg, azimuth_deg, spacing_m):
+    """The launch plane of a satellite 600 km from the foot of the
+    scene box's centre.  At exactly 90 deg it sits straight above, so
+    that the rays point exactly down and every wall is edge-on."""
+    (x0, y0, z0), (x1, y1, _) = scene.bounds
+    foot = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0, z0])
+    el, az = math.radians(elevation_deg), math.radians(azimuth_deg)
+    if elevation_deg == 90.0:
+        sat = foot + [0.0, 0.0, 600.0]
+    else:
+        sat = foot + 600.0 * np.array([math.cos(el) * math.cos(az),
+                                       math.cos(el) * math.sin(az),
+                                       math.sin(el)])
+    return build_launch_plane(
+        StateVector(Frame.LOCAL, utc(2023, 1, 1), sat, np.zeros(3)), scene,
+        spacing_m)
+
+
+def _snapped_mesh(draw, plane, rng):
+    """A height field over launch-grid points: every vertex is a launch
+    point moved along the rays, and each lattice cell splits into two
+    triangles that share a diagonal.  Launch rays then run through the
+    vertices and, on steps of two cells, through the midpoints of the
+    edges, shared ones included."""
+    nu, nv = plane.grid_shape()
+    step = draw(st.integers(1, 2))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    i0 = draw(st.integers(0, max(nu - 1 - a * step, 0)))
+    j0 = draw(st.integers(0, max(nv - 1 - b * step, 0)))
+    ii = np.minimum(i0 + step * np.arange(a + 1), nu - 1)
+    jj = np.minimum(j0 + step * np.arange(b + 1), nv - 1)
+    depth = rng.uniform(0.0, 0.1, (a + 1, b + 1))
+    points = plane.launch_points()
+    vert = (points[ii[:, None] * nv + jj[None, :]]
+            + depth[..., None] * plane.direction)
+    tris = []
+    for p in range(a):
+        for q in range(b):
+            c00, c10 = vert[p, q], vert[p + 1, q]
+            c01, c11 = vert[p, q + 1], vert[p + 1, q + 1]
+            if rng.random() < 0.5:
+                tris += [(c00, c10, c11), (c00, c11, c01)]
+            else:
+                tris += [(c00, c10, c01), (c10, c11, c01)]
+    keep = [t for t in tris if _area(t) > 1e-12]
+    keep = keep[:draw(st.integers(1, max(len(keep), 1)))]
+    return np.asarray(keep, dtype=float).reshape(-1, 3, 3)
+
+
+@st.composite
+def _launch_grid_case(draw):
+    # The city is sized in spacings, so that the grid stays small.
+    spacing_m = draw(st.one_of(st.sampled_from([0.5, 60.0]),
+                               st.floats(0.5, 60.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    city = generate_city(
+        draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+        block_w_m=spacing_m * draw(st.integers(2, 8)),
+        street_w_m=spacing_m * draw(st.integers(1, 4)),
+        h_min_m=spacing_m, h_max_m=spacing_m * 12.0,
+        seed=draw(st.integers(0, 2**31 - 1)))
+    elevation = draw(st.one_of(
+        st.sampled_from([90.0, 90.0 - 1e-6, 90.0 - 1e-9, 0.5]),
+        st.floats(0.5, 90.0)))
+    azimuth = draw(st.one_of(st.sampled_from([0.0, 45.0, 90.0, 180.0, 270.0]),
+                             st.floats(0.0, 360.0)))
+    plane = _launch_plane(city, elevation, azimuth, spacing_m)
+    kind = draw(st.sampled_from(["empty", "triangle", "city", "snapped"]))
+    if kind == "city":
+        scene = city
+    else:
+        if kind == "empty":
+            tris = np.empty((0, 3, 3))
+        elif kind == "triangle":
+            # inside the city's box, out across the grid's edge, or
+            # far beyond it (more grid cells than an int64 holds)
+            lo, hi = city.bounds
+            scale = draw(st.sampled_from([1.0, 4.0, 1e21]))
+            tris = lo + (rng.random((1, 3, 3)) * scale - (scale - 1) / 2) * (
+                hi - lo)
+            tris = tris if _area(tris[0]) > 1e-12 else city.triangles[-1:]
+        else:
+            tris = _snapped_mesh(draw, plane, rng)
+        scene = Scene(tris, np.zeros(len(tris), dtype=int), [CONCRETE])
+    t_min = draw(st.one_of(st.sampled_from([0.0, 1e-7]),
+                           st.floats(0.0, 0.1)))
+    return scene, plane, t_min
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(_launch_grid_case())
+def test_grid_path_equals_oracle(case):
+    # The span raster must list every true hit of the launch grid's
+    # rays: then t, face id and normal are the oracle's to the bit.
+    scene, plane, t_min = case
+    origins = plane.launch_points()
+    dirs = np.broadcast_to(plane.direction, origins.shape).copy()
+    _assert_matches_oracle(scene, origins, dirs, t_min, grid=plane)
+
+
+def test_grid_path_rejects_other_rays():
+    city = generate_city(1, 1)
+    plane = _launch_plane(city, 60.0, 30.0, 8.0)
+    origins = plane.launch_points()[1:]
+    dirs = np.broadcast_to(plane.direction, origins.shape)
+    with pytest.raises(ValueError, match="launch grid"):
+        city.intersect_batch(origins, dirs, grid=plane)
 
 
 def test_watertight_box_entry_exit_parity(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle import nearest_hits
-from leochan.scene import generate_city, ground_plane
+from leochan.scene import Scene, generate_city, ground_plane
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import (SatelliteBelowHorizon, build_launch_plane,
@@ -167,6 +167,31 @@ def test_deterministic_trace():
         assert pa.launch_index == pb.launch_index
         assert pa.face_sequence() == pb.face_sequence()
         assert pa.d_near_ground == pb.d_near_ground
+
+
+def test_one_intersection_call_per_segment(monkeypatch):
+    # The benchmark numbers bounce segments by counting intersect_batch
+    # calls (the k-th call of a trace is segment k), and only segment
+    # 0's rays are the launch grid's.
+    calls = []
+    query = Scene.intersect_batch
+
+    def counted(self, origins, directions, t_min=0.0, grid=None):
+        result = query(self, origins, directions, t_min, grid=grid)
+        calls.append((grid, int((result[1] >= 0).sum())))
+        return result
+
+    monkeypatch.setattr(Scene, "intersect_batch", counted)
+    city = generate_city(2, 2, seed=8)
+    plane = build_launch_plane(_sat_state([250.0, -40.0, 490.0]), city,
+                               spacing_m=4.0)
+    trace(plane, city, np.array([0.0, 0.0, 0.0015]), rx_radius_m=6.0,
+          max_bounces=2)
+    assert len(calls) == 3
+    assert calls[0][0] is plane
+    assert [grid for grid, _ in calls[1:]] == [None, None]
+    # every segment had rays that hit, so none was skipped
+    assert all(hits > 0 for _, hits in calls)
 
 
 def test_refining_spacing_keeps_coarse_paths():
