@@ -10,8 +10,9 @@ on the lower face id.
 The engine has two sources of candidate (ray, face) pairs and one
 nearest-hit step.  Each chunk of ``_RAY_CHUNK`` consecutive rays gets
 its candidates from one source.  Then Moller-Trumbore runs on every
-pair, with the oracle's row-wise ``np.cross`` and ``einsum`` arithmetic,
-and the nearest hit per ray is kept, ties going to the lower face id.
+pair, with the oracle's arithmetic: its ``einsum`` dot products, and its
+``np.cross`` products written out per component in the same order, and
+the nearest hit per ray is kept, ties going to the lower face id.
 The arithmetic is per pair, so any candidate set that holds every true
 hit gives the same hits to the bit.
 
@@ -109,11 +110,12 @@ def _morton_order(points: np.ndarray, lo: np.ndarray,
     return np.argsort(codes, kind="stable")
 
 
-def _slab(origins, inv_dirs, lo, hi, t_min):
+def _slab(origins, inv_dirs, lo, hi, t_min, axis_parallel):
     """Whether ray ``origin + t * direction`` meets box [lo, hi] for some
     t > t_min, per row and box.  ``inv_dirs`` is 1 / direction.  The
     last axis of each (rows, 3k) argument holds k boxes' x, y, z (the
-    ray repeated k times); the result has shape (rows, k)."""
+    ray repeated k times); the result has shape (rows, k).
+    ``axis_parallel`` is whether any direction has a zero component."""
     with np.errstate(invalid="ignore"):
         t_a = (lo - origins) * inv_dirs
         t_b = (hi - origins) * inv_dirs
@@ -121,8 +123,8 @@ def _slab(origins, inv_dirs, lo, hi, t_min):
     far = np.maximum(t_a, t_b)
     # a zero direction component (infinite inverse) stays in the slab
     # everywhere or nowhere; 0 * inf above gave NaN where it starts on it
-    par = np.isinf(inv_dirs)
-    if par.any():
+    if axis_parallel:
+        par = np.isinf(inv_dirs)
         inside = (origins >= lo) & (origins <= hi)
         near = np.where(par, np.where(inside, -np.inf, np.inf), near)
         far = np.where(par, np.where(inside, np.inf, -np.inf), far)
@@ -142,17 +144,30 @@ def _expand(start, count):
     return source, np.arange(len(source)) + np.repeat(start - base, count)
 
 
+def _cross(a, b):
+    """Row-wise cross product of two (rows, 3) arrays, with the
+    arithmetic of ``np.cross`` (per component a multiply, then a
+    subtract) and none of its axis handling."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    out = np.empty((len(a), 3))
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _moller_trumbore(origins, directions, v0, e1, e2, t_min):
     """Distance of each (ray, triangle) row's hit in (t_min, +inf), or
-    +inf.  Row-wise ``np.cross`` and ``einsum`` dot products, exactly as
-    the test oracle computes them."""
-    pvec = np.cross(directions, e2)
+    +inf.  Row-wise cross products and ``einsum`` dot products, with the
+    test oracle's ``np.cross`` arithmetic."""
+    pvec = _cross(directions, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > _DET_EPS
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     tvec = origins - v0
     u = np.einsum("ij,ij->i", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1)
+    qvec = _cross(tvec, e1)
     v = np.einsum("ij,ij->i", directions, qvec) * inv
     t = np.einsum("ij,ij->i", e2, qvec) * inv
     ok &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
@@ -302,10 +317,11 @@ class Scene:
         down."""
         with np.errstate(divide="ignore"):
             inv_dirs = 1.0 / directions
+        parallel = np.isinf(inv_dirs).any(axis=1)
         # The root level culls every ray against the scene box; after a
         # reflection most rays head up and away.
-        live = np.flatnonzero(
-            _slab(origins, inv_dirs, *self._root, t_min)[:, 0])
+        live = np.flatnonzero(_slab(origins, inv_dirs, *self._root, t_min,
+                                    parallel.any())[:, 0])
         for a in range(0, len(live), _RAY_CHUNK):
             rays = live[a:a + _RAY_CHUNK]
             ray = np.arange(len(rays))
@@ -313,11 +329,14 @@ class Scene:
             # each ray twice, against both children of a node
             origins2 = np.tile(origins[rays], 2)
             inv_dirs2 = np.tile(inv_dirs[rays], 2)
+            # decided once for the chunk, not on every level
+            axis_parallel = parallel[rays].any()
             for lo, hi, n_nodes in self._levels:
                 keep = _slab(np.take(origins2, ray, axis=0),
                              np.take(inv_dirs2, ray, axis=0),
                              np.take(lo, node, axis=0),
-                             np.take(hi, node, axis=0), t_min)
+                             np.take(hi, node, axis=0), t_min,
+                             axis_parallel)
                 # the right child of an odd level's last node is empty,
                 # and an empty box passes the slab test
                 keep[:, 1] &= 2 * node + 1 < n_nodes

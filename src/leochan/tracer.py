@@ -10,6 +10,22 @@ satellite-to-plane leg plus the traced near-ground leg.
 Captured paths keep their raw traced geometry; the residual miss distance
 at the receiver (bounded by the launch spacing) is recorded on each path
 rather than snapped away, so oracle tests can assert the bound directly.
+
+The march does no work that cannot reach a captured path (the reception
+sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
+
+- Receiver window.  A launch ray's miss distance is the in-plane
+  distance from its grid point to the receiver's foot on the launch
+  plane, so segment 0's capture test runs only on the grid points within
+  the capture radius of that foot, plus one grid step.
+- Capture-first last segment.  On the last segment the next hit serves
+  only the capture test, so the capture geometry runs first and only the
+  rays that pass within the capture radius ahead of them are intersected.
+- Live-only history.  Segment 0 has no history; traced length and
+  interactions are kept only for the rays that hit a face and go on.
+
+``tests/oracle.py::trace_every_ray`` intersects and tests every ray on
+every segment, and gives the same records to the bit.
 """
 
 from __future__ import annotations
@@ -158,15 +174,47 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
                        sat_position=sat)
 
 
+def _receiver_window(plane: LaunchPlane, rx: np.ndarray,
+                     rx_radius: float) -> np.ndarray:
+    """Rows of the launch grid that can pass within ``rx_radius`` of
+    ``rx``, in ascending order.
+
+    A launch ray's distance to the receiver is the in-plane distance
+    between its grid point and the receiver's foot on the launch plane,
+    so only the grid points within ``rx_radius`` of the foot qualify.
+    One extra grid step on every side absorbs rounding; the window only
+    has to hold every capturable row, as the per-row test decides.
+    """
+    nu, nv = plane.grid_shape()
+    w = rx - plane.origin
+    ci = (w @ plane.e1 + plane.half_u) / plane.spacing
+    cj = (w @ plane.e2 + plane.half_v) / plane.spacing
+    reach = rx_radius / plane.spacing + 1.0
+    i = np.arange(max(math.ceil(ci - reach), 0),
+                  min(math.floor(ci + reach), nu - 1) + 1)
+    j = np.arange(max(math.ceil(cj - reach), 0),
+                  min(math.floor(cj + reach), nv - 1) + 1)
+    return (i[:, None] * nv + j[None, :]).reshape(-1)
+
+
 def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
           max_bounces: int = DEFAULT_MAX_BOUNCES) -> list[PathRecord]:
     """March the launch grid through the scene and collect receiver hits.
 
     Capture is a perpendicular-distance test against the receiver point
-    on each straight segment.  Paths with identical reflection-face
+    on each straight segment: the ray's closest approach must lie ahead
+    of it, within the capture radius, and no farther than its next hit.
+    Only the work that can reach a captured path is done (see the module
+    docstring): segment 0 tests the launch rays of a receiver window
+    only, the last segment intersects only the rays that pass within the
+    capture radius, and history is kept only for the rays that go on.
+
+    Every segment that has rays makes one ``Scene.intersect_batch``
+    call, even when none of them can be captured, and only a full launch
+    grid is passed as ``grid``.  Paths with identical reflection-face
     sequences are deduplicated, keeping the ray that passes closest to
-    the receiver; the result is sorted by (bounce count, path length) and
-    is fully deterministic.
+    the receiver; the result is sorted by (bounce count, path length)
+    and is fully deterministic.
     """
     if rx_radius_m <= 0.0:
         raise ValueError("capture radius must be positive")
@@ -177,66 +225,87 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
 
     origins = plane.launch_points()
     m = len(origins)
+    # contiguous: the engine gathers its rows for every candidate pair
     dirs = np.broadcast_to(plane.direction, (m, 3)).copy()
     launch_idx = np.arange(m)
-    acc_len = np.zeros(m)
-    # Fixed-width interaction history (max_bounces slots per ray).
-    hist_fid = np.full((m, max(max_bounces, 1)), -1, dtype=int)
-    hist_pts = np.zeros((m, max(max_bounces, 1), 3))
-    hist_ang = np.zeros((m, max(max_bounces, 1)))
+    # near: the rows to test for capture, the receiver window on segment
+    # 0 and then every live ray (as a slice, which copies no rows).  Per
+    # live ray, its traced length and one history column per bounce;
+    # segment 0 has none, so they start as a zero-stride length and
+    # empty columns, which hold no memory.
+    near = _receiver_window(plane, rx, rx_radius)
+    acc_len = np.broadcast_to(0.0, (m,))
+    hist_fid = np.empty((m, 0), dtype=int)
+    hist_pts = np.empty((m, 0, 3))
+    hist_ang = np.empty((m, 0))
 
     captured: list[tuple] = []
 
     for segment in range(max_bounces + 1):
-        if len(origins) == 0:
-            break
-        # segment 0's rays are the launch grid's; later ones scatter
-        t_hit, fid_hit, normals = scene.intersect_batch(
-            origins, dirs, _SELF_HIT_EPS,
-            grid=plane if segment == 0 else None)
-
-        to_rx = rx[None, :] - origins
-        s_star = np.einsum("ij,ij->i", to_rx, dirs)
-        foot = origins + s_star[:, None] * dirs
+        o, d = origins[near], dirs[near]
+        s_star = np.einsum("ij,ij->i", rx[None, :] - o, d)
+        foot = o + s_star[:, None] * d
         miss = np.linalg.norm(rx[None, :] - foot, axis=1)
-        can_capture = (s_star > 0.0) & (s_star <= t_hit) & (miss <= rx_radius)
+        close = (s_star > 0.0) & (miss <= rx_radius)
+        near = near[close] if segment == 0 else np.flatnonzero(close)
+        s_star, miss = s_star[close], miss[close]
 
-        for i in np.flatnonzero(can_capture):
+        if segment == max_bounces:
+            # the hit only decides whether the receiver is seen first
+            t_near = scene.intersect_batch(o[close], d[close],
+                                           _SELF_HIT_EPS)[0]
+        else:
+            # segment 0's rays are the launch grid's; later ones scatter
+            t_hit, fid_hit, normals = scene.intersect_batch(
+                origins, dirs, _SELF_HIT_EPS,
+                grid=plane if segment == 0 else None)
+            t_near = t_hit[near]
+        seen = s_star <= t_near
+
+        for i, s, q in zip(near[seen], s_star[seen], miss[seen]):
             captured.append((
-                int(launch_idx[i]), segment,
-                hist_fid[i, :segment].copy(), hist_pts[i, :segment].copy(),
-                hist_ang[i, :segment].copy(),
-                float(acc_len[i] + s_star[i]), float(miss[i]),
-                dirs[i].copy(),
+                int(launch_idx[i]), segment, hist_fid[i].copy(),
+                hist_pts[i].copy(), hist_ang[i].copy(),
+                float(acc_len[i] + s), float(q), dirs[i].copy(),
             ))
 
         if segment == max_bounces:
             break
 
-        alive = (~can_capture) & (fid_hit >= 0)
+        alive = fid_hit >= 0
+        alive[near[seen]] = False
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        hit_pts = origins[idx] + t_hit[idx, None] * dirs[idx]
+        inc = dirs[idx]
+        hit_pts = origins[idx] + t_hit[idx, None] * inc
         n = normals[idx]
-        d = dirs[idx]
-        cos_inc = np.clip(-np.einsum("ij,ij->i", d, n), -1.0, 1.0)
-        new_dirs = d - 2.0 * np.einsum("ij,ij->i", d, n)[:, None] * n
+        cos_inc = np.clip(-np.einsum("ij,ij->i", inc, n), -1.0, 1.0)
+        new_dirs = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
 
         acc_len = acc_len[idx] + t_hit[idx]
-        hist_fid = hist_fid[idx]
-        hist_pts = hist_pts[idx]
-        hist_ang = hist_ang[idx]
-        hist_fid[:, segment] = fid_hit[idx]
-        hist_pts[:, segment] = hit_pts
-        hist_ang[:, segment] = np.arccos(cos_inc)
+        hist_fid = np.concatenate([hist_fid[idx], fid_hit[idx, None]], 1)
+        hist_pts = np.concatenate([hist_pts[idx], hit_pts[:, None]], 1)
+        hist_ang = np.concatenate(
+            [hist_ang[idx], np.arccos(cos_inc)[:, None]], 1)
         origins = hit_pts
         dirs = new_dirs
         launch_idx = launch_idx[idx]
+        near = slice(None)
 
-    # Deterministic merge: launch order first, then per-face-sequence
-    # dedup keeping the closest pass, then (bounces, length) sort.
-    captured.sort(key=lambda rec: rec[0])
+    return _path_records(captured, plane, scene, rx)
+
+
+def _path_records(captured: list[tuple], plane: LaunchPlane,
+                  scene: Scene, rx: np.ndarray) -> list[PathRecord]:
+    """Deduplicated, sorted ``PathRecord``s from captured rays.
+
+    Each capture is (launch index, bounces, face ids, points, incidence
+    angles, near-ground length, miss distance, final direction).  The
+    merge is deterministic: launch order first, then per-face-sequence
+    dedup keeping the closest pass, then a (bounces, length) sort.
+    """
+    captured = sorted(captured, key=lambda rec: rec[0])
     best: dict[tuple, tuple] = {}
     for rec in captured:
         key = tuple(int(f) for f in rec[2])

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracle import nearest_hits
+from oracle import nearest_hits, trace_every_ray
 from leochan.scene import Scene, generate_city, ground_plane
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
@@ -172,26 +173,36 @@ def test_deterministic_trace():
 def test_one_intersection_call_per_segment(monkeypatch):
     # The benchmark numbers bounce segments by counting intersect_batch
     # calls (the k-th call of a trace is segment k), and only segment
-    # 0's rays are the launch grid's.
+    # 0's rays are the launch grid's.  The last segment intersects only
+    # the rays that pass within the capture radius.
     calls = []
     query = Scene.intersect_batch
 
     def counted(self, origins, directions, t_min=0.0, grid=None):
         result = query(self, origins, directions, t_min, grid=grid)
-        calls.append((grid, int((result[1] >= 0).sum())))
+        calls.append((grid, origins, directions,
+                      int((result[1] >= 0).sum())))
         return result
 
     monkeypatch.setattr(Scene, "intersect_batch", counted)
     city = generate_city(2, 2, seed=8)
     plane = build_launch_plane(_sat_state([250.0, -40.0, 490.0]), city,
                                spacing_m=4.0)
-    trace(plane, city, np.array([0.0, 0.0, 0.0015]), rx_radius_m=6.0,
-          max_bounces=2)
+    rx = np.array([0.0, 0.0, 0.01])
+    paths = trace(plane, city, rx, rx_radius_m=6.0, max_bounces=2)
+    assert 2 in [p.bounce_count for p in paths]
     assert len(calls) == 3
     assert calls[0][0] is plane
-    assert [grid for grid, _ in calls[1:]] == [None, None]
-    # every segment had rays that hit, so none was skipped
-    assert all(hits > 0 for _, hits in calls)
+    assert [grid for grid, *_ in calls[1:]] == [None, None]
+    # the segments before the last had rays that hit, so none was skipped
+    assert all(hits > 0 for *_, hits in calls[:2])
+    _, origins, directions, _ = calls[2]
+    assert len(origins) >= 1
+    s_star = np.einsum("ij,ij->i", rx - origins, directions)
+    foot = origins + s_star[:, None] * directions
+    miss = np.linalg.norm(rx - foot, axis=1)
+    assert (s_star > 0.0).all()
+    assert (miss <= 6.0 / 1000.0).all()
 
 
 def test_refining_spacing_keeps_coarse_paths():
@@ -237,3 +248,113 @@ def test_dump_paths_format():
     lines = [ln for ln in text.splitlines() if ln]
     assert len(lines) == len(paths)
     assert lines[0].split()[1] == "0"  # LOS first
+
+
+def _overhead_midway_case(spacing_m, i, axis):
+    """Satellite exactly overhead a ground plane, and a receiver midway
+    between launch ray (i, i) and its next neighbour along one grid
+    axis, half a spacing from both: they lie on the capture radius.
+    Where the spacing is a power of two in km, the miss distances equal
+    the radius to the bit; elsewhere the receiver's grid coordinate
+    rounds, so the receiver window needs its extra step."""
+    scene = ground_plane(spacing_m * 20)
+    plane = build_launch_plane(_sat_state([0.0, 0.0, 600.0]), scene,
+                               spacing_m)
+    points = plane.launch_points()
+    nv = plane.grid_shape()[1]
+    a = i * nv + i
+    b = a + (nv if axis == 0 else 1)
+    rx = 0.5 * (points[a] + points[b]) + 0.03 * plane.direction
+    return plane, scene, rx, spacing_m / 2.0, 0
+
+
+@st.composite
+def _trace_case(draw):
+    # Scenes are sized in spacings, so that the grid stays small.
+    # 1000 / 256 m is a power of two in km, so exact grid distances
+    # come out exact
+    spacing_m = draw(st.one_of(st.sampled_from([2.0, 1000.0 / 256, 20.0]),
+                               st.floats(2.0, 20.0)))
+    if draw(st.booleans()):
+        scene = ground_plane(spacing_m * draw(st.integers(4, 40)))
+    else:
+        scene = generate_city(
+            draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            block_w_m=spacing_m * draw(st.integers(2, 10)),
+            street_w_m=spacing_m * draw(st.integers(1, 4)),
+            h_min_m=spacing_m, h_max_m=spacing_m * 8.0,
+            seed=draw(st.integers(0, 2**31 - 1)))
+    el = math.radians(draw(st.one_of(st.sampled_from([5.0, 45.0, 90.0]),
+                                     st.floats(5.0, 90.0))))
+    az = math.radians(draw(st.one_of(
+        st.sampled_from([0.0, 45.0, 90.0, 180.0, 270.0]),
+        st.floats(0.0, 360.0))))
+    sat = 600.0 * np.array([math.cos(el) * math.cos(az),
+                            math.cos(el) * math.sin(az), math.sin(el)])
+    if el == math.radians(90.0):
+        # exactly overhead the scene's centre, as the plane aims
+        sat = np.append(scene.bounds.mean(axis=0)[:2], 600.0)
+    plane = build_launch_plane(_sat_state(sat), scene, spacing_m)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["face", "above", "outside", "on_ray",
+                                 "midway"]))
+    if kind in ("face", "above"):
+        # on the ground, a wall or a roof, or above it
+        a, b = sorted(rng.random(2))
+        tri = scene.triangles[rng.integers(len(scene))]
+        rx = a * tri[0] + (b - a) * tri[1] + (1.0 - b) * tri[2]
+        if kind == "above":
+            rx = rx + [0.0, 0.0, rng.uniform(0.0, 3.0 * spacing_m) / 1e3]
+    elif kind == "outside":
+        # beyond the launch grid's footprint, in the plane's own terms
+        side = rng.choice([-1.0, 1.0])
+        rx = plane.origin + side * (plane.half_u + 4.0 * plane.spacing
+                                    + rng.uniform(0.0, 0.05)) * plane.e1
+        rx = rx + rng.uniform(0.0, 0.2) * plane.direction
+    else:
+        # on a launch ray, or midway between two neighbouring ones
+        points = plane.launch_points()
+        nu, nv = plane.grid_shape()
+        i, j = rng.integers(nu - 1), rng.integers(nv - 1)
+        di, dj = ((1, 0), (0, 1))[rng.integers(2)]
+        rx = points[i * nv + j]
+        if kind == "midway":
+            rx = 0.5 * (rx + points[(i + di) * nv + j + dj])
+        rx = rx + rng.uniform(0.0, 0.3) * plane.direction
+
+    radius_kind = draw(st.sampled_from(["grid", "scene", "any"]))
+    if radius_kind == "grid":
+        # an exact grid distance: rays at the radius are on its border
+        rx_radius_m = spacing_m * draw(st.sampled_from([0.5, 1, 1.5, 2,
+                                                        3, 5]))
+    elif radius_kind == "scene":
+        rx_radius_m = 1e4
+    else:
+        rx_radius_m = spacing_m * draw(st.floats(0.3, 3.0))
+    return plane, scene, rx, rx_radius_m, draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_trace_case())
+@example(_overhead_midway_case(2.0, 13, 0))
+@example(_overhead_midway_case(1000.0 / 256, 10, 1))
+def test_trace_equals_every_ray_march(case):
+    # The receiver window, the capture-first last segment and the
+    # live-only history must give the records of the march that
+    # intersects and tests every ray on every segment, to the bit.
+    plane, scene, rx, rx_radius_m, max_bounces = case
+    got = trace(plane, scene, rx, rx_radius_m, max_bounces)
+    want = trace_every_ray(plane, scene, rx, rx_radius_m, max_bounces)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.launch_index == q.launch_index
+        assert p.face_sequence() == q.face_sequence()
+        assert p.d_near_ground == q.d_near_ground
+        assert p.miss_distance == q.miss_distance
+        assert np.array_equal(p.aoa, q.aoa)
+        assert np.array_equal(p.aod, q.aod)
+        for a, b in zip(p.interactions, q.interactions):
+            assert np.array_equal(a.point, b.point)
+            assert a.incidence_angle == b.incidence_angle
+            assert a.material_id == b.material_id
