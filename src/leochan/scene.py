@@ -19,18 +19,32 @@ hit gives the same hits to the bit.
 The first source, for rays in any direction, is a linear bounding-volume
 hierarchy (Karras, "Maximizing Parallelism in the Construction of BVHs,
 Octrees, and k-d Trees", HPG 2012), built without recursion when the
-scene is made.  The faces are stably sorted by the Morton code of their
-box centres and cut into leaves of ``_LEAF_SIZE`` consecutive faces.
-Each leaf box is padded by ``_BOX_PAD``, and each level above is the
-pairwise min/max of the level below, up to one root: node i of a level
-has children 2i and 2i + 1.  Where a level has an odd number of nodes,
-its last parent has an empty right child, which the traversal masks
-out.  The query walks the tree breadth-first over (ray, node) pairs, as
-a wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful",
-HPG 2013).  The root level culls every ray against the padded scene
-box.  Then each chunk of rays goes down one level at a time, testing
-both children of every surviving pair with the slab test, and the faces
-of the leaves reached are the candidates.
+scene is made, and a short list of wide faces kept out of it.  A face is
+wide when its box spans more than half the scene's footprint in both x
+and y: on a generated city of more than one block, just the two ground
+triangles.  In the tree, every ancestor of a wide face's leaf would be a
+box nearly as large as the scene, which almost every bounced ray enters;
+kept apart, a wide face costs one slab test per ray.  (Wide in x or y
+alone would also take the roofs, floors and long walls of a
+one-block-wide street canyon out of the tree, and test them all against
+every ray.)  The other faces are stably sorted by the Morton code of
+their box centres, with one scale for all three axes, the scene box's
+largest extent, so that a city's height gets no more bits than the same
+distance across it.  Both fixes are those of Vinkler, Bittner & Havran
+("Extended Morton Codes for High Performance Bounding Volume Hierarchy
+Construction", HPG 2017).  The sorted faces are cut into leaves of
+``_LEAF_SIZE`` consecutive faces.  Each leaf box is padded by
+``_BOX_PAD``, and each level above is the pairwise min/max of the level
+below, up to one root: node i of a level has children 2i and 2i + 1.
+Where a level has an odd number of nodes, its last parent has an empty
+right child, which the traversal masks out.  The query first culls
+every ray against the padded scene box.  Then each chunk of rays is
+tested against the padded boxes of the wide faces, and walks the tree
+breadth-first over (ray, node) pairs, as a wavefront (Laine, Karras &
+Aila, "Megakernels Considered Harmful", HPG 2013): one level at a time,
+both children of every surviving pair get the slab test.  The wide
+faces whose box a ray meets and the faces of the leaves it reaches are
+its candidates.
 
 The second source is for the launch grid, whose rays are parallel and
 leave from the points of a regular (u, v) grid on a plane: the first
@@ -99,9 +113,10 @@ CONCRETE = Material("concrete", 5.31, 0.1395)
 def _morton_order(points: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> np.ndarray:
     """Stable order of ``points`` (inside the box [lo, hi]) along a
-    30-bit Morton curve: 10 bits per axis, interleaved x, y, z."""
-    extent = np.where(hi > lo, hi - lo, 1.0)
-    q = ((points - lo) / extent * 1023.0).astype(np.int64)
+    30-bit Morton curve: 10 bits per axis, interleaved x, y, z, all
+    three on the scale of the box's largest extent (positive, as a
+    scene has no degenerate face)."""
+    q = ((points - lo) / np.max(hi - lo) * 1023.0).astype(np.int64)
     # spread each coordinate's 10 bits to every third bit
     for shift, mask in ((16, 0xFF0000FF), (8, 0x0F00F00F),
                         (4, 0xC30C30C3), (2, 0x49249249)):
@@ -213,26 +228,52 @@ class Scene:
         self._build_tree(tri_lo, tri_hi)
 
     def _build_tree(self, tri_lo: np.ndarray, tri_hi: np.ndarray) -> None:
-        """Linear BVH (see the module docstring).  Leaf k holds the faces
+        """Linear BVH over the faces that are not wide, and the list of
+        wide ones (see the module docstring).  ``_wide`` holds the wide
+        faces' ids, and row 0 of ``_wide_lo`` and ``_wide_hi`` their
+        padded boxes, x, y, z each.  Leaf k holds the faces
         ``_leaf_faces[k]``, -1 marking an empty slot.  ``_levels`` lists,
         from the root down, (lo, hi, node count) per level, where row j
         of lo and hi, shape (parents, 6), holds the boxes of node j's two
         children, x, y, z each."""
         self._levels = []
-        n = len(self.triangles)
-        if n == 0:
+        if len(self.triangles) == 0:
             return
-        order = _morton_order(0.5 * (tri_lo + tri_hi), *self.bounds)
+        lo, hi = self.bounds
+        self._root = lo - _BOX_PAD, hi + _BOX_PAD
+        span = tri_hi - tri_lo
+        half = 0.5 * (hi - lo)
+        wide = (span[:, 0] > half[0]) & (span[:, 1] > half[1])
+        self._wide = np.flatnonzero(wide)
+        self._wide_lo = (tri_lo[self._wide] - _BOX_PAD).reshape(1, -1)
+        self._wide_hi = (tri_hi[self._wide] + _BOX_PAD).reshape(1, -1)
+        tree = np.flatnonzero(~wide)
+        if len(tree) == 0:
+            # every face is wide: one leaf of empty slots
+            self._leaf_faces = np.full((1, _LEAF_SIZE), -1)
+            return
+        # np.take gathers rows several times faster than fancy indexing
+        centres = np.take(0.5 * (tri_lo + tri_hi), tree, axis=0)
+        order = tree[_morton_order(centres, lo, hi)]
         # Empty boxes (lo = +inf, hi = -inf) fill the last leaf's spare
         # slots and the missing child of an odd level's last node; the
         # min/max of a parent absorbs them.
-        n_pad = -n % _LEAF_SIZE
+        n_pad = -len(order) % _LEAF_SIZE
         self._leaf_faces = np.concatenate(
             [order, np.full(n_pad, -1)]).reshape(-1, _LEAF_SIZE)
-        lo = np.concatenate([tri_lo[order], np.full((n_pad, 3), np.inf)])
-        hi = np.concatenate([tri_hi[order], np.full((n_pad, 3), -np.inf)])
-        lo = lo.reshape(-1, _LEAF_SIZE, 3).min(axis=1) - _BOX_PAD
-        hi = hi.reshape(-1, _LEAF_SIZE, 3).max(axis=1) + _BOX_PAD
+        lo = np.concatenate([np.take(tri_lo, order, axis=0),
+                             np.full((n_pad, 3), np.inf)])
+        hi = np.concatenate([np.take(tri_hi, order, axis=0),
+                             np.full((n_pad, 3), -np.inf)])
+        # leaf boxes as elementwise min/max over the slots, for the
+        # reason the face boxes are
+        lo = lo.reshape(-1, _LEAF_SIZE, 3)
+        hi = hi.reshape(-1, _LEAF_SIZE, 3)
+        leaf_lo, leaf_hi = lo[:, 0], hi[:, 0]
+        for k in range(1, _LEAF_SIZE):
+            leaf_lo = np.minimum(leaf_lo, lo[:, k])
+            leaf_hi = np.maximum(leaf_hi, hi[:, k])
+        lo, hi = leaf_lo - _BOX_PAD, leaf_hi + _BOX_PAD
         while len(lo) > 1:
             n_nodes = len(lo)
             if n_nodes % 2:
@@ -244,7 +285,6 @@ class Scene:
             lo = np.minimum(lo[:, :3], lo[:, 3:])
             hi = np.maximum(hi[:, :3], hi[:, 3:])
         self._levels.reverse()
-        self._root = lo[0], hi[0]
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -311,26 +351,33 @@ class Scene:
         return ray[first], t[first], face[first]
 
     def _walk(self, origins, directions, t_min):
-        """Candidate (ray, face) pairs from the tree, for one chunk of
-        ``_RAY_CHUNK`` rays at a time: the faces of every leaf a ray
-        reaches, walking (ray, node) pairs breadth-first from the root
-        down."""
-        with np.errstate(divide="ignore"):
+        """Candidate (ray, face) pairs for one chunk of ``_RAY_CHUNK``
+        rays at a time: the faces of every leaf a ray reaches, walking
+        (ray, node) pairs breadth-first from the root down, and the wide
+        faces whose box it meets."""
+        # a zero or subnormal component gives an infinite inverse: the
+        # ray is then parallel to that axis
+        with np.errstate(divide="ignore", over="ignore"):
             inv_dirs = 1.0 / directions
         parallel = np.isinf(inv_dirs).any(axis=1)
-        # The root level culls every ray against the scene box; after a
-        # reflection most rays head up and away.
+        # The scene box culls every ray first; after a reflection most
+        # rays head up and away.
         live = np.flatnonzero(_slab(origins, inv_dirs, *self._root, t_min,
                                     parallel.any())[:, 0])
+        n_wide = len(self._wide)
         for a in range(0, len(live), _RAY_CHUNK):
             rays = live[a:a + _RAY_CHUNK]
+            origins1, inv_dirs1 = origins[rays], inv_dirs[rays]
+            # decided once for the chunk, not on every level
+            axis_parallel = parallel[rays].any()
+            wide_ray, wide_slot = np.nonzero(_slab(
+                np.tile(origins1, n_wide), np.tile(inv_dirs1, n_wide),
+                self._wide_lo, self._wide_hi, t_min, axis_parallel))
             ray = np.arange(len(rays))
             node = np.zeros(len(rays), dtype=np.intp)
             # each ray twice, against both children of a node
-            origins2 = np.tile(origins[rays], 2)
-            inv_dirs2 = np.tile(inv_dirs[rays], 2)
-            # decided once for the chunk, not on every level
-            axis_parallel = parallel[rays].any()
+            origins2 = np.tile(origins1, 2)
+            inv_dirs2 = np.tile(inv_dirs1, 2)
             for lo, hi, n_nodes in self._levels:
                 keep = _slab(np.take(origins2, ray, axis=0),
                              np.take(inv_dirs2, ray, axis=0),
@@ -344,7 +391,9 @@ class Scene:
                 ray, node = ray[pair], 2 * node[pair] + side
             faces = self._leaf_faces[node]
             pair, slot = np.nonzero(faces >= 0)
-            yield rays[ray[pair]], faces[pair, slot]
+            yield (rays[np.concatenate([ray[pair], wide_ray])],
+                   np.concatenate([faces[pair, slot],
+                                   self._wide[wide_slot]]))
 
     def _raster(self, grid, m):
         """Candidate (ray, face) pairs of a launch grid's parallel rays,

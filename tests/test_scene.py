@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,32 +204,66 @@ def test_batch_equals_oracle_small_scenes(case):
     _assert_matches_oracle(*case)
 
 
-def _soup(rng, n):
-    """n non-degenerate triangles, half of them on a coarse grid so that
-    they share edges and tie on distance."""
+def _soup(rng, n, n_wide=0):
+    """n small non-degenerate triangles, half of them on a coarse grid so
+    that they share edges and tie on distance, and n_wide that span the
+    whole footprint in x and y, in a shuffled id order.  A small face
+    spans at most 0.5 in each axis, and two of them sit at opposite
+    corners of [-1, 1]^3, so that the footprint is at least 1.5 wide
+    and none of them is wide; a wide face spans 3 in x and in y."""
     tris = np.empty((0, 3, 3))
     while len(tris) < n:
-        cand = rng.uniform(-1.0, 1.0, (n, 3, 3))
+        centre = rng.uniform(-1.0, 1.0, (n, 1, 3))
+        offset = rng.uniform(-0.25, 0.25, (n, 3, 3))
         snap = rng.random(n) < 0.5
-        cand[snap] = np.round(cand[snap] * 4.0) / 4.0
+        centre[snap] = np.round(centre[snap] * 2.0) / 2.0
+        offset[snap] = np.round(offset[snap] * 4.0) / 4.0
+        cand = centre + offset
         keep = [_area(c) > 1e-6 for c in cand]
         tris = np.concatenate([tris, cand[keep]])
-    return Scene(tris[:n], np.zeros(n, dtype=int), [CONCRETE])
+    tris = tris[:n]
+    tris[0] += -1.0 - tris[0].mean(axis=0)
+    tris[-1] += 1.0 - tris[-1].mean(axis=0)
+    if n_wide == 2 and rng.random() < 0.5:
+        # a ground quad split on its diagonal, as generate_city's
+        z = np.round(rng.uniform(-1.0, 1.0) * 4.0) / 4.0
+        quad = np.array([[-1.5, -1.5, z], [1.5, -1.5, z], [1.5, 1.5, z],
+                         [-1.5, 1.5, z]])
+        wide = quad[[[0, 1, 2], [0, 2, 3]]]
+    else:
+        wide = rng.uniform(-1.5, 1.5, (n_wide, 3, 3))
+        for tri in wide:
+            for axis in (0, 1):
+                ends = rng.choice(3, 2, replace=False)
+                tri[ends, axis] = -1.5, 1.5
+    tris = rng.permutation(np.concatenate([tris, wide]))
+    return Scene(tris, np.zeros(len(tris), dtype=int), [CONCRETE])
+
+
+def _without_ground(city):
+    return Scene(city.triangles[:-2], city.material_ids[:-2], city.materials)
 
 
 @st.composite
 def _tree_scene_and_rays(draw):
-    # Cities of 1x1 to 4x4 blocks, or soups one to _LEAF_SIZE + 1 faces
-    # past 2^k full leaves: some level then has an odd node count, and
-    # the last node's padded right child is empty.
+    # Cities of 1x1 to 4x4 blocks, with or without their ground; a bare
+    # ground plane, whose two faces are both wide; or soups one to
+    # _LEAF_SIZE + 1 small faces past 2^k full leaves, with zero to two
+    # wide faces.  In a soup's tree some level has an odd node count,
+    # and the last node's padded right child is empty.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        scene = generate_city(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
-                              seed=draw(st.integers(0, 2**31 - 1)))
-    else:
+    kind = draw(st.sampled_from(["city", "bare city", "ground", "soup"]))
+    if kind == "ground":
+        scene = ground_plane(draw(st.floats(1.0, 2000.0)))
+    elif kind == "soup":
         n = (2 ** draw(st.integers(1, 6)) * _LEAF_SIZE
              + draw(st.integers(1, _LEAF_SIZE + 1)))
-        scene = _soup(rng, n)
+        scene = _soup(rng, n, draw(st.integers(0, 2)))
+    else:
+        scene = generate_city(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                              seed=draw(st.integers(0, 2**31 - 1)))
+        if kind == "bare city":
+            scene = _without_ground(scene)
     tris = scene.triangles
     m = 300
     face = rng.integers(0, len(tris), m)
@@ -258,10 +293,65 @@ def _tree_scene_and_rays(draw):
     return scene, origins, dirs, t_min
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
 @given(_tree_scene_and_rays())
 def test_batch_equals_oracle_multi_level_trees(case):
     _assert_matches_oracle(*case)
+
+
+_WIDE_CASES = {
+    "city 1x1": (lambda: generate_city(1, 1), 6),
+    "city 1x8": (lambda: generate_city(1, 8), 2),
+    "city 4x7": (lambda: generate_city(4, 7, height_law="constant"), 2),
+    "city 20x20": (lambda: generate_city(20, 20, seed=4), 2),
+    "bare city": (lambda: _without_ground(generate_city(6, 6, seed=2)), 0),
+    "ground": (ground_plane, 2),
+    "one face": (lambda: Scene(ground_plane().triangles[:1], [0],
+                               [CONCRETE]), 1),
+    "soup": (lambda: _soup(np.random.default_rng(1), 2 * _LEAF_SIZE + 1), 0),
+    "soup, 1 wide": (lambda: _soup(np.random.default_rng(2),
+                                   16 * _LEAF_SIZE + 2, 1), 1),
+    "soup, 2 wide": (lambda: _soup(np.random.default_rng(3),
+                                   8 * _LEAF_SIZE + 3, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", _WIDE_CASES)
+def test_every_face_in_one_leaf_or_the_wide_list(case):
+    # A face in neither place is never a candidate, and random rays can
+    # easily miss it.
+    build, n_wide = _WIDE_CASES[case]
+    scene = build()
+    leaves = scene._leaf_faces.ravel()
+    ids = np.concatenate([leaves[leaves >= 0], scene._wide])
+    assert np.array_equal(np.sort(ids), np.arange(len(scene)))
+    assert len(scene._wide) == n_wide
+
+
+def test_city_wide_faces_are_its_ground():
+    # a lone block's roof and floor span over half the footprint too,
+    # but from two blocks on, even in a one-block-wide street canyon,
+    # only the ground does
+    for city in (generate_city(1, 8), generate_city(2, 2),
+                 generate_city(3, 9, seed=5)):
+        assert list(city._wide) == [len(city) - 2, len(city) - 1]
+
+
+def test_subnormal_direction_component_equals_oracle():
+    # 1 / 1e-320 overflows to +inf: the walk must treat the ray as
+    # parallel to that axis, without a RuntimeWarning
+    city = generate_city(2, 2)
+    origins = np.array([[0.05, 0.05, 0.5], [0.0, 0.0, 0.5],
+                        [0.05, 0.05, 0.5]])
+    dirs = np.array([[1e-320, 0.0, -1.0], [0.0, -1e-320, -1.0],
+                     [5e-324, 1e-310, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_matches_oracle(city, origins, dirs, 0.0)
+    # a roof, the ground, the same roof
+    fid = city.intersect_batch(origins, dirs)[1]
+    assert fid[0] == fid[2] and 0 <= fid[0] < len(city) - 2
+    assert fid[1] in (len(city) - 2, len(city) - 1)
 
 
 def _launch_plane(scene, elevation_deg, azimuth_deg, spacing_m):
