@@ -8,13 +8,14 @@ every triangle (same Moller-Trumbore arithmetic) and breaks distance ties
 on the lower face id.
 
 The engine has two sources of candidate (ray, face) pairs and one
-nearest-hit step.  Each chunk of ``_RAY_CHUNK`` consecutive rays gets
-its candidates from one source.  Then Moller-Trumbore runs on every
-pair, with the oracle's arithmetic: its ``einsum`` dot products, and its
-``np.cross`` products written out per component in the same order, and
-the nearest hit per ray is kept, ties going to the lower face id.
-The arithmetic is per pair, so any candidate set that holds every true
-hit gives the same hits to the bit.
+nearest-hit step.  Each source yields its pairs in batches that hold
+all the candidates of their rays.  Moller-Trumbore runs on every pair,
+with the oracle's arithmetic: its ``einsum`` dot products, and its
+``np.cross`` products written out per component in the same order.  Two
+scatter-mins (``np.minimum.at``) then keep each ray's nearest hit: the
+least t, and among the pairs at that t the least face id.  The
+arithmetic is per pair, so any candidate set that holds every true hit
+gives the same hits to the bit.
 
 The first source, for rays in any direction, is a linear bounding-volume
 hierarchy (Karras, "Maximizing Parallelism in the Construction of BVHs,
@@ -38,13 +39,13 @@ Construction", HPG 2017).  The sorted faces are cut into leaves of
 below, up to one root: node i of a level has children 2i and 2i + 1.
 Where a level has an odd number of nodes, its last parent has an empty
 right child, which the traversal masks out.  The query first culls
-every ray against the padded scene box.  Then each chunk of rays is
-tested against the padded boxes of the wide faces, and walks the tree
-breadth-first over (ray, node) pairs, as a wavefront (Laine, Karras &
-Aila, "Megakernels Considered Harmful", HPG 2013): one level at a time,
-both children of every surviving pair get the slab test.  The wide
-faces whose box a ray meets and the faces of the leaves it reaches are
-its candidates.
+every ray against the padded scene box.  Then each chunk of
+``_RAY_CHUNK`` rays is tested against the padded wide-face boxes, and
+walks the tree breadth-first over (ray, node) pairs, as a wavefront
+(Laine, Karras & Aila, "Megakernels Considered Harmful", HPG 2013): one
+level at a time, both children of every surviving pair get the slab
+test.  The wide faces whose box a ray meets and the faces of the leaves
+it reaches are its candidates.
 
 The second source is for the launch grid, whose rays are parallel and
 leave from the points of a regular (u, v) grid on a plane: the first
@@ -59,7 +60,9 @@ Pineda ("A Parallel Algorithm for Polygon Rasterization", SIGGRAPH 1988)
 traverse a triangle's rows.  ``pad`` is ``_BOX_PAD`` in grid units,
 which is far above the rounding between a launch point and its grid
 coordinates, so no true hit on a face's edge or vertex is lost.  Rays no
-face covers cost nothing.
+face covers cost nothing.  Only row i's spans cover the rays of row i,
+so the spans are sorted by row and cut between rows into batches of
+about ``_PAIR_BATCH`` pairs.
 """
 
 from __future__ import annotations
@@ -81,10 +84,13 @@ MIN_TRIANGLE_AREA_KM2 = 1e-12
 # edge of a box or a face.
 _BOX_PAD = 1e-9
 
-# Faces per BVH leaf and rays per query chunk (the chunk bounds the size
-# of the (ray, node) and (ray, face) pair arrays).
+# Faces per BVH leaf, and rays per chunk of the tree walk (the chunk
+# bounds the size of the (ray, node) and (ray, face) pair arrays).
 _LEAF_SIZE = 2
 _RAY_CHUNK = 1024
+# Candidate pairs per batch of the launch-grid raster, which is cut only
+# between grid rows, so a batch can hold more.
+_PAIR_BATCH = 4096
 
 HEIGHT_LAWS = ("uniform", "constant")
 
@@ -157,6 +163,14 @@ def _expand(start, count):
     source = np.repeat(np.arange(len(count)), count)
     base = np.cumsum(count) - count
     return source, np.arange(len(source)) + np.repeat(start - base, count)
+
+
+def _rows(a, idx):
+    """``a[idx]`` for a (rows, 3) array.  ``np.take`` gathers contiguous
+    rows nearly three times faster than fancy indexing, but first copies
+    a strided source whole, such as the launch grid's zero-stride
+    directions."""
+    return np.take(a, idx, axis=0) if a.flags.c_contiguous else a[idx]
 
 
 def _cross(a, b):
@@ -310,45 +324,41 @@ class Scene:
         directions = np.asarray(directions, dtype=float)
         m = len(origins)
         t_out = np.full(m, np.inf)
-        fid_out = np.full(m, -1, dtype=int)
         normals = np.zeros((m, 3))
         if len(self.triangles) == 0 or m == 0:
-            return t_out, fid_out, normals
+            return t_out, np.full(m, -1), normals
 
         if grid is None:
             candidates = self._walk(origins, directions, t_min)
         else:
             candidates = self._raster(grid, m)
+        # no face has this id: it marks a ray without a hit so far
+        fid_out = np.full(m, len(self.triangles))
         for ray, face in candidates:
-            ray, t, face = self._nearest_hits(origins, directions, ray, face,
-                                              t_min)
-            t_out[ray] = t
-            fid_out[ray] = face
+            self._nearest_hits(origins, directions, ray, face, t_min,
+                               t_out, fid_out)
+        hit = t_out < np.inf
+        fid_out[~hit] = -1
 
-        hit = fid_out >= 0
         if hit.any():
             n = self._normals[fid_out[hit]]
             flip = np.einsum("ij,ij->i", n, directions[hit]) > 0.0
             normals[hit] = np.where(flip[:, None], -n, n)
         return t_out, fid_out, normals
 
-    def _nearest_hits(self, origins, directions, ray, face, t_min):
-        """(ray, t, face id) of the nearest hit of each ray that has one,
-        among the candidate (ray, face) pairs."""
-        # np.take gathers rows several times faster than fancy indexing
-        t = _moller_trumbore(np.take(origins, ray, axis=0),
-                             np.take(directions, ray, axis=0),
+    def _nearest_hits(self, origins, directions, ray, face, t_min, t_out,
+                      fid_out):
+        """Lower ``t_out`` and ``fid_out`` to the nearest hit of each ray
+        among the candidate (ray, face) pairs, which hold all of those
+        rays' candidates."""
+        t = _moller_trumbore(_rows(origins, ray), _rows(directions, ray),
                              np.take(self._v0, face, axis=0),
                              np.take(self._e1, face, axis=0),
                              np.take(self._e2, face, axis=0), t_min)
-        keep = t < np.inf
-        ray, t, face = ray[keep], t[keep], face[keep]
         # nearest per ray, equal distances to the lower face id
-        order = np.lexsort((face, t, ray))
-        ray, t, face = ray[order], t[order], face[order]
-        first = np.ones(len(ray), dtype=bool)
-        first[1:] = ray[1:] != ray[:-1]
-        return ray[first], t[first], face[first]
+        np.minimum.at(t_out, ray, t)
+        tie = t == np.take(t_out, ray)
+        np.minimum.at(fid_out, ray[tie], face[tie])
 
     def _walk(self, origins, directions, t_min):
         """Candidate (ray, face) pairs for one chunk of ``_RAY_CHUNK``
@@ -397,9 +407,9 @@ class Scene:
 
     def _raster(self, grid, m):
         """Candidate (ray, face) pairs of a launch grid's parallel rays,
-        for one chunk of ``_RAY_CHUNK`` consecutive rays at a time: the
-        grid points each face's projection covers (see the module
-        docstring).  Ray i * nv + j leaves from grid point (i, j)."""
+        for a batch of whole grid rows at a time: the grid points each
+        face's projection covers (see the module docstring).  Ray
+        i * nv + j leaves from grid point (i, j)."""
         nu, nv = grid.grid_shape()
         if m != nu * nv:
             raise ValueError(f"{m} rays for a {nu} x {nv} launch grid")
@@ -440,30 +450,19 @@ class Scene:
         j_hi = np.where(ok, np.maximum(j0, j1), -np.inf).max(axis=0)
         c0 = np.maximum(np.ceil(j_lo - pad), 0.0)
         c1 = np.minimum(np.floor(j_hi + pad), nv - 1.0)
-        keep = c0 <= c1
-        if not keep.any():
-            return
-        face = face[keep]
-        first = row[keep] * nv + c0[keep].astype(np.intp)
-        last = row[keep] * nv + c1[keep].astype(np.intp)
-
-        # cut the spans into chunks of _RAY_CHUNK consecutive covered
-        # rays, as the walk chunks the rays inside the scene box
-        depth = np.cumsum(np.bincount(first, minlength=m)
-                          - np.bincount(last + 1, minlength=m + 1)[:m])
-        starts = np.flatnonzero(depth)[::_RAY_CHUNK]
-        ends = np.append(starts[1:], m) - 1
-        chunk0 = np.searchsorted(starts, first, side="right") - 1
-        chunk1 = np.searchsorted(starts, last, side="right") - 1
-        span, chunk = _expand(chunk0, chunk1 - chunk0 + 1)
-        order = np.argsort(chunk, kind="stable")
-        span, chunk = span[order], chunk[order]
-        face = face[span]
-        first = np.maximum(first[span], starts[chunk])
-        last = np.minimum(last[span], ends[chunk])
-        bounds = np.flatnonzero(np.diff(chunk)) + 1
-        for a, b in zip(np.r_[0, bounds], np.r_[bounds, len(chunk)]):
-            piece, ray = _expand(first[a:b], last[a:b] - first[a:b] + 1)
+        keep = np.flatnonzero(c0 <= c1)
+        # batches of whole grid rows, as only row i's spans cover the
+        # rays of row i: a batch ends at the first row end at or past
+        # each multiple of _PAIR_BATCH pairs
+        keep = keep[np.argsort(row[keep])]
+        face, row = face[keep], row[keep]
+        first = row * nv + c0[keep].astype(np.intp)
+        count = (c1[keep] - c0[keep]).astype(np.intp) + 1
+        row_start = np.flatnonzero(row[1:] != row[:-1]) + 1
+        done = np.cumsum(count)[row_start - 1] // _PAIR_BATCH
+        cuts = row_start[np.diff(done, prepend=0) > 0]
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(row)]):
+            piece, ray = _expand(first[a:b], count[a:b])
             yield ray, face[a:b][piece]
 
 

@@ -102,10 +102,10 @@ class LaunchPlane:
         nu, nv = self.grid_shape()
         us = -self.half_u + self.spacing * np.arange(nu)
         vs = -self.half_v + self.spacing * np.arange(nv)
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        return (self.origin[None, :]
-                + uu.reshape(-1, 1) * self.e1[None, :]
-                + vv.reshape(-1, 1) * self.e2[None, :])
+        # (origin + u * e1) + v * e2 per point, row by row
+        rows = self.origin + us[:, None] * self.e1
+        return (rows[:, None, :] + (vs[:, None] * self.e2)[None]).reshape(
+            -1, 3)
 
 
 def build_launch_plane(sat_local: StateVector, scene: Scene,
@@ -225,8 +225,8 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
 
     origins = plane.launch_points()
     m = len(origins)
-    # contiguous: the engine gathers its rows for every candidate pair
-    dirs = np.broadcast_to(plane.direction, (m, 3)).copy()
+    # one direction for every launch ray, held once (a zero-stride view)
+    dirs = np.broadcast_to(plane.direction, (m, 3))
     launch_idx = np.arange(m)
     # near: the rows to test for capture, the receiver window on segment
     # 0 and then every live ray (as a slice, which copies no rows).  Per

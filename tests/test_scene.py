@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leochan.scene as scene_module
 from oracle import nearest_hits
 from leochan.scene import (_LEAF_SIZE, CONCRETE, InvalidDimensions,
                            Material, Scene, generate_city, ground_plane,
@@ -452,6 +453,76 @@ def test_grid_path_equals_oracle(case):
     origins = plane.launch_points()
     dirs = np.broadcast_to(plane.direction, origins.shape).copy()
     _assert_matches_oracle(scene, origins, dirs, t_min, grid=plane)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(case=_launch_grid_case())
+def test_grid_path_equals_oracle_in_small_batches(budget, case):
+    # The raster cuts its batches between grid rows only; with a budget
+    # this small it cuts between every two rows that have spans.
+    scene, plane, t_min = case
+    origins = plane.launch_points()
+    dirs = np.broadcast_to(plane.direction, origins.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene_module, "_PAIR_BATCH", budget)
+        _assert_matches_oracle(scene, origins, dirs, t_min, grid=plane)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 4096])
+def test_raster_batches_hold_whole_rays(budget):
+    # The nearest-hit step keeps one minimum per ray, so all of a ray's
+    # candidates must come in one batch.
+    city = generate_city(3, 2, seed=6)
+    plane = _launch_plane(city, 35.0, 110.0, 6.0)
+    nu, nv = plane.grid_shape()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene_module, "_PAIR_BATCH", budget)
+        batches = list(city._raster(plane, nu * nv))
+    rays = np.concatenate([np.unique(ray) for ray, _ in batches])
+    assert len(rays) == len(np.unique(rays))
+    if budget == 1:
+        assert all(len(np.unique(ray // nv)) == 1 for ray, _ in batches)
+    # the same candidate pairs, in whatever batches
+    pairs = np.concatenate([ray * len(city) + face for ray, face in batches])
+    ref = np.concatenate([ray * len(city) + face
+                          for ray, face in city._raster(plane, nu * nv)])
+    assert np.array_equal(np.sort(pairs), np.sort(ref))
+    assert len(batches) > 1
+
+
+def _doubled(scene, seed):
+    """The scene with every face twice, in a shuffled id order, and the
+    id of each face's twin."""
+    n = len(scene)
+    perm = np.random.default_rng(seed).permutation(2 * n)
+    new_id = np.argsort(perm)
+    twin = new_id[(perm + n) % (2 * n)]
+    tris = np.concatenate([scene.triangles, scene.triangles])[perm]
+    return Scene(tris, np.zeros(2 * n, dtype=int), [CONCRETE]), twin
+
+
+@pytest.mark.parametrize("source", ["walk", "raster"])
+def test_coincident_faces_go_to_the_lower_id(source, rng):
+    # Twin faces give every ray the same distance to both, so the scatter
+    # minimum over face ids decides.
+    scene, twin = _doubled(generate_city(3, 3, seed=4), 9)
+    if source == "walk":
+        n = 4000
+        origins = rng.uniform(-0.2, 0.2, (n, 3))
+        origins[:, 2] = rng.uniform(0.0, 0.2, n)
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        grid = None
+    else:
+        grid = _launch_plane(scene, 50.0, 20.0, 5.0)
+        origins = grid.launch_points()
+        dirs = np.broadcast_to(grid.direction, origins.shape)
+    _assert_matches_oracle(scene, origins, dirs, 1e-9, grid=grid)
+    fid = scene.intersect_batch(origins, dirs, 1e-9, grid=grid)[1]
+    hit = fid[fid >= 0]
+    assert len(hit) > 100
+    assert (hit < twin[hit]).all()
 
 
 def test_grid_path_rejects_other_rays():

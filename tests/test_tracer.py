@@ -9,8 +9,8 @@ from oracle import nearest_hits, trace_every_ray
 from leochan.scene import Scene, generate_city, ground_plane
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
-from leochan.tracer import (SatelliteBelowHorizon, build_launch_plane,
-                            dump_paths, trace)
+from leochan.tracer import (LaunchPlane, SatelliteBelowHorizon,
+                            build_launch_plane, dump_paths, trace)
 
 T0 = utc(2023, 1, 1)
 
@@ -52,6 +52,33 @@ def test_atmosphere_plus_los_equals_slant_range():
     los_leg = float(plane.direction @ (rx - plane.origin))
     slant = float(np.linalg.norm(sat - rx))
     assert plane.d_atmosphere + los_leg == pytest.approx(slant, abs=1e-6)
+
+
+@pytest.mark.parametrize("half_v_scale", [1.0, 0.37, 2.9])
+def test_launch_points_equal_per_point_sums(half_v_scale):
+    # Row i * nv + j is origin + u_i * e1 + v_j * e2, summed left to
+    # right, to the bit; half_v_scale 1 gives a square grid.
+    rng = np.random.default_rng(int(half_v_scale * 100))
+    for _ in range(5):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        e1 = np.cross(direction, [0.0, 0.0, 1.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(direction, e1)
+        half_u = rng.uniform(0.01, 0.2)
+        plane = LaunchPlane(direction=direction,
+                            origin=rng.uniform(-1.0, 1.0, 3), e1=e1, e2=e2,
+                            half_u=half_u, half_v=half_u * half_v_scale,
+                            spacing=rng.uniform(0.002, 0.02),
+                            d_atmosphere=550.0, sat_position=np.zeros(3))
+        nu, nv = plane.grid_shape()
+        assert (nu == nv) == (half_v_scale == 1.0)
+        ref = np.array([plane.origin + u * plane.e1 + v * plane.e2
+                        for u in -plane.half_u + plane.spacing * np.arange(nu)
+                        for v in -plane.half_v + plane.spacing * np.arange(nv)])
+        points = plane.launch_points()
+        assert points.shape == (nu * nv, 3)
+        assert np.array_equal(points, ref)
 
 
 def test_below_horizon_raises():
@@ -193,6 +220,8 @@ def test_one_intersection_call_per_segment(monkeypatch):
     assert 2 in [p.bounce_count for p in paths]
     assert len(calls) == 3
     assert calls[0][0] is plane
+    # segment 0 holds the launch direction once, not once per ray
+    assert calls[0][2].strides[0] == 0
     assert [grid for grid, *_ in calls[1:]] == [None, None]
     # the segments before the last had rays that hit, so none was skipped
     assert all(hits > 0 for *_, hits in calls[:2])
