@@ -39,7 +39,8 @@ Construction", HPG 2017).  The sorted faces are cut into leaves of
 below, up to one root: node i of a level has children 2i and 2i + 1.
 Where a level has an odd number of nodes, its last parent has an empty
 right child, which the traversal masks out.  The query first culls
-every ray against the padded scene box.  Then each chunk of
+every ray against the padded scene box, in blocks of ``_CULL_BLOCK``
+rays that bound the cull's temporaries.  Then each chunk of
 ``_RAY_CHUNK`` rays is tested against the padded wide-face boxes, and
 walks the tree breadth-first over (ray, node) pairs, as a wavefront
 (Laine, Karras & Aila, "Megakernels Considered Harmful", HPG 2013): one
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +90,10 @@ _BOX_PAD = 1e-9
 # bounds the size of the (ray, node) and (ray, face) pair arrays).
 _LEAF_SIZE = 2
 _RAY_CHUNK = 1024
+# Rays per block of the tree walk's scene-box cull, which bounds the
+# cull's temporaries; the cull is per ray, so the block size changes
+# nothing else.
+_CULL_BLOCK = 65536
 # Candidate pairs per batch of the launch-grid raster, which is cut only
 # between grid rows, so a batch can hold more.
 _PAIR_BATCH = 4096
@@ -157,6 +163,15 @@ def _slab(origins, inv_dirs, lo, hi, t_min, axis_parallel):
     return (enter <= exit_) & (exit_ > t_min)
 
 
+def _inverse(directions):
+    """``1 / directions``, and whether any component of it is infinite.
+    A zero or subnormal component gives an infinite inverse: the ray is
+    then parallel to that axis."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / directions
+    return inv, bool(np.isinf(inv).any())
+
+
 def _expand(start, count):
     """(k, start[k] + r) for every k and r in range(count[k]), in that
     order: the members of a list of integer ranges."""
@@ -204,12 +219,18 @@ def _moller_trumbore(origins, directions, v0, e1, e2, t_min):
 
 
 class Scene:
-    """Immutable triangle soup with materials and batch ray queries."""
+    """Immutable triangle soup with materials and batch ray queries.
+
+    The scene keeps read-only copies of its triangles and material ids,
+    so a caller that later changes its own arrays cannot make them
+    disagree with the tree and the face data built from them."""
 
     def __init__(self, triangles: np.ndarray, material_ids: np.ndarray,
                  materials: list[Material]):
-        triangles = np.asarray(triangles, dtype=float).reshape(-1, 3, 3)
-        material_ids = np.asarray(material_ids, dtype=int)
+        triangles = np.array(triangles, dtype=float).reshape(-1, 3, 3)
+        material_ids = np.array(material_ids, dtype=int)
+        triangles.flags.writeable = False
+        material_ids.flags.writeable = False
         if len(material_ids) != len(triangles):
             raise ValueError("one material id per triangle required")
         if len(material_ids) and (material_ids.min() < 0
@@ -230,7 +251,8 @@ class Scene:
         self.material_ids = material_ids
         self.materials = list(materials)
         self._v0, self._e1, self._e2 = v0, e1, e2
-        self._normals = normals / lengths[:, None]
+        normals /= lengths[:, None]
+        self._normals = normals
         # face boxes, as elementwise min/max (a reduction over the
         # length-3 vertex axis is several times slower)
         tri_lo = np.minimum(np.minimum(v0, triangles[:, 1]), triangles[:, 2])
@@ -255,9 +277,9 @@ class Scene:
             return
         lo, hi = self.bounds
         self._root = lo - _BOX_PAD, hi + _BOX_PAD
-        span = tri_hi - tri_lo
         half = 0.5 * (hi - lo)
-        wide = (span[:, 0] > half[0]) & (span[:, 1] > half[1])
+        wide = ((tri_hi[:, 0] - tri_lo[:, 0] > half[0])
+                & (tri_hi[:, 1] - tri_lo[:, 1] > half[1]))
         self._wide = np.flatnonzero(wide)
         self._wide_lo = (tri_lo[self._wide] - _BOX_PAD).reshape(1, -1)
         self._wide_hi = (tri_hi[self._wide] + _BOX_PAD).reshape(1, -1)
@@ -267,8 +289,8 @@ class Scene:
             self._leaf_faces = np.full((1, _LEAF_SIZE), -1)
             return
         # np.take gathers rows several times faster than fancy indexing
-        centres = np.take(0.5 * (tri_lo + tri_hi), tree, axis=0)
-        order = tree[_morton_order(centres, lo, hi)]
+        order = tree[_morton_order(
+            np.take(0.5 * (tri_lo + tri_hi), tree, axis=0), lo, hi)]
         # Empty boxes (lo = +inf, hi = -inf) fill the last leaf's spare
         # slots and the missing child of an odd level's last node; the
         # min/max of a parent absorbs them.
@@ -302,6 +324,23 @@ class Scene:
 
     def __len__(self) -> int:
         return len(self.triangles)
+
+    @cached_property
+    def distinct_normals(self) -> np.ndarray:
+        """The distinct face normals up to sign, as exact rows of
+        ``_normals`` or their negations: a specular reflection about n
+        and about -n is the same.  Each row's first non-zero component
+        is positive, and the rows are in lexicographic order.  Computed
+        on first use (only multi-bounce traces need it), read-only."""
+        n = self._normals
+        first = n[np.arange(len(n)), (n != 0.0).argmax(axis=1)]
+        n = np.where(first[:, None] < 0.0, -n, n)
+        n = n[np.lexsort(n.T[::-1])]
+        new = np.ones(len(n), dtype=bool)
+        new[1:] = (n[1:] != n[:-1]).any(axis=1)
+        n = n[new]
+        n.flags.writeable = False
+        return n
 
     def intersect_batch(self, origins: np.ndarray, directions: np.ndarray,
                         t_min: float = 0.0, grid=None):
@@ -365,21 +404,22 @@ class Scene:
         rays at a time: the faces of every leaf a ray reaches, walking
         (ray, node) pairs breadth-first from the root down, and the wide
         faces whose box it meets."""
-        # a zero or subnormal component gives an infinite inverse: the
-        # ray is then parallel to that axis
-        with np.errstate(divide="ignore", over="ignore"):
-            inv_dirs = 1.0 / directions
-        parallel = np.isinf(inv_dirs).any(axis=1)
-        # The scene box culls every ray first; after a reflection most
-        # rays head up and away.
-        live = np.flatnonzero(_slab(origins, inv_dirs, *self._root, t_min,
-                                    parallel.any())[:, 0])
+        # The scene box culls every ray first, a block at a time; after
+        # a reflection most rays head up and away.
+        blocks = []
+        for a in range(0, len(origins), _CULL_BLOCK):
+            inv_dirs, axis_parallel = _inverse(directions[a:a + _CULL_BLOCK])
+            blocks.append(a + np.flatnonzero(_slab(
+                origins[a:a + _CULL_BLOCK], inv_dirs, *self._root, t_min,
+                axis_parallel)[:, 0]))
+        live = np.concatenate(blocks)
         n_wide = len(self._wide)
         for a in range(0, len(live), _RAY_CHUNK):
             rays = live[a:a + _RAY_CHUNK]
-            origins1, inv_dirs1 = origins[rays], inv_dirs[rays]
-            # decided once for the chunk, not on every level
-            axis_parallel = parallel[rays].any()
+            origins1 = origins[rays]
+            # parallel to an axis or not, decided once for the chunk, not
+            # on every level
+            inv_dirs1, axis_parallel = _inverse(directions[rays])
             wide_ray, wide_slot = np.nonzero(_slab(
                 np.tile(origins1, n_wide), np.tile(inv_dirs1, n_wide),
                 self._wide_lo, self._wide_hi, t_min, axis_parallel))
@@ -525,14 +565,17 @@ def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
     ys = np.stack([by0, by0 + block_w_m], axis=1)
     zs = np.stack([np.zeros_like(heights), heights], axis=1)
     corners = np.stack([xs[:, _CORNER_X], ys[:, _CORNER_Y],
-                        zs[:, _CORNER_Z]], axis=2)
+                        zs[:, _CORNER_Z]], axis=2) / M_PER_KM
     ground = np.array([[x0, y0, 0.0], [x0 + width_x, y0, 0.0],
                        [x0 + width_x, y0 + width_y, 0.0],
-                       [x0, y0 + width_y, 0.0]])
-    tris = [corners[:, _BOX_TRIANGLES].reshape(-1, 3, 3),
-            ground[[[0, 1, 2], [0, 2, 3]]]]
-
-    triangles = np.concatenate(tris) / M_PER_KM
+                       [x0, y0 + width_y, 0.0]]) / M_PER_KM
+    # Gathered in km straight into one array: a gather, a concatenation
+    # and a division would each hold a copy of every vertex, and the
+    # scene copies it once more.
+    triangles = np.empty((len(corners) * len(_BOX_TRIANGLES) + 2, 3, 3))
+    np.take(corners, _BOX_TRIANGLES, axis=1,
+            out=triangles[:-2].reshape(len(corners), -1, 3, 3))
+    triangles[-2:] = ground[[[0, 1, 2], [0, 2, 3]]]
     if materials is None:
         materials = [CONCRETE]
     material_ids = np.zeros(len(triangles), dtype=int)

@@ -23,6 +23,18 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
   rays that pass within the capture radius ahead of them are intersected.
 - Live-only history.  Segment 0 has no history; traced length and
   interactions are kept only for the rays that hit a face and go on.
+- One-bounce bound.  On a walked segment with one bounce left, a ray
+  o + t d can reach a captured path only through the point of its hit
+  and then along d' = d - 2 (d.n) n, the reflection about some face
+  normal n: every such path lies in the wedge {a d + b d' : a, b >= 0}
+  from o.  A ray is intersected only when, for one of the scene's
+  distinct normals, the receiver lies within the capture radius (plus a
+  rounding margin) of its wedge; the edge along d covers a capture on
+  the segment itself.  This extends the reception sphere one bounce
+  back, in the manner of image theory (Tan & Tan, IEEE TAP 1996).  A
+  scene with more than ``_BOUND_MAX_NORMALS`` distinct normals, such as
+  a soup of arbitrary triangles, or a city turned off the axes, whose
+  walls' normals differ in their last bits, intersects every ray.
 
 ``tests/oracle.py::trace_every_ray`` intersects and tests every ray on
 every segment, and gives the same records to the bit.
@@ -46,6 +58,20 @@ _SELF_HIT_EPS = 1e-7
 PLANE_MARGIN_KM = 0.05
 
 DEFAULT_MAX_BOUNCES = 2
+
+# The one-bounce bound runs only on scenes with at most this many
+# distinct normals (up to sign), as its cost grows with their number.
+# On the demo pass's bounced rays over cities of turned blocks, the
+# bound plus the walk of the kept rays cost as much as the walk of every
+# ray at about 90 rows on the demo city and 110 on a 20x20 city; at 64
+# rows it took 0.72 and 0.69 of it (2 vCPU Xeon, numpy 2.4.6).
+_BOUND_MAX_NORMALS = 64
+# Rays per block of the bound, which bounds its (normal, ray) arrays.
+_BOUND_BLOCK = 1024
+# A normal within about 0.57 degrees of a ray's direction, where
+# s^2 = 1 - (d.n)^2 is below this, keeps the ray: its wedge is then
+# nearly a half-plane, whose plane d x n is ill-conditioned.
+_BOUND_MIN_SIN2 = 1e-4
 
 
 class SatelliteBelowHorizon(ValueError):
@@ -197,6 +223,79 @@ def _receiver_window(plane: LaunchPlane, rx: np.ndarray,
     return (i[:, None] * nv + j[None, :]).reshape(-1)
 
 
+def _bound_slack(rx: np.ndarray, rx_radius: float,
+                 bounds: np.ndarray) -> float:
+    """Distance from its wedge within which a ray is kept by
+    ``_reaches_after_one_bounce``: r (1 + 1e-9) + 1e-12 L, where r is the
+    capture radius and L = |rx| + 4 max|bounds| bounds every length in
+    the capture arithmetic (km).
+
+    Why this suffices.  With u = 2^-53: the ray's origin o and hit
+    point p lie in the scene box, so |o|, |p| <= sqrt(3) max|bounds|
+    and the hit distance t is at most the box diagonal; the next
+    segment's closest approach s* is at most |rx - p|, and |rx - o| too
+    is at most L.  The tracer rounds p = o + t d, its reflection d', the
+    foot p + s* d' and the miss, each by a few u per term: in all about
+    20 u L, plus 3 u r on the miss's norm.  So a ray that the tracer
+    captures lies within r (1 + 3u) + 20 u L of its exact wedge.  The
+    bound's own terms are sums of products of rx - o with unit vectors,
+    off by a few u L, and are divided by s >= 1e-2 (``_BOUND_MIN_SIN2``):
+    at most about 1e3 u L = 1.1e-13 L more.  1e-12 L covers both, nearly
+    eight times over.  The squared tests compare against slack^2 s^2,
+    where s^2 = 1 - (d.n)^2 has relative error at most 2u / 1e-4, far
+    below the 1e-9 relative slack on r.
+    """
+    scale = float(np.linalg.norm(rx)) + 4.0 * float(np.abs(bounds).max())
+    return rx_radius * (1.0 + 1e-9) + 1e-12 * scale
+
+
+def _reaches_after_one_bounce(origins: np.ndarray, dirs: np.ndarray,
+                              rx: np.ndarray, slack: float,
+                              normals: np.ndarray) -> np.ndarray:
+    """Per ray o + t d, whether ``rx`` lies within ``slack`` of its ray
+    or, for one of ``normals``, of its wedge {a d + b d' : a, b >= 0}
+    from o, where d' = d - 2 (d.n) n (see the module docstring).
+
+    With w = rx - o, c = d.n and s^2 = 1 - c^2, the wedge lies in the
+    plane of d and n, at distance |w.(d x n)| / s = |(w x d).n| / s from
+    w.  In that plane, s times w's signed distances from the lines of d
+    and of d' are y = w.n - c w.d and z = c w.d + (1 - 2c^2) w.n, and
+    the Gram solution of w = a d + b d' has a >= 0 iff c z >= 0 and
+    b >= 0 iff c y <= 0.  Inside the wedge, its distance is the plane
+    distance; outside, the distance to the nearer edge ray.  Along d it
+    is |w x d|, or |w| where w.d <= 0.  Along d' it is the plane and
+    in-plane distances combined where w.d' = w.d - 2c w.n is positive;
+    elsewhere it is |w|, which is never less than the d edge's.  Every
+    test is squared and multiplied through by s^2, so nothing divides.
+    Runs in blocks of ``_BOUND_BLOCK`` rays.
+    """
+    keep = np.empty(len(origins), dtype=bool)
+    slack2 = slack * slack
+    for a in range(0, len(origins), _BOUND_BLOCK):
+        w = rx - origins[a:a + _BOUND_BLOCK]
+        d = dirs[a:a + _BOUND_BLOCK]
+        wd = np.einsum("ij,ij->i", w, d)
+        ww = np.einsum("ij,ij->i", w, w)
+        x = np.cross(w, d)
+        # the d edge: a capture on the ray's own segment
+        own = np.where(wd > 0.0, np.einsum("ij,ij->i", x, x), ww) <= slack2
+        # one row per normal and one column per ray, so that the
+        # reduction over the normals runs down the columns
+        c = normals @ d.T
+        wn = normals @ w.T
+        plane2 = (normals @ x.T) ** 2
+        s2 = 1.0 - c * c
+        cwd = c * wd
+        y = wn - cwd
+        z = cwd + (1.0 - 2.0 * c * c) * wn
+        near2 = slack2 * s2
+        inside = (c * z >= 0.0) & (c * y <= 0.0) & (plane2 <= near2)
+        edge = (wd - 2.0 * c * wn > 0.0) & (plane2 + z * z <= near2)
+        keep[a:a + _BOUND_BLOCK] = own | (
+            (s2 < _BOUND_MIN_SIN2) | inside | edge).any(axis=0)
+    return keep
+
+
 def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
           max_bounces: int = DEFAULT_MAX_BOUNCES) -> list[PathRecord]:
     """March the launch grid through the scene and collect receiver hits.
@@ -206,12 +305,16 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     of it, within the capture radius, and no farther than its next hit.
     Only the work that can reach a captured path is done (see the module
     docstring): segment 0 tests the launch rays of a receiver window
-    only, the last segment intersects only the rays that pass within the
-    capture radius, and history is kept only for the rays that go on.
+    only, a walked segment with one bounce left keeps only the rays whose
+    one-bounce wedge passes near the receiver, the last segment
+    intersects only the rays that pass within the capture radius, and
+    history is kept only for the rays that go on.
 
-    Every segment that has rays makes one ``Scene.intersect_batch``
-    call, even when none of them can be captured, and only a full launch
-    grid is passed as ``grid``.  Paths with identical reflection-face
+    Every segment that some ray reaches makes exactly one
+    ``Scene.intersect_batch`` call, even when none of its rays can be
+    captured and even with zero rows, when the one-bounce bound drops
+    them all; so the k-th call of a trace is segment k.  Only a full
+    launch grid is passed as ``grid``.  Paths with identical reflection-face
     sequences are deduplicated, keeping the ray that passes closest to
     the receiver; the result is sorted by (bounce count, path length)
     and is fully deterministic.
@@ -242,6 +345,17 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     captured: list[tuple] = []
 
     for segment in range(max_bounces + 1):
+        if 1 <= segment == max_bounces - 1:
+            axes = scene.distinct_normals
+            if len(axes) <= _BOUND_MAX_NORMALS:
+                # only the rays that can still be captured go on
+                idx = np.flatnonzero(_reaches_after_one_bounce(
+                    origins, dirs, rx,
+                    _bound_slack(rx, rx_radius, scene.bounds), axes))
+                origins, dirs = origins[idx], dirs[idx]
+                acc_len, launch_idx = acc_len[idx], launch_idx[idx]
+                hist_fid, hist_pts = hist_fid[idx], hist_pts[idx]
+                hist_ang = hist_ang[idx]
         o, d = origins[near], dirs[near]
         s_star = np.einsum("ij,ij->i", rx[None, :] - o, d)
         foot = o + s_star[:, None] * d

@@ -606,3 +606,67 @@ def test_text_import_names_line_of_bad_coordinate():
     with pytest.raises(ValueError, match=r"line 2: non-finite"):
         scene_from_text("\n".join([lines[0],
                                     "nan," + lines[1].split(",", 1)[1]]))
+
+
+def test_scene_keeps_its_own_arrays(rng):
+    # Changing the caller's arrays after construction must change
+    # nothing in the scene: its faces, the tree and the face data stay
+    # those it was built from, and its own arrays are read-only.
+    city = generate_city(2, 2, seed=5)
+    tris = city.triangles.copy()
+    mats = city.material_ids.copy()
+    scene = Scene(tris, mats, city.materials)
+    tris += 0.25
+    mats[:] = 7
+    assert np.array_equal(scene.triangles, city.triangles)
+    assert np.array_equal(scene.material_ids, city.material_ids)
+    with pytest.raises(ValueError):
+        scene.triangles[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        scene.material_ids[0] = 1
+    origins = rng.uniform(-0.2, 0.2, (2000, 3))
+    origins[:, 2] = rng.uniform(0.0, 0.2, 2000)
+    dirs = rng.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    _assert_matches_oracle(scene, origins, dirs, 1e-9)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_walk_cull_blocks_keep_every_chunk(block, rng):
+    # The scene-box cull runs in blocks of rays; any block size gives
+    # the same live rays, so the same chunks and the same candidates.
+    city = generate_city(3, 3, seed=4)
+    n = 4000
+    origins = rng.uniform(-0.3, 0.3, (n, 3))
+    origins[:, 2] = rng.uniform(0.0, 0.1, n)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    # axis-parallel rays, in one block only at the larger size
+    dirs[5:9] = [0.0, 0.0, -1.0]
+    want = list(city._walk(origins, dirs, 1e-9))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene_module, "_CULL_BLOCK", block)
+        got = list(city._walk(origins, dirs, 1e-9))
+    assert len(got) == len(want) > 1
+    for (ray, face), (ray_ref, face_ref) in zip(got, want):
+        assert np.array_equal(ray, ray_ref)
+        assert np.array_equal(face, face_ref)
+
+
+def test_distinct_normals_up_to_sign():
+    city = generate_city(3, 2, seed=1)
+    axes = city.distinct_normals
+    assert city.distinct_normals is axes
+    assert not axes.flags.writeable
+    assert np.array_equal(axes, np.eye(3)[::-1])
+    # a rotated soup: every face normal is one row or its negation
+    rng = np.random.default_rng(3)
+    soup = Scene(rng.uniform(-1.0, 1.0, (40, 3, 3)), np.zeros(40, int),
+                 [CONCRETE])
+    axes = soup.distinct_normals
+    assert len(axes) == 40
+    for n in soup._normals:
+        same = np.all(axes == n, axis=1) | np.all(axes == -n, axis=1)
+        assert same.sum() == 1
+    assert Scene(np.empty((0, 3, 3)), np.empty(0, int),
+                 [CONCRETE]).distinct_normals.shape == (0, 3)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle import nearest_hits, trace_every_ray
-from leochan.scene import Scene, generate_city, ground_plane
+from leochan.scene import CONCRETE, Scene, generate_city, ground_plane
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
-from leochan.tracer import (LaunchPlane, SatelliteBelowHorizon,
-                            build_launch_plane, dump_paths, trace)
+from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
+                            SatelliteBelowHorizon, _bound_slack,
+                            _reaches_after_one_bounce, build_launch_plane,
+                            dump_paths, trace)
 
 T0 = utc(2023, 1, 1)
 
@@ -225,6 +227,9 @@ def test_one_intersection_call_per_segment(monkeypatch):
     assert [grid for grid, *_ in calls[1:]] == [None, None]
     # the segments before the last had rays that hit, so none was skipped
     assert all(hits > 0 for *_, hits in calls[:2])
+    # segment 1 has one bounce left: the bound keeps only some of the
+    # rays that segment 0 reflected
+    assert 0 < len(calls[1][1]) < calls[0][3]
     _, origins, directions, _ = calls[2]
     assert len(origins) >= 1
     s_star = np.einsum("ij,ij->i", rx - origins, directions)
@@ -232,6 +237,27 @@ def test_one_intersection_call_per_segment(monkeypatch):
     miss = np.linalg.norm(rx - foot, axis=1)
     assert (s_star > 0.0).all()
     assert (miss <= 6.0 / 1000.0).all()
+
+
+def test_bound_dropping_every_ray_still_calls_once(monkeypatch):
+    # A receiver 5 km to the side of a ground plane lit from +x: every
+    # reflected ray travels in its own plane y = const, far from the
+    # receiver, so the bound drops them all.  Segment 1 still makes its
+    # one (zero-row) call, and then the trace ends.
+    calls = []
+    query = Scene.intersect_batch
+
+    def counted(self, origins, directions, t_min=0.0, grid=None):
+        calls.append(len(origins))
+        return query(self, origins, directions, t_min, grid=grid)
+
+    monkeypatch.setattr(Scene, "intersect_batch", counted)
+    scene, plane, _ = _flat_setup(40.0, spacing_m=4.0, width_m=200.0)
+    rx = np.array([0.0, 5.0, 0.01])
+    assert trace(plane, scene, rx, rx_radius_m=6.0, max_bounces=2) == []
+    assert calls[1:] == [0]
+    assert calls[0] == len(plane.launch_points())
+    assert trace_every_ray(plane, scene, rx, 6.0, 2) == []
 
 
 def test_refining_spacing_keeps_coarse_paths():
@@ -297,6 +323,191 @@ def _overhead_midway_case(spacing_m, i, axis):
     return plane, scene, rx, spacing_m / 2.0, 0
 
 
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _captured(origin, direction, rx, rx_radius):
+    """The tracer's capture test on one segment, without the next hit:
+    its closest approach lies ahead of it and within the radius."""
+    o, d = origin[None], direction[None]
+    s_star = np.einsum("ij,ij->i", rx[None, :] - o, d)
+    foot = o + s_star[:, None] * d
+    miss = np.linalg.norm(rx[None, :] - foot, axis=1)
+    return bool(s_star[0] > 0.0 and miss[0] <= rx_radius)
+
+
+@st.composite
+def _bounce_case(draw):
+    """A ray o + t d on a segment with one bounce left, the normal n of
+    the face it hits at t, and a receiver placed from the ray, or from
+    the reflected ray the tracer computes, at a drawn fraction of the
+    capture radius."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = np.eye(3)[rng.integers(3)]
+    n = draw(st.sampled_from([axis, _unit(rng.normal(size=3))]))
+    kind = draw(st.sampled_from(["any", "parallel", "perpendicular",
+                                 "near_parallel", "near_perpendicular"]))
+    other = _unit(np.cross(n, rng.normal(size=3)))
+    if kind == "any":
+        d = _unit(rng.normal(size=3))
+    elif kind == "parallel":
+        d = -n if rng.random() < 0.5 else n.copy()
+    elif kind == "perpendicular":
+        d = other
+    elif kind == "near_parallel":
+        d = _unit(-n + 10.0 ** rng.uniform(-13, -1) * other)
+    else:
+        d = _unit(other + 10.0 ** rng.uniform(-12, -3) * n)
+    o = rng.uniform(-1.0, 1.0, 3)
+    t = 10.0 ** rng.uniform(-6, 0.3)
+    # the tracer's hit point and reflection, about the normal as
+    # intersect_batch orients it
+    inc = d[None]
+    n_hit = (-n if n @ d > 0.0 else n)[None]
+    p = (o[None] + np.array([t])[:, None] * inc)[0]
+    d_out = (inc - 2.0 * np.einsum("ij,ij->i", inc, n_hit)[:, None]
+             * n_hit)[0]
+    rx_radius = 10.0 ** rng.uniform(-4, -1)
+    where = draw(st.sampled_from(["reflected", "own", "origin"]))
+    if where == "origin":
+        rx = o.copy()
+    else:
+        start, direction = (p, d_out) if where == "reflected" else (o, d)
+        side = _unit(np.cross(direction, rng.normal(size=3)))
+        frac = draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-9, 1.5]))
+        s = 10.0 ** rng.uniform(-6, 0.3)
+        rx = start + s * direction + frac * rx_radius * side
+    bounds = np.stack([np.minimum(o, p), np.maximum(o, p)])
+    normals = np.concatenate([rng.normal(size=(draw(st.integers(0, 4)), 3)),
+                              n[None] * draw(st.sampled_from([1.0, -1.0]))])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return o, d, p, d_out, rx, rx_radius, bounds, rng.permutation(normals)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_bounce_case())
+def test_bound_keeps_every_capturable_ray(case):
+    # Whatever the tracer would capture, on the ray's own segment or
+    # after its bounce, must pass the one-bounce bound, including at the
+    # capture radius, with d parallel or perpendicular to the normal,
+    # and with the receiver at the ray's origin.
+    o, d, p, d_out, rx, rx_radius, bounds, normals = case
+    keep = _reaches_after_one_bounce(
+        o[None], d[None], rx, _bound_slack(rx, rx_radius, bounds), normals)
+    if _captured(o, d, rx, rx_radius) or _captured(p, d_out, rx, rx_radius):
+        assert keep[0]
+
+
+def _wedge_distance(w, d, d_out):
+    """Distance from w to {a d + b d_out : a, b >= 0}, by the Gram
+    system and the two edge rays."""
+    best = min(np.linalg.norm(w - max(w @ v, 0.0) / (v @ v) * v)
+               for v in (d, d_out))
+    gram = np.array([[d @ d, d @ d_out], [d @ d_out, d_out @ d_out]])
+    if abs(np.linalg.det(gram)) > 1e-12:
+        a, b = np.linalg.solve(gram, [w @ d, w @ d_out])
+        if a >= 0.0 and b >= 0.0:
+            best = min(best, np.linalg.norm(w - a * d - b * d_out))
+    return best
+
+
+def test_bound_drops_rays_far_from_their_wedge(rng):
+    # Not vacuous: of rays aimed at random around a receiver, the bound
+    # keeps those whose wedge passes within reach and drops the rest,
+    # as a brute-force distance to each wedge says.
+    normals = np.eye(3)
+    origins = rng.uniform(-1.0, 1.0, (3000, 3))
+    dirs = rng.normal(size=(3000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rx, rx_radius = np.array([0.1, -0.2, 0.05]), 0.05
+    keep = _reaches_after_one_bounce(origins, dirs, rx, rx_radius, normals)
+    for o, d, k in zip(origins, dirs, keep):
+        if (1.0 - (d @ normals.T) ** 2).min() < 1e-4:
+            continue  # a normal nearly along d keeps the ray
+        best = min(_wedge_distance(rx - o, d, d - 2.0 * (d @ n) * n)
+                   for n in normals)
+        assert k == (best <= rx_radius)
+    assert 0 < keep.sum() < len(keep)
+
+
+def _march(plane, scene, bounces):
+    """Launch indices, origins and directions of the rays after
+    ``bounces`` reflections, with the tracer's arithmetic."""
+    origins = plane.launch_points()
+    dirs = np.broadcast_to(plane.direction, origins.shape)
+    launch_idx = np.arange(len(origins))
+    for segment in range(bounces):
+        t, fid, normals = scene.intersect_batch(
+            origins, dirs, _SELF_HIT_EPS,
+            grid=plane if segment == 0 else None)
+        idx = np.flatnonzero(fid >= 0)
+        inc, n = dirs[idx], normals[idx]
+        origins = origins[idx] + t[idx, None] * inc
+        dirs = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+        launch_idx = launch_idx[idx]
+    return launch_idx, origins, dirs
+
+
+def _reflected_ray_case(max_bounces, bounces, frac):
+    """A receiver at ``frac`` times the capture radius from a ray after
+    its ``bounces``-th reflection, partway along its free run.  After
+    two reflections: on the last segment at two bounces, and on the
+    bounded segment itself at three.  After three, off the ground and
+    two walls that face different ways, the ray heads straight back
+    towards the satellite, out of the one-bounce wedge of its second
+    segment: only segments with one bounce left may be bounded."""
+    city = generate_city(2, 2, seed=8)
+    plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
+                               spacing_m=4.0)
+    _, origins, dirs = _march(plane, city, bounces)
+    t = city.intersect_batch(origins, dirs, _SELF_HIT_EPS)[0]
+    # a ray that leaves the scene runs 40 m before the receiver
+    run = np.where(np.isfinite(t), t, 0.04)
+    if bounces == 3:
+        run[np.any(dirs != -plane.direction, axis=1)] = 0.0
+    i = int(np.argmax(run))
+    rx_radius_m = 3.0
+    side = _unit(np.cross(dirs[i], [0.3, -0.2, 0.9]))
+    rx = (origins[i] + 0.5 * run[i] * dirs[i]
+          + frac * rx_radius_m / 1000.0 * side)
+    return plane, city, rx, rx_radius_m, max_bounces
+
+
+def _rotated_city(draw, spacing_m):
+    """A generated city turned about the vertical by a drawn angle: its
+    walls face no axis."""
+    city = generate_city(
+        draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+        block_w_m=spacing_m * draw(st.integers(2, 8)),
+        street_w_m=spacing_m * draw(st.integers(1, 3)),
+        h_min_m=spacing_m, h_max_m=spacing_m * 8.0,
+        seed=draw(st.integers(0, 2**31 - 1)))
+    angle = math.radians(draw(st.floats(1.0, 89.0)))
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return Scene(city.triangles @ turn.T, city.material_ids, city.materials)
+
+
+def _soup_scene(draw, spacing_m, rng):
+    """Randomly oriented triangles a few spacings wide over a ground
+    plane: below the bound's normal limit or above it."""
+    few = draw(st.booleans())
+    count = (draw(st.integers(2, 10)) if few else
+             draw(st.integers(_BOUND_MAX_NORMALS + 1,
+                              _BOUND_MAX_NORMALS + 8)))
+    half = spacing_m * draw(st.integers(6, 16)) / 1000.0
+    centres = rng.uniform([-half, -half, 0.0], [half, half, half],
+                          (count, 1, 3))
+    tris = centres + rng.normal(size=(count, 3, 3)) * 3.0 * spacing_m / 1000.0
+    ground = 1.5 * half * np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0],
+                                    [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]])
+    tris = np.concatenate([tris, ground[[[0, 1, 2], [0, 2, 3]]]])
+    scene = Scene(tris, np.zeros(len(tris), dtype=int), [CONCRETE])
+    assert (len(scene.distinct_normals) <= _BOUND_MAX_NORMALS) == few
+    return scene
+
+
 @st.composite
 def _trace_case(draw):
     # Scenes are sized in spacings, so that the grid stays small.
@@ -304,8 +515,16 @@ def _trace_case(draw):
     # come out exact
     spacing_m = draw(st.one_of(st.sampled_from([2.0, 1000.0 / 256, 20.0]),
                                st.floats(2.0, 20.0)))
-    if draw(st.booleans()):
+    scene_kind = draw(st.sampled_from(["city", "soup", "rotated_city",
+                                       "ground"]))
+    if scene_kind == "ground":
         scene = ground_plane(spacing_m * draw(st.integers(4, 40)))
+    elif scene_kind == "rotated_city":
+        scene = _rotated_city(draw, spacing_m)
+    elif scene_kind == "soup":
+        scene = _soup_scene(
+            draw, spacing_m,
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     else:
         scene = generate_city(
             draw(st.integers(1, 3)), draw(st.integers(1, 3)),
@@ -361,17 +580,26 @@ def _trace_case(draw):
         rx_radius_m = 1e4
     else:
         rx_radius_m = spacing_m * draw(st.floats(0.3, 3.0))
-    return plane, scene, rx, rx_radius_m, draw(st.integers(0, 3))
+    # two and three bounces first: they run the one-bounce bound
+    return plane, scene, rx, rx_radius_m, draw(st.sampled_from([2, 3, 1, 0]))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_trace_case())
 @example(_overhead_midway_case(2.0, 13, 0))
 @example(_overhead_midway_case(1000.0 / 256, 10, 1))
+@example(_reflected_ray_case(2, 2, 1.0))
+@example(_reflected_ray_case(2, 2, 1.0 - 1e-12))
+@example(_reflected_ray_case(3, 2, 1.0))
+@example(_reflected_ray_case(3, 2, 1.0 - 1e-12))
+@example(_reflected_ray_case(3, 3, 1.0 - 1e-12))
 def test_trace_equals_every_ray_march(case):
-    # The receiver window, the capture-first last segment and the
-    # live-only history must give the records of the march that
-    # intersects and tests every ray on every segment, to the bit.
+    # The receiver window, the one-bounce bound, the capture-first last
+    # segment and the live-only history must give the records of the
+    # march that intersects and tests every ray on every segment, to the
+    # bit: on cities, turned cities, triangle soups below and above the
+    # bound's normal limit, and receivers at the capture radius of a
+    # ray reflected twice or three times.
     plane, scene, rx, rx_radius_m, max_bounces = case
     got = trace(plane, scene, rx, rx_radius_m, max_bounces)
     want = trace_every_ray(plane, scene, rx, rx_radius_m, max_bounces)
