@@ -1,4 +1,4 @@
-"""Reference-frame transforms: TEME <-> ECI(J2000) <-> ECEF <-> LOCAL.
+"""Reference-frame transforms: TEME -> ECI(J2000) -> ECEF -> LOCAL.
 
 The celestial side uses the classic equinox-based chain: equation-of-
 equinoxes rotation (TEME to true-of-date), IAU 1980 nutation truncated to
@@ -9,6 +9,9 @@ side rotates by apparent sidereal time; polar motion is ignored (< 15 m).
 The LOCAL frame is the scene frame: two rotations (about z then y) map
 the Earth-center-to-site direction onto +z, and a translation puts the
 site at the origin, so local +z is the site zenith.
+
+Only the forward chain, the one a run uses, lives here; its inverses are
+test oracles in ``tests/oracle.py``, for the C12 round trips.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ DEG2RAD = math.pi / 180.0
 
 EARTH_ROTATION_RATE = 7.2921150e-5  # rad/s
 
-# WGS-84 ellipsoid for geodetic <-> ECEF conversions.
+# WGS-84 ellipsoid for geodetic -> ECEF conversions.
 WGS84_A_KM = 6378.137
 WGS84_F = 1.0 / 298.257223563
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
@@ -153,13 +156,6 @@ def teme_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
                        m @ state.velocity)
 
 
-def eci_to_teme(state: StateVector, eo: EarthOrientation) -> StateVector:
-    state.require(Frame.ECI)
-    m = teme_to_eci_matrix(eo).T
-    return StateVector(Frame.TEME, state.t, m @ state.position,
-                       m @ state.velocity)
-
-
 def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
     """J2000 -> Earth-fixed: precession, nutation, then apparent sidereal
     rotation; velocity picks up the -omega x r frame-rate term."""
@@ -172,17 +168,6 @@ def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
     return StateVector(Frame.ECEF, state.t, r_ecef, v_ecef)
 
 
-def ecef_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
-    state.require(Frame.ECEF)
-    omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
-    v_inertial_pef = state.velocity + np.cross(omega, state.position)
-    unspin = rot3(-eo.gast)
-    to_eci = precession_matrix(eo) @ nutation_matrix(eo)
-    return StateVector(Frame.ECI, state.t,
-                       to_eci @ (unspin @ state.position),
-                       to_eci @ (unspin @ v_inertial_pef))
-
-
 def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_km: float) -> np.ndarray:
     lat = lat_deg * DEG2RAD
     lon = lon_deg * DEG2RAD
@@ -193,37 +178,6 @@ def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_km: float) -> np.ndarra
         (n + alt_km) * math.cos(lat) * math.sin(lon),
         (n * (1.0 - WGS84_E2) + alt_km) * sin_lat,
     ])
-
-
-def ecef_to_geodetic(r: np.ndarray) -> tuple[float, float, float]:
-    """(lat_deg, lon_deg, alt_km) via iterated Bowring formula."""
-    x, y, z = float(r[0]), float(r[1]), float(r[2])
-    lon = math.atan2(y, x)
-    p = math.hypot(x, y)
-    if p < 1e-12:  # on the polar axis
-        lat = math.copysign(math.pi / 2.0, z)
-        alt = abs(z) - WGS84_A_KM * math.sqrt(1.0 - WGS84_E2)
-        return lat / DEG2RAD, lon / DEG2RAD, alt
-    b = WGS84_A_KM * (1.0 - WGS84_F)
-    ep2 = (WGS84_A_KM ** 2 - b ** 2) / b ** 2
-    beta = math.atan2(z * WGS84_A_KM, p * b)
-    lat = 0.0
-    for _ in range(8):
-        lat_new = math.atan2(z + ep2 * b * math.sin(beta) ** 3,
-                             p - WGS84_E2 * WGS84_A_KM * math.cos(beta) ** 3)
-        beta_new = math.atan2((1.0 - WGS84_F) * math.sin(lat_new),
-                              math.cos(lat_new))
-        if abs(lat_new - lat) < 1e-14:
-            lat = lat_new
-            break
-        lat, beta = lat_new, beta_new
-    sin_lat = math.sin(lat)
-    n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
-    if abs(lat) < math.pi / 4.0:
-        alt = p / math.cos(lat) - n
-    else:
-        alt = z / sin_lat - n * (1.0 - WGS84_E2)
-    return lat / DEG2RAD, lon / DEG2RAD, alt
 
 
 @dataclass(frozen=True)
@@ -239,10 +193,6 @@ class LocalFrame:
     def to_local_point(self, r_ecef: np.ndarray) -> np.ndarray:
         return self.rotation @ (np.asarray(r_ecef, dtype=float)
                                 - self.origin_ecef)
-
-    def to_global_point(self, r_local: np.ndarray) -> np.ndarray:
-        return self.rotation.T @ np.asarray(r_local, dtype=float) \
-            + self.origin_ecef
 
 
 def build_local_frame(site_geodetic: tuple[float, float, float]) -> LocalFrame:
@@ -271,10 +221,3 @@ def global_to_local(state: StateVector, frame: LocalFrame) -> StateVector:
     return StateVector(Frame.LOCAL, state.t,
                        frame.to_local_point(state.position),
                        frame.rotation @ state.velocity)
-
-
-def local_to_global(state: StateVector, frame: LocalFrame) -> StateVector:
-    state.require(Frame.LOCAL)
-    return StateVector(Frame.ECEF, state.t,
-                       frame.to_global_point(state.position),
-                       frame.rotation.T @ state.velocity)

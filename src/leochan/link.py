@@ -208,18 +208,6 @@ def rms_delay_spread_ns(powers_dbm, delays_us) -> float:
     return math.sqrt(max(variance, 0.0)) * 1e3  # us -> ns
 
 
-def snapshot_stats(scored: list[ScoredPath]):
-    """(total power dBm, RMS delay spread ns, PDP sorted by delay)."""
-    if not scored:
-        raise EmptyPathSet("snapshot has no paths")
-    total = total_power_dbm(p.power_dbm for p in scored)
-    spread = rms_delay_spread_ns((p.power_dbm for p in scored),
-                                 (p.delay_us for p in scored))
-    pdp = sorted(((p.delay_us, p.power_dbm) for p in scored),
-                 key=lambda x: x[0])
-    return total, spread, pdp
-
-
 def build_snapshot(t: datetime, elevation_rad: float,
                    paths: list[PathRecord], lp: LinkParams,
                    materials: list[Material],
@@ -235,7 +223,9 @@ def build_snapshot(t: datetime, elevation_rad: float,
         for p, fd in zip(paths, dopplers_hz)
     ]
     scored.sort(key=lambda s: s.delay_us)
-    total, spread, _ = snapshot_stats(scored)
+    total = total_power_dbm(p.power_dbm for p in scored)
+    spread = rms_delay_spread_ns((p.power_dbm for p in scored),
+                                 (p.delay_us for p in scored))
     return ChannelSnapshot(t=t, elevation_deg=math.degrees(elevation_rad),
                            paths=tuple(scored), total_power_dbm=total,
                            rms_delay_spread_ns=spread)

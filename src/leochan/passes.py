@@ -1,12 +1,12 @@
-"""Visibility passes, elevation geometry and Doppler models.
+"""Visibility passes, elevation geometry and per-path Doppler.
 
 Everything here works in the rotating Earth-fixed frame with geocentric
-angles: the site zenith is the site position direction, which makes the
-spherical-triangle elevation form exact and keeps Earth rotation implicit
-in the sub-satellite track.  The closed-form Doppler model evaluates the
-along-track law-of-cosines range geometry around culmination; its inputs
-(culmination geometry, effective relative angular rate) are measured from
-propagated states rather than assumed.
+angles: the site zenith is the site position direction, which keeps
+Earth rotation implicit in the sub-satellite track.  Each traced path's
+Doppler comes from the satellite velocity projected on its departure
+direction.  The closed-form along-track Doppler law, which C01-C03 check
+against the propagated range rate, is a test oracle in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ def elevation(site_ecef, sat_ecef) -> float:
     return math.asin(max(-1.0, min(1.0, sin_el)))
 
 
-def elevation_triangle(site_ecef, sat_ecef) -> float:
-    """Same elevation via the law-of-cosines triangle (redundancy check):
-    pi/2 minus the central angle minus the angle at the satellite."""
-    site = np.asarray(site_ecef, dtype=float)
-    sat = np.asarray(sat_ecef, dtype=float)
-    r_e = float(np.linalg.norm(site))
-    r = float(np.linalg.norm(sat))
-    d = float(np.linalg.norm(sat - site))
-    cos_gamma = float(site @ sat) / (r_e * r)
-    gamma = math.acos(max(-1.0, min(1.0, cos_gamma)))
-    cos_rso = (d * d + r * r - r_e * r_e) / (2.0 * d * r)
-    angle_rso = math.acos(max(-1.0, min(1.0, cos_rso)))
-    return math.pi / 2.0 - gamma - angle_rso
-
-
 def gamma_at_culmination(theta_max: float, r_e: float, r: float) -> float:
     """Central angle between site and culmination sub-satellite point:
     acos((r_e / r) cos theta_max) - theta_max."""
@@ -119,55 +104,6 @@ class PassWindow:
     gamma_t0: float         # rad, central angle at culmination
     t_du_min: float         # scanned window duration, minutes
     t_du_analytic_min: float  # closed-form duration estimate, minutes
-
-
-@dataclass(frozen=True)
-class PassGeometry:
-    """Inputs of the closed-form Doppler model, frozen at culmination."""
-
-    r_e: float              # site geocentric radius, km
-    r: float                # satellite geocentric radius at t0, km
-    gamma_t0: float         # rad
-    omega_s: float          # satellite inertial angular rate, rad/s
-    omega_e: float          # Earth rotation rate, rad/s
-    inclination: float      # rad
-    omega_f: float          # effective relative rate omega_s - omega_e cos i
-    fc_hz: float
-    t0: datetime
-    subsat0: np.ndarray     # unit sub-satellite direction at t0 (ECEF)
-    ephemeris: Ephemeris
-
-    def psi_delta(self, t: datetime, sat_ecef=None) -> float:
-        """Signed along-track central angle between the sub-satellite
-        points at t and at culmination (negative before culmination)."""
-        if sat_ecef is None:
-            sat_ecef = self.ephemeris.ecef_at(t).position
-        u = np.asarray(sat_ecef, dtype=float)
-        u = u / np.linalg.norm(u)
-        cosang = max(-1.0, min(1.0, float(u @ self.subsat0)))
-        ang = math.acos(cosang)
-        return ang if t >= self.t0 else -ang
-
-    def slant_range_model(self, psi_delta: float) -> float:
-        """Law-of-cosines slant range for an along-track offset."""
-        cos_g = math.cos(psi_delta) * math.cos(self.gamma_t0)
-        return math.sqrt(self.r_e ** 2 + self.r ** 2
-                         - 2.0 * self.r_e * self.r * cos_g)
-
-
-def doppler_closed_form(t: datetime, geom: PassGeometry,
-                        sat_ecef=None) -> float:
-    """Closed-form Doppler at instant t, Hz.
-
-    Positive while approaching (before culmination), zero at culmination,
-    negative after.
-    """
-    dpsi = geom.psi_delta(t, sat_ecef)
-    cos_g0 = math.cos(geom.gamma_t0)
-    denom = SPEED_OF_LIGHT_KM_S * geom.slant_range_model(dpsi)
-    num = (geom.fc_hz * geom.r_e * geom.r * math.sin(dpsi) * cos_g0
-           * geom.omega_f)
-    return -num / denom
 
 
 def per_path_doppler(path, sat_vel_local, fc_hz: float) -> float:
@@ -293,28 +229,4 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
         theta_max=theta_max, theta_min=theta_min, gamma_t0=gamma_t0,
         t_du_min=(t_end - t_start).total_seconds() / 60.0,
         t_du_analytic_min=t_du_analytic,
-    )
-
-
-def build_pass_geometry(ephem: Ephemeris, window: PassWindow,
-                        site_geodetic: tuple[float, float, float],
-                        fc_hz: float) -> PassGeometry:
-    """Freeze the closed-form Doppler inputs at the window culmination."""
-    site_ecef = geodetic_to_ecef(*site_geodetic)
-    sat0 = ephem.ecef_at(window.t0)
-    r = float(np.linalg.norm(sat0.position))
-    r_e = float(np.linalg.norm(site_ecef))
-    subsat0 = np.asarray(sat0.position, dtype=float) / r
-
-    site_u = site_ecef / r_e
-    gamma_measured = math.acos(max(-1.0, min(1.0, float(site_u @ subsat0))))
-
-    omega_s = ephem.inertial_angular_rate(window.t0)
-    incl = math.radians(ephem.tle.inclination_deg)
-    omega_f = omega_s - EARTH_ROTATION_RATE * math.cos(incl)
-
-    return PassGeometry(
-        r_e=r_e, r=r, gamma_t0=gamma_measured, omega_s=omega_s,
-        omega_e=EARTH_ROTATION_RATE, inclination=incl, omega_f=omega_f,
-        fc_hz=fc_hz, t0=window.t0, subsat0=subsat0, ephemeris=ephem,
     )

@@ -68,7 +68,6 @@ about ``_PAIR_BATCH`` pairs.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -582,29 +581,10 @@ def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
     return Scene(triangles, material_ids, materials)
 
 
-def ground_plane(width_m: float = 1000.0,
-                 materials: list[Material] | None = None) -> Scene:
-    """Bare square ground plane centered at the origin (two triangles)."""
-    h = width_m / 2.0 / M_PER_KM
-    quad = np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
-    tris = np.asarray([quad[[0, 1, 2]], quad[[0, 2, 3]]])
-    if materials is None:
-        materials = [CONCRETE]
-    return Scene(tris, np.zeros(2, dtype=int), materials)
-
-
-def scene_to_text(scene: Scene) -> str:
-    """One triangle per line: nine vertex coordinates (km) + material id."""
-    buf = io.StringIO()
-    for tri, mat in zip(scene.triangles, scene.material_ids):
-        coords = ",".join(repr(float(v)) for v in tri.reshape(9))
-        buf.write(f"{coords},{int(mat)}\n")
-    return buf.getvalue()
-
-
 def scene_from_text(text: str,
                     materials: list[Material] | None = None) -> Scene:
-    """Parse ``scene_to_text`` output; errors name the offending line."""
+    """Parse a scene file, one triangle per line: nine vertex coordinates
+    (km) and a material id.  Errors name the offending line."""
     if materials is None:
         materials = [CONCRETE]
     tris = []

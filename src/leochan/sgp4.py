@@ -100,10 +100,6 @@ class PropagatorState:
     xlcof: float
     aycof: float
 
-    @property
-    def semi_major_axis_km(self) -> float:
-        return self.ao * RE
-
 
 def sgp4_init(tle: Tle) -> PropagatorState:
     """Initialize the propagator from an element set.

@@ -22,7 +22,7 @@ from . import frames, link, passes, scene as scene_mod, tracer
 from .config import ConfigError, SimConfig
 from .link import ChannelSnapshot, LinkParams
 from .passes import Ephemeris, PassWindow
-from .tle import Tle, read_tle_file
+from .tle import Tle, TleError, read_tle_file
 from .tracer import SatelliteBelowHorizon
 
 
@@ -94,9 +94,12 @@ def simulate_snapshot(t: datetime, ephem: Ephemeris,
 
 
 def first_element_set(path) -> Tle:
-    """The first element set in a TLE file; an empty file is a config
-    error."""
-    tles = read_tle_file(path)
+    """The first element set in a TLE file.  A file that cannot be read,
+    holds a damaged set or holds none is a config error."""
+    try:
+        tles = read_tle_file(path)
+    except (OSError, TleError) as exc:
+        raise ConfigError(f"cannot read element sets: {exc}") from None
     if not tles:
         raise ConfigError(f"no element sets in {path}")
     return tles[0]

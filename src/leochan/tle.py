@@ -1,4 +1,4 @@
-"""Two-line element (TLE) parsing, validation and formatting.
+"""Two-line element (TLE) parsing and validation.
 
 Parsing is strict fixed-column: no token splitting, no whitespace
 recovery.  A corrupted line should fail loudly (checksum or field error),
@@ -7,7 +7,6 @@ never produce a silently shifted element.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -79,13 +78,14 @@ def tle_checksum(payload: str) -> int:
 
 def _check_line(line: str, expected_number: str) -> None:
     if len(line) != LINE_LENGTH:
-        raise LineLengthError(
-            f"line must be {LINE_LENGTH} characters, got {len(line)}")
+        raise LineLengthError(f"line {expected_number} must be "
+                              f"{LINE_LENGTH} characters, got {len(line)}")
     if line[0] != expected_number:
         raise MalformedField(
             f"expected line number {expected_number!r}, got {line[0]!r}")
     if not line[68].isdigit():
-        raise ChecksumMismatch(f"checksum column is not a digit: {line[68]!r}")
+        raise ChecksumMismatch(f"line {expected_number} checksum column is "
+                               f"not a digit: {line[68]!r}")
     expected = int(line[68])
     actual = tle_checksum(line)
     if actual != expected:
@@ -197,100 +197,43 @@ def parse_tle(line1: str, line2: str, name: str = "") -> Tle:
     )
 
 
-def _format_implied_decimal(value: float) -> str:
-    if value == 0.0:
-        return " 00000+0"
-    sign = "-" if value < 0.0 else " "
-    v = abs(value)
-    exp = math.floor(math.log10(v)) + 1
-    mant = round(v / 10.0 ** exp * 1e5)
-    if mant == 100000:  # rounding bumped into the next decade
-        mant = 10000
-        exp += 1
-    if not -9 <= exp <= 9:
-        raise ValueError(f"value out of TLE exponent range: {value}")
-    return f"{sign}{mant:05d}{exp:+d}"
-
-
-def _format_ndot(value: float) -> str:
-    sign = "-" if value < 0.0 else " "
-    body = f"{abs(value):.8f}"  # 0.xxxxxxxx
-    return sign + body[1:]      # drop the leading zero
-
-
-def format_tle(tle: Tle) -> tuple[str, str]:
-    """Render a Tle back to its two fixed-column lines (checksummed)."""
-    line1 = (f"1 {tle.satnum:05d}{tle.classification}"
-             f" {tle.intl_designator:<8}"
-             f" {tle.epoch_year % 100:02d}{tle.epoch_day:012.8f}"
-             f" {_format_ndot(tle.ndot)}"
-             f" {_format_implied_decimal(tle.nddot)}"
-             f" {_format_implied_decimal(tle.bstar)}"
-             f" 0 {tle.element_number:4d}")
-    ecc_digits = f"{tle.eccentricity:.7f}"[2:]
-    line2 = (f"2 {tle.satnum:05d}"
-             f" {tle.inclination_deg:8.4f}"
-             f" {tle.raan_deg:8.4f}"
-             f" {ecc_digits}"
-             f" {tle.arg_perigee_deg:8.4f}"
-             f" {tle.mean_anomaly_deg:8.4f}"
-             f" {tle.mean_motion_revs_per_day:11.8f}"
-             f"{tle.rev_number:5d}")
-    line1 += str(tle_checksum(line1))
-    line2 += str(tle_checksum(line2))
-    return line1, line2
-
-
-def synthetic_tle(*, epoch: datetime, inclination_deg: float, raan_deg: float,
-                  eccentricity: float, arg_perigee_deg: float,
-                  mean_anomaly_deg: float, mean_motion_revs_per_day: float,
-                  bstar: float = 0.0, name: str = "SYNTHETIC",
-                  satnum: int = 90000) -> Tle:
-    """Build a valid synthetic element set from orbital elements.
-
-    The elements go through the fixed-column formatter and back through
-    the parser, so the returned Tle carries exactly the precision a real
-    file would.
-    """
-    day_of_year = (epoch - epoch.replace(month=1, day=1, hour=0, minute=0,
-                                         second=0, microsecond=0))
-    draft = Tle(
-        name=name, satnum=satnum, classification="U",
-        intl_designator="00001A", epoch_year=epoch.year,
-        epoch_day=1.0 + day_of_year.total_seconds() / 86400.0,
-        epoch=epoch, ndot=0.0, nddot=0.0, bstar=bstar, element_number=999,
-        inclination_deg=inclination_deg, raan_deg=raan_deg,
-        eccentricity=eccentricity, arg_perigee_deg=arg_perigee_deg,
-        mean_anomaly_deg=mean_anomaly_deg,
-        mean_motion_revs_per_day=mean_motion_revs_per_day, rev_number=1,
-    )
-    line1, line2 = format_tle(draft)
-    return parse_tle(line1, line2, name=name)
-
-
 def read_tle_file(path) -> list[Tle]:
     """Read all element sets from a file.
 
     Accepts both the bare 2-line and the named 3-line layouts, mixed
-    freely; blank lines are ignored.
+    freely; blank lines are ignored.  Any damage fails the whole file
+    with a :class:`TleError` that starts ``path:line:``: a line 2 that
+    does not follow a line 1, a name that is not followed by a line 1,
+    or a set that does not parse (``path:line1-line2:``), such as a line
+    1 of the wrong length.
     """
-    lines = [ln.rstrip("\r\n") for ln in
-             Path(path).read_text().splitlines()]
+    lines = Path(path).read_text().splitlines()
     out: list[Tle] = []
-    pending_name = ""
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.strip() == "":
-            i += 1
-            continue
-        if line.startswith("1 ") and len(line) == LINE_LENGTH:
-            if i + 1 >= len(lines):
+    name_at = None  # index of a name line still waiting for its line 1
+    try:
+        i = 0
+        while i < len(lines):
+            line = lines[i]
+            at = str(i + 1)  # the file line(s) under check
+            if not line.strip():
+                i += 1
+            elif line.startswith("2 "):
+                raise MalformedField("line 2 does not follow a line 1")
+            elif not line.startswith("1 "):
+                if name_at is not None:
+                    break  # the earlier name has no line 1: reported below
+                name_at, i = i, i + 1
+            elif i + 1 == len(lines):
                 raise MalformedField("file ends after a line 1")
-            out.append(parse_tle(line, lines[i + 1], name=pending_name))
-            pending_name = ""
-            i += 2
-        else:
-            pending_name = line
-            i += 1
+            else:
+                at = f"{i + 1}-{i + 2}"
+                name = "" if name_at is None else lines[name_at]
+                out.append(parse_tle(line, lines[i + 1], name=name))
+                name_at, i = None, i + 2
+        if name_at is not None:
+            at = str(name_at + 1)
+            raise MalformedField(f"name {lines[name_at].strip()!r} is not "
+                                 f"followed by a line 1")
+    except TleError as exc:
+        raise type(exc)(f"{path}:{at}: {exc}") from None
     return out

@@ -101,9 +101,6 @@ class PathRecord:
     def total_distance(self) -> float:
         return self.d_atmosphere + self.d_near_ground
 
-    def face_sequence(self) -> tuple[int, ...]:
-        return tuple(i.face_id for i in self.interactions)
-
 
 @dataclass(frozen=True)
 class LaunchPlane:

@@ -1,13 +1,21 @@
+"""Shared fixtures: the acceptance summary, perfbench loading, and the
+builders the tests make their inputs with (formatted and synthetic
+element sets, a bare ground plane, scene files).  None of this runs in a
+simulation."""
+
 import importlib.util
+import io
 import math
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from leochan.scene import CONCRETE, M_PER_KM, Material, Scene
 from leochan.timebase import utc
-from leochan.tle import synthetic_tle
+from leochan.tle import Tle, parse_tle, tle_checksum
 
 WGS72_MU = 398600.8
 WGS72_RE = 6378.135
@@ -43,6 +51,98 @@ def load_perfbench(stem: str):
     return module
 
 
+def _format_implied_decimal(value: float) -> str:
+    if value == 0.0:
+        return " 00000+0"
+    sign = "-" if value < 0.0 else " "
+    v = abs(value)
+    exp = math.floor(math.log10(v)) + 1
+    mant = round(v / 10.0 ** exp * 1e5)
+    if mant == 100000:  # rounding bumped into the next decade
+        mant = 10000
+        exp += 1
+    if not -9 <= exp <= 9:
+        raise ValueError(f"value out of TLE exponent range: {value}")
+    return f"{sign}{mant:05d}{exp:+d}"
+
+
+def _format_ndot(value: float) -> str:
+    sign = "-" if value < 0.0 else " "
+    body = f"{abs(value):.8f}"  # 0.xxxxxxxx
+    return sign + body[1:]      # drop the leading zero
+
+
+def format_tle(tle: Tle) -> tuple[str, str]:
+    """Render a Tle back to its two fixed-column lines (checksummed)."""
+    line1 = (f"1 {tle.satnum:05d}{tle.classification}"
+             f" {tle.intl_designator:<8}"
+             f" {tle.epoch_year % 100:02d}{tle.epoch_day:012.8f}"
+             f" {_format_ndot(tle.ndot)}"
+             f" {_format_implied_decimal(tle.nddot)}"
+             f" {_format_implied_decimal(tle.bstar)}"
+             f" 0 {tle.element_number:4d}")
+    ecc_digits = f"{tle.eccentricity:.7f}"[2:]
+    line2 = (f"2 {tle.satnum:05d}"
+             f" {tle.inclination_deg:8.4f}"
+             f" {tle.raan_deg:8.4f}"
+             f" {ecc_digits}"
+             f" {tle.arg_perigee_deg:8.4f}"
+             f" {tle.mean_anomaly_deg:8.4f}"
+             f" {tle.mean_motion_revs_per_day:11.8f}"
+             f"{tle.rev_number:5d}")
+    line1 += str(tle_checksum(line1))
+    line2 += str(tle_checksum(line2))
+    return line1, line2
+
+
+def synthetic_tle(*, epoch: datetime, inclination_deg: float, raan_deg: float,
+                  eccentricity: float, arg_perigee_deg: float,
+                  mean_anomaly_deg: float, mean_motion_revs_per_day: float,
+                  bstar: float = 0.0, name: str = "SYNTHETIC",
+                  satnum: int = 90000) -> Tle:
+    """Build a valid synthetic element set from orbital elements.
+
+    The elements go through the fixed-column formatter and back through
+    the parser, so the returned Tle carries exactly the precision a real
+    file would.
+    """
+    day_of_year = (epoch - epoch.replace(month=1, day=1, hour=0, minute=0,
+                                         second=0, microsecond=0))
+    draft = Tle(
+        name=name, satnum=satnum, classification="U",
+        intl_designator="00001A", epoch_year=epoch.year,
+        epoch_day=1.0 + day_of_year.total_seconds() / 86400.0,
+        epoch=epoch, ndot=0.0, nddot=0.0, bstar=bstar, element_number=999,
+        inclination_deg=inclination_deg, raan_deg=raan_deg,
+        eccentricity=eccentricity, arg_perigee_deg=arg_perigee_deg,
+        mean_anomaly_deg=mean_anomaly_deg,
+        mean_motion_revs_per_day=mean_motion_revs_per_day, rev_number=1,
+    )
+    line1, line2 = format_tle(draft)
+    return parse_tle(line1, line2, name=name)
+
+
+def ground_plane(width_m: float = 1000.0,
+                 materials: list[Material] | None = None) -> Scene:
+    """Bare square ground plane centered at the origin (two triangles)."""
+    h = width_m / 2.0 / M_PER_KM
+    quad = np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
+    tris = np.asarray([quad[[0, 1, 2]], quad[[0, 2, 3]]])
+    if materials is None:
+        materials = [CONCRETE]
+    return Scene(tris, np.zeros(2, dtype=int), materials)
+
+
+def scene_to_text(scene: Scene) -> str:
+    """A scene file for ``scene_from_text``: one triangle per line, nine
+    vertex coordinates (km) and a material id."""
+    buf = io.StringIO()
+    for tri, mat in zip(scene.triangles, scene.material_ids):
+        coords = ",".join(repr(float(v)) for v in tri.reshape(9))
+        buf.write(f"{coords},{int(mat)}\n")
+    return buf.getvalue()
+
+
 def circular_mean_motion(altitude_km: float) -> float:
     """rev/day of a circular orbit at the given altitude (two-body)."""
     a = WGS72_RE + altitude_km
@@ -69,8 +169,9 @@ def equatorial_pass():
     1.9 deg north of the ground track (culmination near 67 deg)."""
     from datetime import timedelta
 
-    from leochan.frames import ecef_to_geodetic
-    from leochan.passes import Ephemeris, build_pass_geometry, find_pass
+    from oracle import build_pass_geometry, ecef_to_geodetic
+
+    from leochan.passes import Ephemeris, find_pass
 
     tle = make_circular_tle()
     ephem = Ephemeris(tle)

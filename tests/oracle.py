@@ -1,8 +1,12 @@
-"""Brute-force test oracles.
+"""Reference implementations the tests check the package against.
 
-``nearest_hits`` is the reference for ``Scene.intersect_batch``, for
-both of its candidate sources: the BVH walk (any rays) and the span
-raster (``grid=``, the launch grid's parallel rays).
+None of this runs in a simulation: the package keeps only the code a run
+calls, and the oracles live here.
+
+Ray tracing.  ``nearest_hits`` is the reference for
+``Scene.intersect_batch``, for both of its candidate sources: the BVH
+walk (any rays) and the span raster (``grid=``, the launch grid's
+parallel rays).
 
 No tree, no raster, no box cull and no chunking: every face is tested
 against every ray, face by face in id order.  A face replaces the best
@@ -18,11 +22,34 @@ bit.  (A hand-written ``ax*bx + ay*by + az*bz`` does not: ``einsum``
 sums the three products in another order.)
 
 ``trace_every_ray`` is the reference for ``tracer.trace``.
+
+Pass geometry.  ``doppler_closed_form`` is the closed-form along-track
+Doppler law, with its inputs measured from the propagated states at
+culmination by ``build_pass_geometry``; C01-C03 check it against the
+finite-difference range rate of ``Ephemeris.ecef_at``.
+``elevation_triangle`` is the law-of-cosines form of
+``passes.elevation``.
+
+Frames.  The inverses of the package's forward chain, for the C12 round
+trips and for placing sites: ``eci_to_teme``, ``ecef_to_eci``,
+``local_to_global`` (with ``local_point_to_global``) and
+``ecef_to_geodetic``.
 """
+
+import math
+from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
+from leochan.frames import (DEG2RAD, EARTH_ROTATION_RATE, WGS84_A_KM,
+                            WGS84_E2, WGS84_F, EarthOrientation, LocalFrame,
+                            geodetic_to_ecef, nutation_matrix,
+                            precession_matrix, rot3, teme_to_eci_matrix)
+from leochan.link import SPEED_OF_LIGHT_KM_S
+from leochan.passes import Ephemeris, PassWindow
 from leochan.scene import _DET_EPS, M_PER_KM
+from leochan.states import Frame, StateVector
 from leochan.tracer import _SELF_HIT_EPS, _path_records
 
 
@@ -120,3 +147,162 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
         dirs = d - 2.0 * np.einsum("ij,ij->i", d, n)[:, None] * n
         launch_idx = launch_idx[idx]
     return _path_records(captured, plane, scene, rx)
+
+
+def elevation_triangle(site_ecef, sat_ecef) -> float:
+    """Reference for ``passes.elevation``: the law-of-cosines triangle,
+    pi/2 minus the central angle minus the angle at the satellite."""
+    site = np.asarray(site_ecef, dtype=float)
+    sat = np.asarray(sat_ecef, dtype=float)
+    r_e = float(np.linalg.norm(site))
+    r = float(np.linalg.norm(sat))
+    d = float(np.linalg.norm(sat - site))
+    cos_gamma = float(site @ sat) / (r_e * r)
+    gamma = math.acos(max(-1.0, min(1.0, cos_gamma)))
+    cos_rso = (d * d + r * r - r_e * r_e) / (2.0 * d * r)
+    angle_rso = math.acos(max(-1.0, min(1.0, cos_rso)))
+    return math.pi / 2.0 - gamma - angle_rso
+
+
+@dataclass(frozen=True)
+class PassGeometry:
+    """Inputs of the closed-form Doppler law, frozen at culmination.
+
+    The culmination geometry and the effective relative angular rate are
+    measured from propagated states rather than assumed.
+    """
+
+    r_e: float              # site geocentric radius, km
+    r: float                # satellite geocentric radius at t0, km
+    gamma_t0: float         # rad
+    omega_s: float          # satellite inertial angular rate, rad/s
+    omega_e: float          # Earth rotation rate, rad/s
+    inclination: float      # rad
+    omega_f: float          # effective relative rate omega_s - omega_e cos i
+    fc_hz: float
+    t0: datetime
+    subsat0: np.ndarray     # unit sub-satellite direction at t0 (ECEF)
+    ephemeris: Ephemeris
+
+    def psi_delta(self, t: datetime, sat_ecef=None) -> float:
+        """Signed along-track central angle between the sub-satellite
+        points at t and at culmination (negative before culmination)."""
+        if sat_ecef is None:
+            sat_ecef = self.ephemeris.ecef_at(t).position
+        u = np.asarray(sat_ecef, dtype=float)
+        u = u / np.linalg.norm(u)
+        cosang = max(-1.0, min(1.0, float(u @ self.subsat0)))
+        ang = math.acos(cosang)
+        return ang if t >= self.t0 else -ang
+
+    def slant_range_model(self, psi_delta: float) -> float:
+        """Law-of-cosines slant range for an along-track offset."""
+        cos_g = math.cos(psi_delta) * math.cos(self.gamma_t0)
+        return math.sqrt(self.r_e ** 2 + self.r ** 2
+                         - 2.0 * self.r_e * self.r * cos_g)
+
+
+def build_pass_geometry(ephem: Ephemeris, window: PassWindow,
+                        site_geodetic: tuple[float, float, float],
+                        fc_hz: float) -> PassGeometry:
+    """Freeze the closed-form Doppler inputs at the window culmination."""
+    site_ecef = geodetic_to_ecef(*site_geodetic)
+    sat0 = ephem.ecef_at(window.t0)
+    r = float(np.linalg.norm(sat0.position))
+    r_e = float(np.linalg.norm(site_ecef))
+    subsat0 = np.asarray(sat0.position, dtype=float) / r
+
+    site_u = site_ecef / r_e
+    gamma_measured = math.acos(max(-1.0, min(1.0, float(site_u @ subsat0))))
+
+    omega_s = ephem.inertial_angular_rate(window.t0)
+    incl = math.radians(ephem.tle.inclination_deg)
+    omega_f = omega_s - EARTH_ROTATION_RATE * math.cos(incl)
+
+    return PassGeometry(
+        r_e=r_e, r=r, gamma_t0=gamma_measured, omega_s=omega_s,
+        omega_e=EARTH_ROTATION_RATE, inclination=incl, omega_f=omega_f,
+        fc_hz=fc_hz, t0=window.t0, subsat0=subsat0, ephemeris=ephem,
+    )
+
+
+def doppler_closed_form(t: datetime, geom: PassGeometry,
+                        sat_ecef=None) -> float:
+    """Closed-form Doppler at instant t, Hz: the along-track
+    law-of-cosines range geometry around culmination.
+
+    Positive while approaching (before culmination), zero at culmination,
+    negative after.
+    """
+    dpsi = geom.psi_delta(t, sat_ecef)
+    cos_g0 = math.cos(geom.gamma_t0)
+    denom = SPEED_OF_LIGHT_KM_S * geom.slant_range_model(dpsi)
+    num = (geom.fc_hz * geom.r_e * geom.r * math.sin(dpsi) * cos_g0
+           * geom.omega_f)
+    return -num / denom
+
+
+def eci_to_teme(state: StateVector, eo: EarthOrientation) -> StateVector:
+    """Inverse of ``frames.teme_to_eci``."""
+    state.require(Frame.ECI)
+    m = teme_to_eci_matrix(eo).T
+    return StateVector(Frame.TEME, state.t, m @ state.position,
+                       m @ state.velocity)
+
+
+def ecef_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
+    """Inverse of ``frames.eci_to_ecef``, the +omega x r term included."""
+    state.require(Frame.ECEF)
+    omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
+    v_inertial_pef = state.velocity + np.cross(omega, state.position)
+    unspin = rot3(-eo.gast)
+    to_eci = precession_matrix(eo) @ nutation_matrix(eo)
+    return StateVector(Frame.ECI, state.t,
+                       to_eci @ (unspin @ state.position),
+                       to_eci @ (unspin @ v_inertial_pef))
+
+
+def local_point_to_global(frame: LocalFrame, r_local) -> np.ndarray:
+    """Inverse of ``LocalFrame.to_local_point``."""
+    return frame.rotation.T @ np.asarray(r_local, dtype=float) \
+        + frame.origin_ecef
+
+
+def local_to_global(state: StateVector, frame: LocalFrame) -> StateVector:
+    """Inverse of ``frames.global_to_local``."""
+    state.require(Frame.LOCAL)
+    return StateVector(Frame.ECEF, state.t,
+                       local_point_to_global(frame, state.position),
+                       frame.rotation.T @ state.velocity)
+
+
+def ecef_to_geodetic(r) -> tuple[float, float, float]:
+    """Inverse of ``frames.geodetic_to_ecef``: (lat_deg, lon_deg,
+    alt_km) by the iterated Bowring formula."""
+    x, y, z = float(r[0]), float(r[1]), float(r[2])
+    lon = math.atan2(y, x)
+    p = math.hypot(x, y)
+    if p < 1e-12:  # on the polar axis
+        lat = math.copysign(math.pi / 2.0, z)
+        alt = abs(z) - WGS84_A_KM * math.sqrt(1.0 - WGS84_E2)
+        return lat / DEG2RAD, lon / DEG2RAD, alt
+    b = WGS84_A_KM * (1.0 - WGS84_F)
+    ep2 = (WGS84_A_KM ** 2 - b ** 2) / b ** 2
+    beta = math.atan2(z * WGS84_A_KM, p * b)
+    lat = 0.0
+    for _ in range(8):
+        lat_new = math.atan2(z + ep2 * b * math.sin(beta) ** 3,
+                             p - WGS84_E2 * WGS84_A_KM * math.cos(beta) ** 3)
+        beta_new = math.atan2((1.0 - WGS84_F) * math.sin(lat_new),
+                              math.cos(lat_new))
+        if abs(lat_new - lat) < 1e-14:
+            lat = lat_new
+            break
+        lat, beta = lat_new, beta_new
+    sin_lat = math.sin(lat)
+    n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
+    if abs(lat) < math.pi / 4.0:
+        alt = p / math.cos(lat) - n
+    else:
+        alt = z / sin_lat - n * (1.0 - WGS84_E2)
+    return lat / DEG2RAD, lon / DEG2RAD, alt

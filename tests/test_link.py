@@ -8,8 +8,8 @@ from leochan.link import (EmptyPathSet, InvalidElevation, LinkParams,
                           effective_rain_path_km, fresnel_power_reflectance,
                           fspl_db, path_delay_us, path_power_dbm,
                           rain_attenuation_db, reflection_loss_db,
-                          rms_delay_spread_ns, snapshot_stats,
-                          total_power_dbm, SPEED_OF_LIGHT_KM_S)
+                          rms_delay_spread_ns, total_power_dbm,
+                          SPEED_OF_LIGHT_KM_S)
 from leochan.scene import CONCRETE, Material
 from leochan.timebase import utc
 from leochan.tracer import Interaction, PathRecord
@@ -212,7 +212,8 @@ class TestSnapshotStats:
         with pytest.raises(EmptyPathSet):
             total_power_dbm([])
         with pytest.raises(EmptyPathSet):
-            snapshot_stats([])
+            build_snapshot(utc(2023, 1, 1), math.radians(50.0), [],
+                           LinkParams(), [CONCRETE], [])
 
 
 def test_build_snapshot_sorted_and_consistent():
@@ -225,5 +226,3 @@ def test_build_snapshot_sorted_and_consistent():
     assert delays == sorted(delays)
     manual_total = total_power_dbm([p.power_dbm for p in snap.paths])
     assert snap.total_power_dbm == pytest.approx(manual_total, abs=1e-9)
-    pdp = snapshot_stats(list(snap.paths))[2]
-    assert [d for d, _ in pdp] == delays

@@ -1,0 +1,84 @@
+"""Every function, class and method in ``src/leochan`` is used by the
+package itself.
+
+A name counts as used when live code refers to it by name or as an
+attribute.  Live code is each module's top-level statements, the console
+script ``cli.main``, and the body of every definition that live code
+uses, followed to a fixed point.  A reference inside a
+definition's own body, or inside code nothing live reaches, does not
+count, and neither does an import.  Dunder methods are exempt: Python
+calls them.  Oracles and fixtures that only the tests call belong under
+``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "leochan"
+CONSOLE_SCRIPT = "cli.main"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _referenced(nodes) -> set[str]:
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """({qualified name: (short name, names its body refers to)},
+    names the modules' top-level statements refer to)."""
+    defs = {}
+    top_level = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                top_level |= _referenced([node])
+                continue
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body
+                           if isinstance(m, FUNCTIONS)
+                           and not _is_dunder(m.name)]
+                for m in methods:
+                    defs[f"{module}.{node.name}.{m.name}"] = (
+                        m.name, _referenced([m]))
+                # a dunder runs with its class, so it counts as the class's
+                own = [s for s in node.body if s not in methods]
+                defs[f"{module}.{node.name}"] = (
+                    node.name, _referenced(node.decorator_list + node.bases
+                                           + own))
+            else:
+                defs[f"{module}.{node.name}"] = (node.name,
+                                                 _referenced([node]))
+    return defs, top_level
+
+
+def unused_names() -> list[str]:
+    defs, used = _definitions()
+    live = {CONSOLE_SCRIPT}
+    used |= defs[CONSOLE_SCRIPT][1]
+    grew = True
+    while grew:
+        grew = False
+        for qualified, (short, refs) in defs.items():
+            if qualified not in live and short in used:
+                live.add(qualified)
+                used |= refs
+                grew = True
+    return sorted(set(defs) - live)
+
+
+def test_every_package_name_is_used_by_the_package():
+    unused = unused_names()
+    assert not unused, "not used by src/leochan: " + ", ".join(unused)

@@ -5,15 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import circular_mean_motion, make_circular_tle
-from leochan.frames import ecef_to_geodetic, geodetic_to_ecef
-from leochan.passes import (DomainError, Ephemeris, NoPassFound,
-                            doppler_closed_form, elevation,
-                            elevation_triangle, find_pass,
-                            gamma_at_culmination, per_path_doppler)
+from conftest import circular_mean_motion, make_circular_tle, synthetic_tle
+from oracle import doppler_closed_form, ecef_to_geodetic, elevation_triangle
+from leochan.frames import geodetic_to_ecef
+from leochan.passes import (DomainError, Ephemeris, NoPassFound, elevation,
+                            find_pass, gamma_at_culmination,
+                            per_path_doppler)
 from leochan.sgp4 import SatelliteDecayed
 from leochan.timebase import utc
-from leochan.tle import read_tle_file, synthetic_tle
+from leochan.tle import read_tle_file
 from leochan.tracer import PathRecord
 
 DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leochan.scene as scene_module
+from conftest import ground_plane, scene_to_text
 from oracle import nearest_hits
 from leochan.scene import (_LEAF_SIZE, CONCRETE, InvalidDimensions,
-                           Material, Scene, generate_city, ground_plane,
-                           scene_from_text, scene_to_text)
+                           Material, Scene, generate_city, scene_from_text)
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import build_launch_plane

@@ -268,6 +268,27 @@ class TestCli:
         assert main(["pass", "--tle", str(empty), "--site", "0,0,0"]) == 2
         assert "no element sets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "trace-once", "pass"])
+    def test_damaged_tle_file_exit_two_names_file_and_line(
+            self, tmp_path, capsys, no_pass_search, command):
+        name, line1, line2 = DEMO_TLE.read_text().splitlines()
+        damaged = tmp_path / "damaged.tle"
+        damaged.write_text(
+            f"{name}\n{line1[:68]}{(int(line1[68]) + 1) % 10}\n{line2}\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {damaged}\n")
+        argv = {"simulate": ["--config", str(cfg)],
+                "trace-once": ["--config", str(cfg), "--at-minute", "1"],
+                "pass": ["--tle", str(damaged), "--site", "0,0,0"]}[command]
+        assert main([command, *argv]) == 2
+        assert f"{damaged}:2-3: line 1 checksum" in capsys.readouterr().err
+
+    def test_pass_missing_tle_file_exit_two(self, tmp_path, capsys,
+                                            no_pass_search):
+        missing = tmp_path / "missing.tle"
+        assert main(["pass", "--tle", str(missing), "--site", "0,0,0"]) == 2
+        assert str(missing) in capsys.readouterr().err
+
     def test_pass_subcommand_prints_window(self, capsys):
         code = main(["pass", "--tle", str(DEMO_TLE),
                      "--site", "1.9,0.7791238226849033,0.0"])

@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 
+from conftest import format_tle, synthetic_tle
 from leochan.tle import (ChecksumMismatch, LineLengthError, MalformedField,
-                         Tle, format_tle, parse_tle, read_tle_file,
-                         synthetic_tle, tle_checksum)
+                         Tle, parse_tle, read_tle_file, tle_checksum)
 from leochan.timebase import utc
 
 # Real element sets (checksums verified by hand-summing digits mod 10).
@@ -145,3 +146,31 @@ def test_read_tle_file_mixed_layouts(tmp_path):
     assert [t.satnum for t in tles] == [25544, 13552]
     assert tles[0].name == "ISS (ZARYA)"
     assert tles[1].name == ""
+
+
+def _corrupt_checksum(line):
+    return line[:68] + str((int(line[68]) + 1) % 10)
+
+
+@pytest.mark.parametrize("lines,error,lineno", [
+    # a line 1 one column short would read as a name: SAT-B would be
+    # returned alone, and SAT-A's elements lost without a word
+    (["SAT-A", ISS_2020[0][:68], ISS_2020[1], "SAT-B", *COSMOS_1408],
+     LineLengthError, "2-3"),
+    (["SAT-A", ISS_2020[1], *COSMOS_1408], MalformedField, "2"),
+    ([*ISS_2020, ISS_2020[1]], MalformedField, "3"),
+    (["SAT-A", "SAT-B", *COSMOS_1408], MalformedField, "1"),
+    ([*ISS_2020, "", "SAT-C", ""], MalformedField, "4"),
+    ([*ISS_2020, COSMOS_1408[0]], MalformedField, "3"),
+    (["SAT-A", _corrupt_checksum(ISS_2020[0]), ISS_2020[1]],
+     ChecksumMismatch, "2-3"),
+    (["", ISS_2020[0], _corrupt_checksum(ISS_2020[1])], ChecksumMismatch,
+     "2-3"),
+    ([ISS_2020[0], COSMOS_1408[1]], MalformedField, "1-2"),
+])
+def test_read_tle_file_damage_names_file_line(tmp_path, lines, error,
+                                              lineno):
+    path = tmp_path / "sats.tle"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}:{lineno}: "):
+        read_tle_file(path)
