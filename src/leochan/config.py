@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .link import POLARIZATIONS, RAIN_PATH_MODES
 from .scene import HEIGHT_LAWS
+from .tle import undecodable_line
 
 
 class ConfigError(ValueError):
@@ -161,7 +162,13 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
 def parse_config(path) -> SimConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config: {path}:{undecodable_line(data, exc)}: "
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_config_text(text, base_dir=path.parent)

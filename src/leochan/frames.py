@@ -182,12 +182,11 @@ def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_km: float) -> np.ndarra
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Scene frame: rotation about z by gamma, about y by beta, then a
-    translation that puts the site at the local origin."""
+    """Scene frame: a translation that puts the site at the local
+    origin, then a rotation about z by the site's longitude angle gamma
+    and about y by its colatitude angle beta (``build_local_frame``)."""
 
     origin_ecef: np.ndarray
-    gamma: float
-    beta: float
     rotation: np.ndarray      # ECEF -> LOCAL direction cosine matrix
 
     def to_local_point(self, r_ecef: np.ndarray) -> np.ndarray:
@@ -209,9 +208,7 @@ def build_local_frame(site_geodetic: tuple[float, float, float]) -> LocalFrame:
     rho = math.hypot(ux, uy)
     gamma = 0.0 if rho == 0.0 else math.atan2(uy, ux)
     beta = math.atan2(rho, uz)
-    rotation = rot2(beta) @ rot3(gamma)
-    return LocalFrame(origin_ecef=site, gamma=gamma, beta=beta,
-                      rotation=rotation)
+    return LocalFrame(origin_ecef=site, rotation=rot2(beta) @ rot3(gamma))
 
 
 def global_to_local(state: StateVector, frame: LocalFrame) -> StateVector:

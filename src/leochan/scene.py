@@ -63,7 +63,12 @@ which is far above the rounding between a launch point and its grid
 coordinates, so no true hit on a face's edge or vertex is lost.  Rays no
 face covers cost nothing.  Only row i's spans cover the rays of row i,
 so the spans are sorted by row and cut between rows into batches of
-about ``_PAIR_BATCH`` pairs.
+about ``_PAIR_BATCH`` pairs.  A caller that needs the hits of only some
+launch rays passes ``keep``, which sees the spans and picks the rays
+(the tracer keeps those that can still reach the receiver).  Each span
+then lists only the kept rays it covers, so a kept ray still gets all
+its candidates and its exact nearest hit, and a ray that is not kept
+costs nothing and reports a miss.
 """
 
 from __future__ import annotations
@@ -251,7 +256,8 @@ class Scene:
         self.materials = list(materials)
         self._v0, self._e1, self._e2 = v0, e1, e2
         normals /= lengths[:, None]
-        self._normals = normals
+        normals.flags.writeable = False
+        self.normals = normals
         # face boxes, as elementwise min/max (a reduction over the
         # length-3 vertex axis is several times slower)
         tri_lo = np.minimum(np.minimum(v0, triangles[:, 1]), triangles[:, 2])
@@ -327,11 +333,11 @@ class Scene:
     @cached_property
     def distinct_normals(self) -> np.ndarray:
         """The distinct face normals up to sign, as exact rows of
-        ``_normals`` or their negations: a specular reflection about n
+        ``normals`` or their negations: a specular reflection about n
         and about -n is the same.  Each row's first non-zero component
         is positive, and the rows are in lexicographic order.  Computed
         on first use (only multi-bounce traces need it), read-only."""
-        n = self._normals
+        n = self.normals
         first = n[np.arange(len(n)), (n != 0.0).argmax(axis=1)]
         n = np.where(first[:, None] < 0.0, -n, n)
         n = n[np.lexsort(n.T[::-1])]
@@ -341,8 +347,20 @@ class Scene:
         n.flags.writeable = False
         return n
 
+    @cached_property
+    def shape_factors(self) -> np.ndarray:
+        """|e1| |e2| / |e1 x e2| per face, with e1 and e2 its edges from
+        its first vertex: at least 1, and the factor by which the
+        rounding of a Moller-Trumbore distance on the face exceeds that
+        of its dot products.  Computed on first use, read-only."""
+        lengths = np.linalg.norm(_cross(self._e1, self._e2), axis=1)
+        shape = (np.linalg.norm(self._e1, axis=1)
+                 * np.linalg.norm(self._e2, axis=1) / lengths)
+        shape.flags.writeable = False
+        return shape
+
     def intersect_batch(self, origins: np.ndarray, directions: np.ndarray,
-                        t_min: float = 0.0, grid=None):
+                        t_min: float = 0.0, grid=None, keep=None):
         """Nearest hits for many rays at once.
 
         Returns (t, face_id, normal): misses get t = +inf, face_id = -1.
@@ -357,6 +375,14 @@ class Scene:
         every direction is its ``direction``.  The candidate pairs then
         come from the span raster instead of the tree walk; the hits are
         the same.
+
+        ``keep``, with ``grid`` only, selects the rays to intersect.  It
+        is called once with the raster's spans, as arrays of face ids,
+        grid rows and first and last grid columns (the grid points
+        (row, first..last) are the face's candidates), and returns a
+        bool per launch ray.  A kept ray gets its exact nearest hit; a
+        ray that is not kept reports a miss, whatever it would hit.
+        Without ``keep`` every ray is kept.
         """
         origins = np.asarray(origins, dtype=float)
         directions = np.asarray(directions, dtype=float)
@@ -369,7 +395,7 @@ class Scene:
         if grid is None:
             candidates = self._walk(origins, directions, t_min)
         else:
-            candidates = self._raster(grid, m)
+            candidates = self._raster(grid, m, keep)
         # no face has this id: it marks a ray without a hit so far
         fid_out = np.full(m, len(self.triangles))
         for ray, face in candidates:
@@ -377,11 +403,12 @@ class Scene:
                                t_out, fid_out)
         hit = t_out < np.inf
         fid_out[~hit] = -1
-
-        if hit.any():
-            n = self._normals[fid_out[hit]]
-            flip = np.einsum("ij,ij->i", n, directions[hit]) > 0.0
-            normals[hit] = np.where(flip[:, None], -n, n)
+        # by index, as a boolean mask gathers and scatters (rays, 3)
+        # rows several times slower
+        hit = np.flatnonzero(hit)
+        n = self.normals[fid_out[hit]]
+        flip = np.einsum("ij,ij->i", n, directions[hit]) > 0.0
+        normals[hit] = np.where(flip[:, None], -n, n)
         return t_out, fid_out, normals
 
     def _nearest_hits(self, origins, directions, ray, face, t_min, t_out,
@@ -444,11 +471,12 @@ class Scene:
                    np.concatenate([faces[pair, slot],
                                    self._wide[wide_slot]]))
 
-    def _raster(self, grid, m):
+    def _raster(self, grid, m, keep=None):
         """Candidate (ray, face) pairs of a launch grid's parallel rays,
         for a batch of whole grid rows at a time: the grid points each
         face's projection covers (see the module docstring).  Ray
-        i * nv + j leaves from grid point (i, j)."""
+        i * nv + j leaves from grid point (i, j).  With ``keep``, only
+        the pairs of the rays it keeps (see ``intersect_batch``)."""
         nu, nv = grid.grid_shape()
         if m != nu * nv:
             raise ValueError(f"{m} rays for a {nu} x {nv} launch grid")
@@ -471,38 +499,51 @@ class Scene:
         face, row = _expand(r0, np.maximum(r1 - r0 + 1, 0))
         # clip each of the face's edges p -> q to the strip
         # [row - pad, row + pad] and take the columns between the ends
-        pi, pj = gi[:, face], gj[:, face]
-        qi, qj = pi[[1, 2, 0]], pj[[1, 2, 0]]
-        # An edge along a row (qi == pi) gets s = +-inf: all of it when
+        pi, pj = np.take(gi, face, axis=1), np.take(gj, face, axis=1)
+        di = np.take(gi[[1, 2, 0]] - gi, face, axis=1)
+        dj = np.take(gj[[1, 2, 0]] - gj, face, axis=1)
+        # An edge along a row (di == 0) gets s = +-inf: all of it when
         # inside the strip, none otherwise.  On the strip's border it
         # gets NaN and is dropped, but its ends are the neighbouring
         # edges' ends, which are kept.
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_a = (row - pad - pi) / (qi - pi)
-            s_b = (row + pad - pi) / (qi - pi)
+            s_a = (row - pad - pi) / di
+            s_b = (row + pad - pi) / di
             s0 = np.maximum(np.minimum(s_a, s_b), 0.0)
             s1 = np.minimum(np.maximum(s_a, s_b), 1.0)
             ok = s0 <= s1
-            j0 = pj + s0 * (qj - pj)
-            j1 = pj + s1 * (qj - pj)
+            j0 = pj + s0 * dj
+            j1 = pj + s1 * dj
         j_lo = np.where(ok, np.minimum(j0, j1), np.inf).min(axis=0)
         j_hi = np.where(ok, np.maximum(j0, j1), -np.inf).max(axis=0)
         c0 = np.maximum(np.ceil(j_lo - pad), 0.0)
         c1 = np.minimum(np.floor(j_hi + pad), nv - 1.0)
-        keep = np.flatnonzero(c0 <= c1)
+        spans = np.flatnonzero(c0 <= c1)
+        face, row = face[spans], row[spans]
+        c0, c1 = c0[spans].astype(np.intp), c1[spans].astype(np.intp)
+        # each span's candidates as a range of rays, start + 0..count-1
+        start, count = row * nv + c0, c1 - c0 + 1
+        kept = None
+        if keep is not None:
+            # the ranges of the kept rays' list that the spans cover
+            kept = np.flatnonzero(keep(face, row, c0, c1))
+            start, end = (np.searchsorted(kept, start),
+                          np.searchsorted(kept, start + count))
+            spans = np.flatnonzero(end > start)
+            face, row = face[spans], row[spans]
+            start, count = start[spans], end[spans] - start[spans]
         # batches of whole grid rows, as only row i's spans cover the
         # rays of row i: a batch ends at the first row end at or past
         # each multiple of _PAIR_BATCH pairs
-        keep = keep[np.argsort(row[keep])]
-        face, row = face[keep], row[keep]
-        first = row * nv + c0[keep].astype(np.intp)
-        count = (c1[keep] - c0[keep]).astype(np.intp) + 1
+        spans = np.argsort(row)
+        face, row = face[spans], row[spans]
+        start, count = start[spans], count[spans]
         row_start = np.flatnonzero(row[1:] != row[:-1]) + 1
         done = np.cumsum(count)[row_start - 1] // _PAIR_BATCH
         cuts = row_start[np.diff(done, prepend=0) > 0]
         for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(row)]):
-            piece, ray = _expand(first[a:b], count[a:b])
-            yield ray, face[a:b][piece]
+            piece, ray = _expand(start[a:b], count[a:b])
+            yield ray if kept is None else kept[ray], face[a:b][piece]
 
 
 # A box's corners 0-3 are its bottom ring and 4-7 its top ring, both

@@ -197,6 +197,12 @@ def parse_tle(line1: str, line2: str, name: str = "") -> Tle:
     )
 
 
+def undecodable_line(data: bytes, exc: UnicodeDecodeError) -> int:
+    """The line of ``data`` that holds the first byte ``exc`` reports,
+    counted from 1 as ``str.splitlines`` counts them."""
+    return len((data[:exc.start].decode("utf-8") + ".").splitlines())
+
+
 def read_tle_file(path) -> list[Tle]:
     """Read all element sets from a file.
 
@@ -205,9 +211,15 @@ def read_tle_file(path) -> list[Tle]:
     with a :class:`TleError` that starts ``path:line:``: a line 2 that
     does not follow a line 1, a name that is not followed by a line 1,
     or a set that does not parse (``path:line1-line2:``), such as a line
-    1 of the wrong length.
+    1 of the wrong length, or bytes that are not UTF-8 text.
     """
-    lines = Path(path).read_text().splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TleError(f"{path}:{undecodable_line(data, exc)}: "
+                       f"not UTF-8 text: {exc.reason} at byte "
+                       f"{exc.start}") from None
     out: list[Tle] = []
     name_at = None  # index of a name line still waiting for its line 1
     try:

@@ -8,8 +8,8 @@ from oracle import ecef_to_eci, ecef_to_geodetic, eci_to_teme, local_to_global
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
                             build_local_frame, earth_orientation, eci_to_ecef,
                             geodetic_to_ecef, global_to_local,
-                            nutation_matrix, precession_matrix, teme_to_eci,
-                            teme_to_eci_matrix)
+                            nutation_matrix, precession_matrix, rot2, rot3,
+                            teme_to_eci, teme_to_eci_matrix)
 from leochan.states import Frame, FrameMismatch, StateVector
 from leochan.timebase import utc
 
@@ -137,7 +137,6 @@ def test_chain_associativity():
 
 
 def _ecef_matrix(eo):
-    from leochan.frames import rot3
     return rot3(eo.gast) @ (precession_matrix(eo) @ nutation_matrix(eo)).T
 
 
@@ -155,8 +154,9 @@ def test_geodetic_round_trip(rng):
 
 def test_local_frame_equatorial_prime_meridian():
     frame = build_local_frame((0.0, 0.0, 0.0))
-    assert frame.gamma == pytest.approx(0.0, abs=1e-12)
-    assert frame.beta == pytest.approx(math.pi / 2.0, abs=1e-12)
+    # gamma = 0, beta = pi / 2
+    assert np.abs(frame.rotation
+                  - rot2(math.pi / 2.0) @ rot3(0.0)).max() < 1e-12
     # the x-axis direction maps onto local +z
     tip = frame.to_local_point(frame.origin_ecef * 1.1)
     assert tip[0] == pytest.approx(0.0, abs=1e-9)
@@ -166,8 +166,8 @@ def test_local_frame_equatorial_prime_meridian():
 
 def test_local_frame_polar_site_pure_translation():
     frame = build_local_frame((90.0, 0.0, 0.0))
-    assert frame.gamma == 0.0
-    assert frame.beta == pytest.approx(0.0, abs=1e-9)
+    # gamma = 0, beta = 0
+    assert np.abs(frame.rotation - rot2(0.0) @ rot3(0.0)).max() < 1e-9
     assert np.abs(frame.rotation - np.eye(3)).max() < 1e-9
 
 

@@ -665,8 +665,24 @@ def test_distinct_normals_up_to_sign():
                  [CONCRETE])
     axes = soup.distinct_normals
     assert len(axes) == 40
-    for n in soup._normals:
+    for n in soup.normals:
         same = np.all(axes == n, axis=1) | np.all(axes == -n, axis=1)
         assert same.sum() == 1
     assert Scene(np.empty((0, 3, 3)), np.empty(0, int),
                  [CONCRETE]).distinct_normals.shape == (0, 3)
+
+
+def test_shape_factors():
+    # |e1| |e2| / |e1 x e2| = 1 / sin of the angle at the first vertex:
+    # 1 for a right angle there, sqrt(2) for the ground's half squares,
+    # which meet the diagonal at 45 degrees, and large for a sliver.
+    tris = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+                     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]]])
+    scene = Scene(tris, np.zeros(2, dtype=int), [CONCRETE])
+    assert scene.shape_factors[0] == 1.0
+    assert scene.shape_factors[1] == pytest.approx(math.hypot(1.0, 1e-3)
+                                                   / 1e-3, rel=1e-12)
+    assert not scene.shape_factors.flags.writeable
+    assert np.allclose(ground_plane(100.0).shape_factors, math.sqrt(2.0),
+                       rtol=1e-15)
+    assert (generate_city(3, 3, seed=4).shape_factors >= 1.0).all()

@@ -283,6 +283,26 @@ class TestCli:
         assert main([command, *argv]) == 2
         assert f"{damaged}:2-3: line 1 checksum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "trace-once", "pass"])
+    def test_non_utf8_tle_file_exit_two_names_file_and_line(
+            self, tmp_path, capsys, no_pass_search, command):
+        bad = tmp_path / "bad.tle"
+        bad.write_bytes(b"\xff\xfe\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {bad}\n")
+        argv = {"simulate": ["--config", str(cfg)],
+                "trace-once": ["--config", str(cfg), "--at-minute", "1"],
+                "pass": ["--tle", str(bad), "--site", "0,0,0"]}[command]
+        assert main([command, *argv]) == 2
+        assert f"{bad}:1: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_two_names_file_and_line(
+            self, tmp_path, capsys, no_pass_search):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"# demo\ntle_path = \xff\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_pass_missing_tle_file_exit_two(self, tmp_path, capsys,
                                             no_pass_search):
         missing = tmp_path / "missing.tle"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import ground_plane
 from oracle import nearest_hits, trace_every_ray
+from leochan import tracer as tracer_module
+from leochan.config import parse_config
 from leochan.scene import CONCRETE, Scene, generate_city
+from leochan.simulate import prepare_pass
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
-                            SatelliteBelowHorizon, _bound_slack,
-                            _reaches_after_one_bounce, build_launch_plane,
-                            dump_paths, trace)
+                            SatelliteBelowHorizon, _bound_slack, _grid_bands,
+                            _launch_bound, _reaches_after_one_bounce,
+                            build_launch_plane, dump_paths, trace)
 
 T0 = utc(2023, 1, 1)
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "sim.cfg"
 
 
 def _faces(path):
@@ -144,6 +149,24 @@ def test_capture_miss_distance_bounded_by_radius():
         assert p.miss_distance <= 4.5 / 1000.0
 
 
+@pytest.mark.parametrize("max_bounces", [0, 1, 2, 3])
+def test_empty_scene_sees_only_the_sky(max_bounces):
+    # No face: nothing to bound or hit, and the receiver gets its line
+    # of sight alone.
+    scene = Scene(np.empty((0, 3, 3)), np.empty(0, dtype=int), [CONCRETE])
+    plane = LaunchPlane(direction=np.array([0.0, 0.0, -1.0]),
+                        origin=np.array([0.0, 0.0, 0.1]),
+                        e1=np.array([1.0, 0.0, 0.0]),
+                        e2=np.array([0.0, 1.0, 0.0]), half_u=0.01,
+                        half_v=0.01, spacing=0.002, d_atmosphere=500.0,
+                        sat_position=np.array([0.0, 0.0, 500.1]))
+    paths = trace(plane, scene, np.zeros(3), 3.0, max_bounces)
+    want = trace_every_ray(plane, scene, np.zeros(3), 3.0, max_bounces)
+    assert [p.bounce_count for p in paths] == [0]
+    assert [(p.launch_index, p.d_near_ground) for p in paths] == [
+        (p.launch_index, p.d_near_ground) for p in want]
+
+
 def test_occluded_receiver_yields_empty_result():
     # receiver inside a closed box, direct rays only
     city = generate_city(1, 1, block_w_m=60.0, street_w_m=20.0,
@@ -173,7 +196,7 @@ def test_specularity_and_segment_validity():
             seg_dir = seg / seg_len
             # incoming matches the current direction
             assert np.allclose(seg_dir, direction, atol=1e-9)
-            normal = city._normals[inter.face_id]
+            normal = city.normals[inter.face_id]
             if float(normal @ direction) > 0.0:
                 normal = -normal
             # specular: angle in == angle out, coplanar in/out/normal
@@ -213,8 +236,9 @@ def test_one_intersection_call_per_segment(monkeypatch):
     calls = []
     query = Scene.intersect_batch
 
-    def counted(self, origins, directions, t_min=0.0, grid=None):
-        result = query(self, origins, directions, t_min, grid=grid)
+    def counted(self, origins, directions, t_min=0.0, grid=None, keep=None):
+        result = query(self, origins, directions, t_min, grid=grid,
+                       keep=keep)
         calls.append((grid, origins, directions,
                       int((result[1] >= 0).sum())))
         return result
@@ -246,24 +270,38 @@ def test_one_intersection_call_per_segment(monkeypatch):
 
 
 def test_bound_dropping_every_ray_still_calls_once(monkeypatch):
-    # A receiver 5 km to the side of a ground plane lit from +x: every
-    # reflected ray travels in its own plane y = const, far from the
-    # receiver, so the bound drops them all.  Segment 1 still makes its
-    # one (zero-row) call, and then the trace ends.
+    # A receiver 5 km to the side of a lone block lit from 40 degrees up:
+    # no wedge of a reflected ray passes near it.  At three bounces the
+    # bound on segment 2 drops every ray that two reflections sent on,
+    # and segment 2 still makes its one (zero-row) call before the trace
+    # ends.  At two bounces the launch grid's bound keeps no launch ray,
+    # so segment 0 reports no hit and is the only call.
     calls = []
     query = Scene.intersect_batch
 
-    def counted(self, origins, directions, t_min=0.0, grid=None):
-        calls.append(len(origins))
-        return query(self, origins, directions, t_min, grid=grid)
+    def counted(self, origins, directions, t_min=0.0, grid=None, keep=None):
+        result = query(self, origins, directions, t_min, grid=grid,
+                       keep=keep)
+        calls.append((len(origins), int((result[1] >= 0).sum())))
+        return result
 
     monkeypatch.setattr(Scene, "intersect_batch", counted)
-    scene, plane, _ = _flat_setup(40.0, spacing_m=4.0, width_m=200.0)
+    city = generate_city(1, 1, block_w_m=60.0, street_w_m=60.0,
+                         height_law="constant", h_const_m=60.0)
+    el, az = math.radians(40.0), math.radians(30.0)
+    sat = 550.0 * np.array([math.cos(el) * math.cos(az),
+                            math.cos(el) * math.sin(az), math.sin(el)])
+    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    m = len(plane.launch_points())
     rx = np.array([0.0, 5.0, 0.01])
-    assert trace(plane, scene, rx, rx_radius_m=6.0, max_bounces=2) == []
-    assert calls[1:] == [0]
-    assert calls[0] == len(plane.launch_points())
-    assert trace_every_ray(plane, scene, rx, 6.0, 2) == []
+    assert trace(plane, city, rx, rx_radius_m=6.0, max_bounces=3) == []
+    assert [rays for rays, _ in calls] == [m, calls[0][1], 0]
+    assert calls[1][1] > 0
+    assert trace_every_ray(plane, city, rx, 6.0, 3) == []
+    calls.clear()
+    assert trace(plane, city, rx, rx_radius_m=6.0, max_bounces=2) == []
+    assert calls == [(m, 0)]
+    assert trace_every_ray(plane, city, rx, 6.0, 2) == []
 
 
 def test_refining_spacing_keeps_coarse_paths():
@@ -480,6 +518,72 @@ def _reflected_ray_case(max_bounces, bounces, frac):
     return plane, city, rx, rx_radius_m, max_bounces
 
 
+def _turn(angle_deg):
+    """The rotation about the vertical by ``angle_deg``."""
+    c, s = math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _turned(scene, angle_deg):
+    """``scene`` turned about the vertical by ``angle_deg``."""
+    return Scene(scene.triangles @ _turn(angle_deg).T, scene.material_ids,
+                 scene.materials)
+
+
+def _zenith_case(offset_deg, az_deg, max_bounces):
+    """A city lit from ``offset_deg`` off the zenith, or from exactly
+    overhead its centre: walls nearly parallel to the launch rays (|n.d|
+    of 1e-3 and below, or 0), and ground reflections within 0.1 degrees
+    of the vertical, where the one-bounce bound keeps every ray.  The
+    receiver stands in the middle street."""
+    city = generate_city(2, 2, seed=8)
+    if offset_deg == 0.0:
+        sat = np.append(city.bounds.mean(axis=0)[:2], 600.0)
+    else:
+        el, az = math.radians(90.0 - offset_deg), math.radians(az_deg)
+        sat = 600.0 * np.array([math.cos(el) * math.cos(az),
+                                math.cos(el) * math.sin(az), math.sin(el)])
+    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    return plane, city, np.array([0.0, 0.0015, 0.0015]), 6.0, max_bounces
+
+
+def _band_edge_case(frac):
+    """A receiver at ``frac`` times the capture radius from a twice
+    reflected ray, off the plane of its first reflected ray and its
+    second face's normal n2.  That puts the first hit on the edge of the
+    launch grid's band for n2, up to the bound's rounding slack."""
+    city = generate_city(2, 2, seed=8)
+    plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
+                               spacing_m=4.0)
+    _, origins, dirs = _march(plane, city, 1)
+    t, fid, normals = city.intersect_batch(origins, dirs, _SELF_HIT_EPS)
+    hit = np.flatnonzero(fid >= 0)
+    inc, n = dirs[hit], normals[hit]
+    second = origins[hit] + t[hit, None] * inc
+    out = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+    run = city.intersect_batch(second, out, _SELF_HIT_EPS)[0]
+    run = np.where(np.isfinite(run), run, 0.04)
+    i = int(np.argmax(run))
+    rx_radius_m = 3.0
+    side = _unit(np.cross(inc[i], n[i]))
+    rx = (second[i] + 0.5 * run[i] * out[i]
+          + frac * rx_radius_m / 1000.0 * side)
+    return plane, city, rx, rx_radius_m, 2
+
+
+def _turned_city_case():
+    """A 9x9 city turned by 30 degrees: its walls' normals, each rounded
+    from its own vertices, make more distinct rows than
+    ``_BOUND_MAX_NORMALS``, so no bound runs."""
+    city = _turned(generate_city(9, 9, seed=1), 30.0)
+    assert len(city.distinct_normals) > _BOUND_MAX_NORMALS
+    plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
+                               spacing_m=20.0)
+    # at a street crossing, which sees the sky and one reflection
+    rx = _turn(30.0) @ np.array([0.05, 0.05, 0.0015])
+    return plane, city, rx, 30.0, 2
+
+
 def _rotated_city(draw, spacing_m):
     """A generated city turned about the vertical by a drawn angle: its
     walls face no axis."""
@@ -489,10 +593,7 @@ def _rotated_city(draw, spacing_m):
         street_w_m=spacing_m * draw(st.integers(1, 3)),
         h_min_m=spacing_m, h_max_m=spacing_m * 8.0,
         seed=draw(st.integers(0, 2**31 - 1)))
-    angle = math.radians(draw(st.floats(1.0, 89.0)))
-    c, s = math.cos(angle), math.sin(angle)
-    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Scene(city.triangles @ turn.T, city.material_ids, city.materials)
+    return _turned(city, draw(st.floats(1.0, 89.0)))
 
 
 def _soup_scene(draw, spacing_m, rng):
@@ -599,13 +700,23 @@ def _trace_case(draw):
 @example(_reflected_ray_case(3, 2, 1.0))
 @example(_reflected_ray_case(3, 2, 1.0 - 1e-12))
 @example(_reflected_ray_case(3, 3, 1.0 - 1e-12))
+@example(_reflected_ray_case(1, 1, 1.0))
+@example(_reflected_ray_case(1, 1, 1.0 - 1e-12))
+@example(_zenith_case(0.0, 0.0, 2))
+@example(_zenith_case(0.05, 0.0, 2))
+@example(_zenith_case(0.05, 30.0, 1))
+@example(_band_edge_case(1.0))
+@example(_band_edge_case(1.0 - 1e-12))
+@example(_turned_city_case())
 def test_trace_equals_every_ray_march(case):
-    # The receiver window, the one-bounce bound, the capture-first last
-    # segment and the live-only history must give the records of the
-    # march that intersects and tests every ray on every segment, to the
-    # bit: on cities, turned cities, triangle soups below and above the
-    # bound's normal limit, and receivers at the capture radius of a
-    # ray reflected twice or three times.
+    # The receiver window, the one-bounce bound on the launch grid and
+    # on later segments, the capture-first last segment and the
+    # live-only history must give the records of the march that
+    # intersects and tests every ray on every segment, to the bit: on
+    # cities, turned cities, triangle soups below and above the bound's
+    # normal limit, receivers at the capture radius of a ray reflected
+    # once, twice or three times, or on the edge of a launch grid band,
+    # and light from the zenith or within 0.1 degrees of it.
     plane, scene, rx, rx_radius_m, max_bounces = case
     got = trace(plane, scene, rx, rx_radius_m, max_bounces)
     want = trace_every_ray(plane, scene, rx, rx_radius_m, max_bounces)
@@ -621,3 +732,92 @@ def test_trace_equals_every_ray_march(case):
             assert np.array_equal(a.point, b.point)
             assert a.incidence_angle == b.incidence_angle
             assert a.material_id == b.material_id
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_trace_case())
+@example(_zenith_case(0.0, 0.0, 2))
+@example(_zenith_case(0.05, 0.0, 2))
+@example(_zenith_case(0.05, 30.0, 2))
+@example(_band_edge_case(1.0))
+@example(_band_edge_case(1.0 - 1e-12))
+def test_grid_bound_keeps_every_ray_the_bound_keeps(case):
+    # Segment 0's keep must hold every launch ray whose full-grid hit,
+    # reflected as the tracer reflects it, passes the one-bounce bound
+    # (two bounces), and every launch ray that hits and passes the bound
+    # itself (one bounce); every kept ray gets the full grid's hit to
+    # the bit, and a ray that is not kept reports a miss.  No receiver
+    # window, so that the keep stands on the bound alone.
+    plane, scene, rx, rx_radius_m, _ = case
+    axes = scene.distinct_normals
+    if len(axes) > _BOUND_MAX_NORMALS:
+        return
+    rx_radius = rx_radius_m / 1000.0
+    slack = _bound_slack(rx, rx_radius, scene.bounds)
+    origins = plane.launch_points()
+    dirs = np.broadcast_to(plane.direction, origins.shape)
+    t, fid, normals = scene.intersect_batch(origins, dirs, _SELF_HIT_EPS,
+                                            grid=plane)
+    hit = np.flatnonzero(fid >= 0)
+    inc, n = dirs[hit], normals[hit]
+    p = origins[hit] + t[hit, None] * inc
+    out = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+    window = np.zeros(len(origins), dtype=bool)
+    for keep, needed in (
+            (_grid_bands(plane, scene, rx, slack, axes, window),
+             _reaches_after_one_bounce(p, out, rx, slack, axes)),
+            (_launch_bound(plane, origins, rx, slack, axes, window),
+             _reaches_after_one_bounce(origins[hit], inc, rx, slack, axes))):
+        t_k, fid_k, normals_k = scene.intersect_batch(
+            origins, dirs, _SELF_HIT_EPS, grid=plane, keep=keep)
+        kept = fid_k >= 0
+        assert kept[hit[needed]].all()
+        assert np.array_equal(fid_k[kept], fid[kept])
+        assert np.array_equal(t_k[kept], t[kept])
+        assert np.array_equal(normals_k[kept], normals[kept])
+        assert np.isinf(t_k[~kept]).all()
+
+
+def test_grid_bound_work_counts_on_the_demo_pass(monkeypatch):
+    # Counts of work, which do not move with the host's speed.  At three
+    # instants of the demo pass, segment 1 gets exactly the rays, in the
+    # same order, that the march over the full launch grid gives it, and
+    # segment 0 finds hits for at most a third of the rays that hit in
+    # the full grid (16% over the whole pass).
+    window, snapshot = prepare_pass(parse_config(DEMO_CONFIG))
+    inputs = []
+    monkeypatch.setattr(tracer_module, "trace",
+                        lambda *args, **kw: inputs.append((args, kw)) or [])
+    for frac in (0.1, 0.5, 0.9):
+        snapshot(window.t_start + frac * (window.t_end - window.t_start))
+    monkeypatch.undo()
+    assert len(inputs) == 3
+    query = Scene.intersect_batch
+
+    def march(args, kw, full_grid):
+        calls = []
+
+        def counted(self, origins, directions, t_min=0.0, grid=None,
+                    keep=None):
+            result = query(self, origins, directions, t_min, grid=grid,
+                           keep=None if full_grid else keep)
+            calls.append((origins.copy(), np.array(directions),
+                          int((result[1] >= 0).sum())))
+            return result
+
+        monkeypatch.setattr(Scene, "intersect_batch", counted)
+        records = trace(*args, **kw)
+        monkeypatch.undo()
+        return records, calls
+
+    for args, kw in inputs:
+        assert kw["max_bounces"] == 2
+        got, calls = march(args, kw, full_grid=False)
+        want, full = march(args, kw, full_grid=True)
+        assert [p.launch_index for p in got] == [p.launch_index
+                                                 for p in want]
+        assert len(calls) == len(full) == 3
+        for (o, d, _), (o_full, d_full, _) in zip(calls[1:], full[1:]):
+            assert np.array_equal(o, o_full)
+            assert np.array_equal(d, d_full)
+        assert 3 * calls[0][2] <= full[0][2]
