@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 no pass found,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from datetime import timedelta
@@ -63,9 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        config.jobs = args.jobs
+        config = dataclasses.replace(config, jobs=args.jobs)
     out_dir = args.out if args.out is not None else config.output_dir
     report = run_pass_simulation(config)
     files = emit_outputs(report, out_dir, steps_only=args.steps_only)

@@ -106,13 +106,11 @@ class SimConfig:
         return self.site_lat_deg, self.site_lon_deg, self.site_alt_km
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
-_INT_KEYS = {"scene_grid_nx", "scene_grid_ny", "max_bounces", "seed", "jobs"}
-_STR_KEYS = {"tle_path", "scene_file", "scene_height_law", "polarization",
-             "rain_path_mode", "output_dir"}
-
-
 def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
+    # each key's parser from its field's annotation, a string here (the
+    # module postpones annotations): int, str, and float otherwise
+    parsers = {f.name: {"int": int, "str": str}.get(f.type, float)
+               for f in fields(SimConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -123,17 +121,12 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _STR_KEYS:
-                values[key] = value
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            else:
-                values[key] = float(value)
+            values[key] = parsers[key](value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {value!r}") from None

@@ -38,15 +38,18 @@ Construction", HPG 2017).  The sorted faces are cut into leaves of
 ``_BOX_PAD``, and each level above is the pairwise min/max of the level
 below, up to one root: node i of a level has children 2i and 2i + 1.
 Where a level has an odd number of nodes, its last parent has an empty
-right child, which the traversal masks out.  The query first culls
-every ray against the padded scene box, in blocks of ``_CULL_BLOCK``
-rays that bound the cull's temporaries.  Then each chunk of
-``_RAY_CHUNK`` rays is tested against the padded wide-face boxes, and
-walks the tree breadth-first over (ray, node) pairs, as a wavefront
-(Laine, Karras & Aila, "Megakernels Considered Harmful", HPG 2013): one
-level at a time, both children of every surviving pair get the slab
-test.  The wide faces whose box a ray meets and the faces of the leaves
-it reaches are its candidates.
+right child, which the traversal masks out.  Each chunk of
+``_RAY_CHUNK`` consecutive rays is tested against the padded wide-face
+boxes, and walks the tree breadth-first over (ray, node) pairs, as a
+wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful", HPG
+2013): one level at a time, both children of every surviving pair get
+the slab test.  The wide faces whose box a ray meets and the faces of
+the leaves it reaches are its candidates.  There is no scene-box cull
+ahead of the walk: a ray that misses the padded scene box misses every
+box inside it, so the tree's first level and the wide-face test drop it,
+and Moller-Trumbore decides every hit anyway.  The tracer walks its
+bounced rays, which start on faces inside the box, where such a cull
+would drop almost none.
 
 The second source is for the launch grid, whose rays are parallel and
 leave from the points of a regular (u, v) grid on a plane: the first
@@ -94,10 +97,6 @@ _BOX_PAD = 1e-9
 # bounds the size of the (ray, node) and (ray, face) pair arrays).
 _LEAF_SIZE = 2
 _RAY_CHUNK = 1024
-# Rays per block of the tree walk's scene-box cull, which bounds the
-# cull's temporaries; the cull is per ray, so the block size changes
-# nothing else.
-_CULL_BLOCK = 65536
 # Candidate pairs per batch of the launch-grid raster, which is cut only
 # between grid rows, so a batch can hold more.
 _PAIR_BATCH = 4096
@@ -281,7 +280,6 @@ class Scene:
         if len(self.triangles) == 0:
             return
         lo, hi = self.bounds
-        self._root = lo - _BOX_PAD, hi + _BOX_PAD
         half = 0.5 * (hi - lo)
         wide = ((tri_hi[:, 0] - tri_lo[:, 0] > half[0])
                 & (tri_hi[:, 1] - tri_lo[:, 1] > half[1]))
@@ -427,30 +425,22 @@ class Scene:
 
     def _walk(self, origins, directions, t_min):
         """Candidate (ray, face) pairs for one chunk of ``_RAY_CHUNK``
-        rays at a time: the faces of every leaf a ray reaches, walking
-        (ray, node) pairs breadth-first from the root down, and the wide
-        faces whose box it meets."""
-        # The scene box culls every ray first, a block at a time; after
-        # a reflection most rays head up and away.
-        blocks = []
-        for a in range(0, len(origins), _CULL_BLOCK):
-            inv_dirs, axis_parallel = _inverse(directions[a:a + _CULL_BLOCK])
-            blocks.append(a + np.flatnonzero(_slab(
-                origins[a:a + _CULL_BLOCK], inv_dirs, *self._root, t_min,
-                axis_parallel)[:, 0]))
-        live = np.concatenate(blocks)
+        consecutive rays at a time: the faces of every leaf a ray
+        reaches, walking (ray, node) pairs breadth-first from the root
+        down, and the wide faces whose box it meets.  No scene-box cull
+        comes first: the tracer's walked rays start on faces inside the
+        scene box (see the module docstring)."""
         n_wide = len(self._wide)
-        for a in range(0, len(live), _RAY_CHUNK):
-            rays = live[a:a + _RAY_CHUNK]
-            origins1 = origins[rays]
+        for a in range(0, len(origins), _RAY_CHUNK):
+            origins1 = origins[a:a + _RAY_CHUNK]
             # parallel to an axis or not, decided once for the chunk, not
             # on every level
-            inv_dirs1, axis_parallel = _inverse(directions[rays])
+            inv_dirs1, axis_parallel = _inverse(directions[a:a + _RAY_CHUNK])
             wide_ray, wide_slot = np.nonzero(_slab(
                 np.tile(origins1, n_wide), np.tile(inv_dirs1, n_wide),
                 self._wide_lo, self._wide_hi, t_min, axis_parallel))
-            ray = np.arange(len(rays))
-            node = np.zeros(len(rays), dtype=np.intp)
+            ray = np.arange(len(origins1))
+            node = np.zeros(len(origins1), dtype=np.intp)
             # each ray twice, against both children of a node
             origins2 = np.tile(origins1, 2)
             inv_dirs2 = np.tile(inv_dirs1, 2)
@@ -467,7 +457,7 @@ class Scene:
                 ray, node = ray[pair], 2 * node[pair] + side
             faces = self._leaf_faces[node]
             pair, slot = np.nonzero(faces >= 0)
-            yield (rays[np.concatenate([ray[pair], wide_ray])],
+            yield (a + np.concatenate([ray[pair], wide_ray]),
                    np.concatenate([faces[pair, slot],
                                    self._wide[wide_slot]]))
 

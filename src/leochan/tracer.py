@@ -35,18 +35,18 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
   scene with more than ``_BOUND_MAX_NORMALS`` distinct normals, such as
   a soup of arbitrary triangles, or a city turned off the axes, whose
   walls' normals differ in their last bits, intersects every ray.
-- Grid bound.  With one bounce, segment 0 is the segment with one
-  bounce left, and only the launch rays that the bound keeps, or that
-  lie in the receiver window, get their hit.  With two, the bound
-  runs one segment early, on the launch grid: the hit point of a launch
-  ray on a face, and so each test of the bound on its reflection, is
-  affine in the ray's grid coordinates, so per face the bound becomes
-  a few bands and half-planes on the grid, widened by a derived
-  rounding margin (``_grid_bands``).  Segment 0 finds the nearest hit
-  only of the rays in the receiver window or in the bands of a face
-  whose span covers them; every other launch ray reports a miss, as
-  segment 1's bound would drop its reflection anyway.  On the demo pass
-  this leaves hits for 4,910 of the 69,385 launch rays that hit.
+- Grid bound.  With one or two bounces, the bound on segment 1 runs
+  one segment early, on the launch grid: the hit point of a launch ray
+  on a face, and so each test of the bound on its reflection, is affine
+  in the ray's grid coordinates, so per face the bound becomes a few
+  bands and half-planes on the grid, widened by a derived rounding
+  margin (``_grid_bands``).  Segment 0 finds the nearest hit only of
+  the rays in the receiver window or in the bands of a face whose span
+  covers them; every other launch ray reports a miss.  With two
+  bounces, segment 1's bound would drop its reflection anyway; with
+  one, segment 1 is the last, and a reflection that passes within the
+  capture radius is kept by the bound's edge along it.  On the demo
+  pass this leaves hits for 4,910 of the 69,385 launch rays that hit.
 
 ``tests/oracle.py::trace_every_ray`` intersects and tests every ray on
 every segment, and gives the same records to the bit.
@@ -68,8 +68,6 @@ from .states import Frame, StateVector
 PLANE_WAVE_MIN_RATIO = 100.0
 _SELF_HIT_EPS = 1e-7
 PLANE_MARGIN_KM = 0.05
-
-DEFAULT_MAX_BOUNCES = 2
 
 # The one-bounce bound runs only on scenes with at most this many
 # distinct normals (up to sign), as its cost grows with their number.
@@ -285,6 +283,8 @@ def _reaches_after_one_bounce(origins: np.ndarray, dirs: np.ndarray,
     in-plane distances combined where w.d' = w.d - 2c w.n is positive;
     elsewhere it is |w|, which is never less than the d edge's.  Every
     test is squared and multiplied through by s^2, so nothing divides.
+    Where c = 0, d' = d and the wedge is the ray itself, yet both signs
+    hold, so ``inside`` also requires c != 0.
     Runs in blocks of ``_BOUND_BLOCK`` rays.
     """
     keep = np.empty(len(origins), dtype=bool)
@@ -307,41 +307,29 @@ def _reaches_after_one_bounce(origins: np.ndarray, dirs: np.ndarray,
         y = wn - cwd
         z = cwd + (1.0 - 2.0 * c * c) * wn
         near2 = slack2 * s2
-        inside = (c * z >= 0.0) & (c * y <= 0.0) & (plane2 <= near2)
+        inside = ((c != 0.0) & (c * z >= 0.0) & (c * y <= 0.0)
+                  & (plane2 <= near2))
         edge = (wd - 2.0 * c * wn > 0.0) & (plane2 + z * z <= near2)
         keep[a:a + _BOUND_BLOCK] = own | (
             (s2 < _BOUND_MIN_SIN2) | inside | edge).any(axis=0)
     return keep
 
 
-def _launch_bound(plane: LaunchPlane, origins: np.ndarray, rx: np.ndarray,
-                  slack: float, normals: np.ndarray, window: np.ndarray):
-    """The ``keep`` of segment 0 of a one-bounce trace (see
-    ``Scene.intersect_batch``): the launch rays in ``window``, and those
-    that some face's span covers and that ``_reaches_after_one_bounce``
-    keeps.  A ray that no span covers hits nothing, so it is not
-    tested."""
-    nv = plane.grid_shape()[1]
-
-    def keep(face, row, lo, hi):
-        kept = window.copy()
-        covered = np.zeros(len(window), dtype=bool)
-        covered[_expand(row * nv + lo, hi - lo + 1)[1]] = True
-        ray = np.flatnonzero(covered & ~window)
-        dirs = np.broadcast_to(plane.direction, (len(ray), 3))
-        kept[ray[_reaches_after_one_bounce(origins[ray], dirs, rx, slack,
-                                           normals)]] = True
-        return kept
-
-    return keep
-
-
 def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
                 slack: float, normals: np.ndarray, window: np.ndarray):
-    """The ``keep`` of segment 0 of a two-bounce trace (see
+    """The ``keep`` of segment 0 of a one- or two-bounce trace (see
     ``Scene.intersect_batch``): the launch rays in ``window``, and those
     that some face whose span covers them sends on towards the
     receiver, as ``_reaches_after_one_bounce`` would see it on segment 1.
+
+    Every ray that segment 1 can capture is kept.  With two bounces,
+    segment 1 has one bounce left, and its bound would drop the
+    reflection of every launch ray that this keep drops.  With one
+    bounce, a launch ray outside ``window`` can be captured only on
+    segment 1, the last: there its reflection passes within the capture
+    radius of the receiver, so the bound keeps that reflection by its
+    edge along it (``own``), and then the bands below keep the launch
+    ray.
 
     For face f, with its normal n oriented against the launch direction
     d, the tracer reflects d into d1 = d - 2 (d.n) n.  The foot p of
@@ -476,7 +464,7 @@ def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
 
 
 def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
-          max_bounces: int = DEFAULT_MAX_BOUNCES) -> list[PathRecord]:
+          max_bounces: int) -> list[PathRecord]:
     """March the launch grid through the scene and collect receiver hits.
 
     Capture is a perpendicular-distance test against the receiver point
@@ -485,10 +473,11 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     Only the work that can reach a captured path is done (see the module
     docstring): segment 0 tests the launch rays of a receiver window
     only, the segment with one bounce left keeps only the rays whose
-    one-bounce wedge passes near the receiver, at two bounces segment 0
-    finds hits only for the launch rays whose reflection can pass that
-    test, the last segment intersects only the rays that pass within the
-    capture radius, and history is kept only for the rays that go on.
+    one-bounce wedge passes near the receiver, at one or two bounces
+    segment 0 finds hits only for the launch rays whose reflection can
+    pass that test (one builder, ``_grid_bands``, serves both), the last
+    segment intersects only the rays that pass within the capture
+    radius, and history is kept only for the rays that go on.
 
     Every segment that some ray reaches makes exactly one
     ``Scene.intersect_batch`` call, even when none of its rays can be
@@ -522,9 +511,8 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     hist_pts = np.empty((m, 0, 3))
     hist_ang = np.empty((m, 0))
     # The one-bounce bound runs on the segment with one bounce left.  At
-    # one or two bounces it also picks the launch rays that segment 0
-    # intersects, besides the receiver window: by the bound itself, or
-    # by its bands on the grid.
+    # one or two bounces its bands on the launch grid also pick the
+    # launch rays that segment 0 intersects, besides the receiver window.
     bounded = (max_bounces > 0
                and len(scene.distinct_normals) <= _BOUND_MAX_NORMALS)
     keep = None
@@ -534,9 +522,7 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     if bounded and max_bounces <= 2:
         window = np.zeros(m, dtype=bool)
         window[near] = True
-        keep = (_launch_bound(plane, origins, rx, slack, axes, window)
-                if max_bounces == 1 else
-                _grid_bands(plane, scene, rx, slack, axes, window))
+        keep = _grid_bands(plane, scene, rx, slack, axes, window)
 
     captured: list[tuple] = []
 

@@ -8,7 +8,7 @@ Ray tracing.  ``nearest_hits`` is the reference for
 walk (any rays) and the span raster (``grid=``, the launch grid's
 parallel rays).
 
-No tree, no raster, no box cull and no chunking: every face is tested
+No tree, no raster and no chunking: every face is tested
 against every ray, face by face in id order.  A face replaces the best
 hit only at a strictly smaller distance, so ties go to the lower face
 id.  The arithmetic is the engine's: whichever source lists the

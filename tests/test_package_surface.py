@@ -1,14 +1,15 @@
-"""Every function, class and method in ``src/leochan`` is used by the
-package itself.
+"""Every function, class, method and module-level constant in
+``src/leochan`` is used by the package itself.
 
 A name counts as used when live code refers to it by name or as an
-attribute.  Live code is each module's top-level statements, the console
-script ``cli.main``, and the body of every definition that live code
-uses, followed to a fixed point.  A reference inside a
+attribute.  Live code is each module's top-level statements other than
+constant assignments, the console script ``cli.main``, and the body of
+every definition that live code uses, followed to a fixed point; a
+constant's body is the expression assigned to it.  A reference inside a
 definition's own body, or inside code nothing live reaches, does not
-count, and neither does an import.  Dunder methods are exempt: Python
-calls them.  Oracles and fixtures that only the tests call belong under
-``tests/``.
+count, and neither does an import.  Dunder methods and dunder names,
+such as ``__all__``, are exempt: Python reads them.  Oracles and
+fixtures that only the tests call belong under ``tests/``.
 """
 
 import ast
@@ -35,6 +36,21 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _constants(node) -> list[str]:
+    """The names a module-level assignment binds, when it binds only
+    plain names and none of them is a dunder; else none."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    if not all(isinstance(t, ast.Name) and not _is_dunder(t.id)
+               for t in targets):
+        return []
+    return [t.id for t in targets]
+
+
 def _definitions():
     """({qualified name: (short name, names its body refers to)},
     names the modules' top-level statements refer to)."""
@@ -43,6 +59,11 @@ def _definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
+            constants = _constants(node)
+            for name in constants:
+                defs[f"{module}.{name}"] = (name, _referenced([node.value]))
+            if constants:
+                continue
             if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 top_level |= _referenced([node])
                 continue

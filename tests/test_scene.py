@@ -105,7 +105,7 @@ def test_bvh_equals_brute_force_random_rays(rng):
     origins[:, 2] = rng.uniform(-0.05, 0.4, n)
     dirs = rng.normal(size=(n, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # axis-parallel rays take the cull's zero-direction branch
+    # axis-parallel rays take the slab test's zero-direction branch
     dirs[:200] = [0.0, 0.0, -1.0]
     origins[:200, 2] = 1.0
     dirs[200:400] = [0.0, 1.0, 0.0]
@@ -113,8 +113,8 @@ def test_bvh_equals_brute_force_random_rays(rng):
 
 
 def test_batch_equals_single_queries(rng):
-    # A ray's hit must not depend on the batch it is queried in: the box
-    # cull and the chunking run per batch, so query each ray on its own.
+    # A ray's hit must not depend on the batch it is queried in: the
+    # chunking runs per batch, so query each ray on its own.
     city = generate_city(5, 4, seed=9)
     n = 3000
     origins = rng.uniform(-0.8, 0.8, (n, 3))
@@ -629,28 +629,6 @@ def test_scene_keeps_its_own_arrays(rng):
     dirs = rng.normal(size=(2000, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     _assert_matches_oracle(scene, origins, dirs, 1e-9)
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_walk_cull_blocks_keep_every_chunk(block, rng):
-    # The scene-box cull runs in blocks of rays; any block size gives
-    # the same live rays, so the same chunks and the same candidates.
-    city = generate_city(3, 3, seed=4)
-    n = 4000
-    origins = rng.uniform(-0.3, 0.3, (n, 3))
-    origins[:, 2] = rng.uniform(0.0, 0.1, n)
-    dirs = rng.normal(size=(n, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # axis-parallel rays, in one block only at the larger size
-    dirs[5:9] = [0.0, 0.0, -1.0]
-    want = list(city._walk(origins, dirs, 1e-9))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scene_module, "_CULL_BLOCK", block)
-        got = list(city._walk(origins, dirs, 1e-9))
-    assert len(got) == len(want) > 1
-    for (ray, face), (ray_ref, face_ref) in zip(got, want):
-        assert np.array_equal(ray, ray_ref)
-        assert np.array_equal(face, face_ref)
 
 
 def test_distinct_normals_up_to_sign():

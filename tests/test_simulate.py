@@ -116,6 +116,19 @@ class TestConfig:
         assert cfg.rain_rate_mm_h == 0.0
         assert cfg.effective_rx_radius_m == pytest.approx(18.0)
 
+    def test_default_texts_parse_to_the_defaults(self):
+        # Each key's parser comes from its field's annotation: the text
+        # of every default parses back to it, of the same type.  The
+        # element-set path is required, so it is the one non-default.
+        defaults = SimConfig(tle_path=str(DEMO_TLE))
+        text = "".join(f"{f.name} = {getattr(defaults, f.name)}\n"
+                       for f in fields(SimConfig))
+        cfg = parse_config_text(text)
+        for f in fields(SimConfig):
+            got, want = getattr(cfg, f.name), getattr(defaults, f.name)
+            assert type(got) is type(want), f.name
+            assert got == want, f.name
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         tle = tmp_path / "a.tle"
         tle.write_text(DEMO_TLE.read_text())
@@ -245,6 +258,12 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert str(scene_file) in err and expected in err
+
+    def test_zero_jobs_exit_two_names_jobs(self, light_config, capsys,
+                                           no_pass_search):
+        assert main(["simulate", "--config", str(light_config),
+                     "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
 
     def test_bad_city_size_exit_two(self, tmp_path, no_pass_search):
         cfg = tmp_path / "sim.cfg"

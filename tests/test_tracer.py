@@ -16,8 +16,8 @@ from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
                             SatelliteBelowHorizon, _bound_slack, _grid_bands,
-                            _launch_bound, _reaches_after_one_bounce,
-                            build_launch_plane, dump_paths, trace)
+                            _reaches_after_one_bounce, build_launch_plane,
+                            dump_paths, trace)
 
 T0 = utc(2023, 1, 1)
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "sim.cfg"
@@ -475,6 +475,25 @@ def test_bound_drops_rays_far_from_their_wedge(rng):
     assert 0 < keep.sum() < len(keep)
 
 
+def test_bound_degenerate_wedge_is_the_ray():
+    # Light from azimuth 0 keeps every reflection off the block's walls
+    # and the ground in the x-z plane, exactly perpendicular to the
+    # normal (0, 1, 0): for it d' = d, so the wedge is the ray itself,
+    # and a receiver 5 km along y, within the capture radius of the
+    # plane of d and that normal but far from every ray, keeps none.
+    city = generate_city(1, 1, seed=3)
+    el = math.radians(40.0)
+    sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
+    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    rx, rx_radius = np.array([0.0, 5.0, 0.0015]), 0.006
+    _, p, out = _march(plane, city, 1)
+    assert len(p) > 0 and (out[:, 1] == 0.0).all()
+    keep = _reaches_after_one_bounce(
+        p, out, rx, _bound_slack(rx, rx_radius, city.bounds),
+        city.distinct_normals)
+    assert not keep.any()
+
+
 def _march(plane, scene, bounces):
     """Launch indices, origins and directions of the rays after
     ``bounces`` reflections, with the tracer's arithmetic."""
@@ -742,12 +761,11 @@ def test_trace_equals_every_ray_march(case):
 @example(_band_edge_case(1.0))
 @example(_band_edge_case(1.0 - 1e-12))
 def test_grid_bound_keeps_every_ray_the_bound_keeps(case):
-    # Segment 0's keep must hold every launch ray whose full-grid hit,
-    # reflected as the tracer reflects it, passes the one-bounce bound
-    # (two bounces), and every launch ray that hits and passes the bound
-    # itself (one bounce); every kept ray gets the full grid's hit to
-    # the bit, and a ray that is not kept reports a miss.  No receiver
-    # window, so that the keep stands on the bound alone.
+    # Segment 0's keep, at one bounce and at two, must hold every launch
+    # ray whose full-grid hit, reflected as the tracer reflects it,
+    # passes the one-bounce bound; every kept ray gets the full grid's
+    # hit to the bit, and a ray that is not kept reports a miss.  No
+    # receiver window, so that the keep stands on the bound alone.
     plane, scene, rx, rx_radius_m, _ = case
     axes = scene.distinct_normals
     if len(axes) > _BOUND_MAX_NORMALS:
@@ -763,19 +781,16 @@ def test_grid_bound_keeps_every_ray_the_bound_keeps(case):
     p = origins[hit] + t[hit, None] * inc
     out = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
     window = np.zeros(len(origins), dtype=bool)
-    for keep, needed in (
-            (_grid_bands(plane, scene, rx, slack, axes, window),
-             _reaches_after_one_bounce(p, out, rx, slack, axes)),
-            (_launch_bound(plane, origins, rx, slack, axes, window),
-             _reaches_after_one_bounce(origins[hit], inc, rx, slack, axes))):
-        t_k, fid_k, normals_k = scene.intersect_batch(
-            origins, dirs, _SELF_HIT_EPS, grid=plane, keep=keep)
-        kept = fid_k >= 0
-        assert kept[hit[needed]].all()
-        assert np.array_equal(fid_k[kept], fid[kept])
-        assert np.array_equal(t_k[kept], t[kept])
-        assert np.array_equal(normals_k[kept], normals[kept])
-        assert np.isinf(t_k[~kept]).all()
+    keep = _grid_bands(plane, scene, rx, slack, axes, window)
+    needed = _reaches_after_one_bounce(p, out, rx, slack, axes)
+    t_k, fid_k, normals_k = scene.intersect_batch(
+        origins, dirs, _SELF_HIT_EPS, grid=plane, keep=keep)
+    kept = fid_k >= 0
+    assert kept[hit[needed]].all()
+    assert np.array_equal(fid_k[kept], fid[kept])
+    assert np.array_equal(t_k[kept], t[kept])
+    assert np.array_equal(normals_k[kept], normals[kept])
+    assert np.isinf(t_k[~kept]).all()
 
 
 def test_grid_bound_work_counts_on_the_demo_pass(monkeypatch):
