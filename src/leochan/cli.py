@@ -103,14 +103,17 @@ def _cmd_pass(args) -> int:
 
 
 def _cmd_trace_once(args) -> int:
+    if not 0.0 <= args.at_minute < math.inf:
+        raise ConfigError("--at-minute must be non-negative and finite")
     config = parse_config(args.config)
     window, snapshot = prepare_pass(config)
-    t = window.t_start + timedelta(minutes=args.at_minute)
-    if not window.t_start <= t <= window.t_end:
+    # compared in minutes, so that no value past the window reaches
+    # timedelta, which overflows
+    if args.at_minute > window.t_du_min:
         raise ConfigError(
             f"--at-minute {args.at_minute} falls outside the "
             f"{window.t_du_min:.2f} min window")
-    snap = snapshot(t)
+    snap = snapshot(window.t_start + timedelta(minutes=args.at_minute))
     print(f"t              {snap.t.isoformat()}")
     print(f"elevation      {snap.elevation_deg:.4f} deg")
     print(f"paths          {len(snap.paths)}")

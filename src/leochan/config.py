@@ -3,6 +3,10 @@
 Every numeric key carries its unit in the name (fc_mhz, spacing_m, ...)
 so a config file can never be unit-ambiguous.  Unknown keys are errors:
 a typo should fail, not silently fall back to a default.
+
+``SimConfig`` is frozen: the record that passed its checks is the record
+every stage of a run reads, the link budget included.  A changed copy
+(``dataclasses.replace``) runs the checks again.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     # inputs
     tle_path: str = ""
@@ -130,6 +134,11 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {value!r}") from None
+    if base_dir is not None:
+        for key in ("tle_path", "scene_file"):
+            val = values.get(key)
+            if val and not Path(val).is_absolute():
+                values[key] = str(base_dir / val)
 
     try:
         cfg = SimConfig(**values)
@@ -137,12 +146,6 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-
-    if base_dir is not None:
-        for key in ("tle_path", "scene_file"):
-            val = getattr(cfg, key)
-            if val and not Path(val).is_absolute():
-                setattr(cfg, key, str(base_dir / val))
     if not cfg.tle_path:
         raise ConfigError("tle_path is required")
     if not Path(cfg.tle_path).exists():

@@ -6,6 +6,11 @@ path, both in the dB domain.  Reflected paths additionally pay the
 Fresnel power reflection loss of each surface interaction.  Snapshot
 aggregates are the linear-power sum and the power-weighted RMS delay
 spread.
+
+The budget reads its carrier, transmit power, rain and polarization from
+the run's validated ``config.SimConfig``, under the config's own key
+names.  This module imports ``config`` only for type checking, as
+``config`` takes ``POLARIZATIONS`` and ``RAIN_PATH_MODES`` from here.
 """
 
 from __future__ import annotations
@@ -14,16 +19,21 @@ import cmath
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .scene import Material
 from .tracer import PathRecord
 
+if TYPE_CHECKING:
+    from .config import SimConfig
+
 SPEED_OF_LIGHT_KM_S = 299792.458
 
 # Effective rain-path constant as printed in the source model; the
-# latitude-dependent alternate is selectable per LinkParams.
+# config key rain_path_mode selects the latitude-dependent alternate
+# (rain_path_constant).
 RAIN_PATH_CONSTANT = 0.232 - 0.00018
 
 POLARIZATIONS = ("H", "V")
@@ -42,41 +52,13 @@ class EmptyPathSet(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    """Carrier, transmit power and rain configuration."""
-
-    fc_mhz: float = 2000.0
-    pt_dbm: float = 30.0
-    rain_rate_mm_h: float = 0.0
-    rain_k: float = 0.0000847
-    rain_alpha: float = 1.0664
-    polarization: str = "V"
-    # "verbatim" keeps the printed constant 0.23182; "latitude" replaces
-    # it with (0.232 - 0.00018 * |site latitude in degrees|).
-    rain_path_mode: str = "verbatim"
-    site_lat_deg: float = 0.0
-
-    def __post_init__(self):
-        if self.fc_mhz <= 0.0:
-            raise NonPositiveInput("carrier frequency must be positive")
-        if self.rain_rate_mm_h < 0.0:
-            raise ValueError("rain rate must be >= 0")
-        if self.rain_k <= 0.0 or self.rain_alpha <= 0.0:
-            raise ValueError("rain coefficients must be positive")
-        if self.polarization not in POLARIZATIONS:
-            raise ValueError("polarization must be 'H' or 'V'")
-        if self.rain_path_mode not in RAIN_PATH_MODES:
-            raise ValueError("rain_path_mode must be verbatim or latitude")
-
-    @property
-    def fc_hz(self) -> float:
-        return self.fc_mhz * 1e6
-
-    def rain_path_constant(self) -> float:
-        if self.rain_path_mode == "latitude":
-            return 0.232 - 0.00018 * abs(self.site_lat_deg)
-        return RAIN_PATH_CONSTANT
+def rain_path_constant(mode: str, site_lat_deg: float) -> float:
+    """The rain-path constant of ``mode``: the printed 0.23182 for
+    "verbatim", 0.232 - 0.00018 |site latitude in degrees| for
+    "latitude"."""
+    if mode == "latitude":
+        return 0.232 - 0.00018 * abs(site_lat_deg)
+    return RAIN_PATH_CONSTANT
 
 
 def fspl_db(distance_km: float, fc_mhz: float) -> float:
@@ -141,24 +123,25 @@ def reflection_loss_db(incidence_angle: float, material: Material,
     return -10.0 * math.log10(reflectance)
 
 
-def path_power_dbm(path: PathRecord, lp: LinkParams, elevation_rad: float,
-                   materials: list[Material]) -> float:
-    """Received power of one traced path.
+def path_power_dbm(path: PathRecord, config: SimConfig,
+                   elevation_rad: float, materials: list[Material]) -> float:
+    """Received power of one traced path under ``config``'s link keys.
 
     Transmit power minus free-space loss over the total distance, minus
     rain attenuation, minus the Fresnel loss of every reflection.
     Antennas are isotropic (0 dBi).
     """
     total = path.total_distance
-    power = lp.pt_dbm - fspl_db(total, lp.fc_mhz)
-    if lp.rain_rate_mm_h > 0.0:
-        power -= rain_attenuation_db(lp.rain_rate_mm_h, lp.rain_k,
-                                     lp.rain_alpha, elevation_rad,
-                                     lp.rain_path_constant())
+    power = config.pt_dbm - fspl_db(total, config.fc_mhz)
+    if config.rain_rate_mm_h > 0.0:
+        power -= rain_attenuation_db(
+            config.rain_rate_mm_h, config.rain_k, config.rain_alpha,
+            elevation_rad,
+            rain_path_constant(config.rain_path_mode, config.site_lat_deg))
     for interaction in path.interactions:
         material = materials[interaction.material_id]
         power -= reflection_loss_db(interaction.incidence_angle, material,
-                                    lp.fc_mhz, lp.polarization)
+                                    config.fc_mhz, config.polarization)
     return power
 
 
@@ -209,15 +192,17 @@ def rms_delay_spread_ns(powers_dbm, delays_us) -> float:
 
 
 def build_snapshot(t: datetime, elevation_rad: float,
-                   paths: list[PathRecord], lp: LinkParams,
+                   paths: list[PathRecord], config: SimConfig,
                    materials: list[Material],
                    dopplers_hz: list[float]) -> ChannelSnapshot:
-    """Score traced paths and assemble the per-instant snapshot."""
+    """Score traced paths under ``config``'s link keys and assemble the
+    per-instant snapshot."""
     if len(dopplers_hz) != len(paths):
         raise ValueError("one Doppler value per path required")
     scored = [
         ScoredPath(record=p,
-                   power_dbm=path_power_dbm(p, lp, elevation_rad, materials),
+                   power_dbm=path_power_dbm(p, config, elevation_rad,
+                                            materials),
                    delay_us=path_delay_us(p),
                    doppler_hz=float(fd))
         for p, fd in zip(paths, dopplers_hz)

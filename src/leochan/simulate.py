@@ -20,7 +20,7 @@ import numpy as np
 
 from . import frames, link, passes, scene as scene_mod, tracer
 from .config import ConfigError, SimConfig
-from .link import ChannelSnapshot, LinkParams
+from .link import ChannelSnapshot
 from .passes import Ephemeris, PassWindow
 from .tle import Tle, TleError, read_tle_file
 from .tracer import SatelliteBelowHorizon
@@ -30,7 +30,6 @@ from .tracer import SatelliteBelowHorizon
 class PassReport:
     window: PassWindow
     snapshots: tuple[ChannelSnapshot, ...]
-    config: SimConfig
 
 
 def _fmt(x: float) -> str:
@@ -67,14 +66,17 @@ def _empty_snapshot(t: datetime, elevation_rad: float) -> ChannelSnapshot:
 
 
 def simulate_snapshot(t: datetime, ephem: Ephemeris,
-                      local_frame: frames.LocalFrame,
-                      site_ecef: np.ndarray, city: scene_mod.Scene,
-                      receiver: np.ndarray, lp: LinkParams,
+                      local_frame: frames.LocalFrame, city: scene_mod.Scene,
+                      receiver: np.ndarray,
                       config: SimConfig) -> ChannelSnapshot:
     """One fully scored channel snapshot (empty if the satellite is not
-    usable at this instant: below horizon or totally blocked)."""
+    usable at this instant: below horizon or totally blocked).
+
+    The elevation is taken at the local frame's origin, the site; the
+    tracer, Doppler and link budget read their settings from ``config``.
+    """
     ecef = ephem.ecef_at(t)
-    elevation = passes.elevation(site_ecef, ecef.position)
+    elevation = passes.elevation(local_frame.origin_ecef, ecef.position)
     if elevation <= 0.0:
         return _empty_snapshot(t, elevation)
     local = frames.global_to_local(ecef, local_frame)
@@ -87,9 +89,10 @@ def simulate_snapshot(t: datetime, ephem: Ephemeris,
                          max_bounces=config.max_bounces)
     if not paths:
         return _empty_snapshot(t, elevation)
-    dopplers = [passes.per_path_doppler(p, local.velocity, lp.fc_hz)
+    dopplers = [passes.per_path_doppler(p, local.velocity,
+                                        config.fc_mhz * 1e6)
                 for p in paths]
-    return link.build_snapshot(t, elevation, paths, lp,
+    return link.build_snapshot(t, elevation, paths, config,
                                city.materials, dopplers)
 
 
@@ -110,9 +113,9 @@ def prepare_pass(config: SimConfig) -> tuple[
     """Turn a config into its first pass window and a call that
     simulates one instant.
 
-    The ephemeris, scene, site, local frame, receiver and link parameters
-    are built once here and only read by the call, so it may run on
-    several threads at once.
+    The ephemeris, scene, local frame (whose origin is the site) and
+    receiver are built once here; they and the frozen config are only
+    read by the call, so it may run on several threads at once.
     """
     tle = first_element_set(config.tle_path)
     city = _build_scene(config)
@@ -120,19 +123,12 @@ def prepare_pass(config: SimConfig) -> tuple[
     window = passes.find_pass(tle, config.site_geodetic,
                               theta_min=math.radians(config.theta_min_deg),
                               ephemeris=ephem)
-    site_ecef = frames.geodetic_to_ecef(*config.site_geodetic)
     local_frame = frames.build_local_frame(config.site_geodetic)
     receiver = np.array([config.rx_x_m, config.rx_y_m, config.rx_z_m]) / 1e3
-    lp = LinkParams(fc_mhz=config.fc_mhz, pt_dbm=config.pt_dbm,
-                    rain_rate_mm_h=config.rain_rate_mm_h,
-                    rain_k=config.rain_k, rain_alpha=config.rain_alpha,
-                    polarization=config.polarization,
-                    rain_path_mode=config.rain_path_mode,
-                    site_lat_deg=config.site_lat_deg)
 
     def snapshot(t: datetime) -> ChannelSnapshot:
-        return simulate_snapshot(t, ephem, local_frame, site_ecef, city,
-                                 receiver, lp, config)
+        return simulate_snapshot(t, ephem, local_frame, city, receiver,
+                                 config)
 
     return window, snapshot
 
@@ -154,7 +150,7 @@ def run_pass_simulation(config: SimConfig) -> PassReport:
     else:
         result = tuple(job(t) for t in times)
 
-    return PassReport(window=window, snapshots=result, config=config)
+    return PassReport(window=window, snapshots=result)
 
 
 def _utc_str(t: datetime) -> str:

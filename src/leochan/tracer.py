@@ -341,10 +341,16 @@ def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
 
     - |(w x d1).n2| <= slack s (its ``inside`` and ``edge`` branches
       both require this), and
-    - c z >= 0 and c y <= 0 (``inside``), or w.d1 - 2 c w.n2 > 0 and
-      |z| <= slack s (``edge``), or |y| <= slack s, which its ``own``
+    - c != 0, c z >= 0 and c y <= 0 (``inside``), or w.d1 - 2 c w.n2 > 0
+      and |z| <= slack s (``edge``), or |y| <= slack s, which its ``own``
       branch implies: |w x d1| <= slack, and y is w's component along
       n2 - c d1, which is perpendicular to d1 and of length s.
+
+    Where c here is 0 but the tracer's c rounds to a tiny non-zero
+    value, the bands still keep what the bound keeps: the tracer's
+    ``inside`` then holds only where |w.n2| is at most about |c| |w.d1|,
+    so that |y| is far below the margin, and the |y| term keeps those
+    points.
 
     Every quantity is affine in (i, j), so each test is a band or a
     half-plane on the grid, A + B i + C j against +-H.  The test runs in
@@ -454,7 +460,7 @@ def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
         c, e, h = cos[kf], margin[f], half[kf]
         y = w_n - c * w_d
         z = c * w_d + (1.0 - 2.0 * c * c) * w_n
-        ok = (((c * z >= -e) & (c * y <= e))
+        ok = (((c != 0.0) & (c * z >= -e) & (c * y <= e))
               | ((w_d - 2.0 * c * w_n >= -e) & (np.abs(z) <= h))
               | (np.abs(y) <= h))
         kept[(i * nv + j)[ok]] = True
@@ -510,9 +516,10 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     hist_fid = np.empty((m, 0), dtype=int)
     hist_pts = np.empty((m, 0, 3))
     hist_ang = np.empty((m, 0))
-    # The one-bounce bound runs on the segment with one bounce left.  At
-    # one or two bounces its bands on the launch grid also pick the
-    # launch rays that segment 0 intersects, besides the receiver window.
+    # The one-bounce bound picks the rays of the segment with one bounce
+    # left where the segment before reflects them.  At one or two
+    # bounces its bands on the launch grid also pick the launch rays
+    # that segment 0 intersects, besides the receiver window.
     bounded = (max_bounces > 0
                and len(scene.distinct_normals) <= _BOUND_MAX_NORMALS)
     keep = None
@@ -527,14 +534,6 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     captured: list[tuple] = []
 
     for segment in range(max_bounces + 1):
-        if bounded and 1 <= segment == max_bounces - 1:
-            # only the rays that can still be captured go on
-            idx = np.flatnonzero(_reaches_after_one_bounce(
-                origins, dirs, rx, slack, axes))
-            origins, dirs = origins[idx], dirs[idx]
-            acc_len, launch_idx = acc_len[idx], launch_idx[idx]
-            hist_fid, hist_pts = hist_fid[idx], hist_pts[idx]
-            hist_ang = hist_ang[idx]
         o, d = origins[near], dirs[near]
         s_star = np.einsum("ij,ij->i", rx[None, :] - o, d)
         foot = o + s_star[:, None] * d
@@ -575,8 +574,16 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         inc = dirs[idx]
         hit_pts = origins[idx] + t_hit[idx, None] * inc
         n = normals[idx]
-        cos_inc = np.clip(-np.einsum("ij,ij->i", inc, n), -1.0, 1.0)
-        new_dirs = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+        dn = np.einsum("ij,ij->i", inc, n)
+        new_dirs = inc - 2.0 * dn[:, None] * n
+        if bounded and segment + 2 == max_bounces:
+            # the next segment has one bounce left: only the rays that
+            # can still be captured go on
+            go = _reaches_after_one_bounce(hit_pts, new_dirs, rx, slack,
+                                           axes)
+            idx, hit_pts, new_dirs, dn = (idx[go], hit_pts[go],
+                                          new_dirs[go], dn[go])
+        cos_inc = np.clip(-dn, -1.0, 1.0)
 
         acc_len = acc_len[idx] + t_hit[idx]
         hist_fid = np.concatenate([hist_fid[idx], fid_hit[idx, None]], 1)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from leochan.link import (EmptyPathSet, InvalidElevation, LinkParams,
+from leochan.config import SimConfig
+from leochan.link import (EmptyPathSet, InvalidElevation,
                           NonPositiveInput, ScoredPath, build_snapshot,
                           effective_rain_path_km, fresnel_power_reflectance,
                           fspl_db, path_delay_us, path_power_dbm,
-                          rain_attenuation_db, reflection_loss_db,
-                          rms_delay_spread_ns, total_power_dbm,
-                          SPEED_OF_LIGHT_KM_S)
+                          rain_attenuation_db, rain_path_constant,
+                          reflection_loss_db, rms_delay_spread_ns,
+                          total_power_dbm, SPEED_OF_LIGHT_KM_S)
 from leochan.scene import CONCRETE, Material
 from leochan.timebase import utc
 from leochan.tracer import Interaction, PathRecord
@@ -81,12 +82,10 @@ class TestRain:
             rain_attenuation_db(10.0, 0.0000847, 1.0664, math.pi)
 
     def test_latitude_mode_constant(self):
-        lp = LinkParams(rain_path_mode="latitude", site_lat_deg=40.0)
-        assert lp.rain_path_constant() == pytest.approx(
+        assert rain_path_constant("latitude", 40.0) == pytest.approx(
             0.232 - 0.00018 * 40.0, abs=1e-15)
-        verbatim = LinkParams()
-        assert verbatim.rain_path_constant() == pytest.approx(0.23182,
-                                                              abs=1e-15)
+        assert rain_path_constant("verbatim", 0.0) == pytest.approx(
+            0.23182, abs=1e-15)
 
 
 class TestReflection:
@@ -121,14 +120,14 @@ class TestReflection:
 
 class TestPathPower:
     def test_los_spot_value(self):
-        lp = LinkParams(fc_mhz=2000.0, pt_dbm=30.0, rain_rate_mm_h=0.0)
+        lp = SimConfig(fc_mhz=2000.0, pt_dbm=30.0, rain_rate_mm_h=0.0)
         p = _path(d_near=0.5, d_atm=549.5)  # 550 km total
         power = path_power_dbm(p, lp, math.radians(45.0), [CONCRETE])
         assert power == pytest.approx(30.0 - fspl_db(550.0, 2000.0),
                                       abs=1e-12)
 
     def test_lossless_bounce_changes_only_distance(self):
-        lp = LinkParams()
+        lp = SimConfig()
         los = _path(d_near=0.5, d_atm=549.5)
         bounced = _path(d_near=0.5, d_atm=549.5,
                         interactions=[_bounce(0.4)])
@@ -137,14 +136,14 @@ class TestPathPower:
         assert pec_power == pytest.approx(los_power, abs=1e-3)
 
     def test_reflection_never_gains(self):
-        lp = LinkParams()
+        lp = SimConfig()
         two = _path(interactions=[_bounce(0.3), _bounce(1.0)])
         los = _path()
         assert path_power_dbm(two, lp, 0.5, [CONCRETE]) <= \
             path_power_dbm(los, lp, 0.5, [CONCRETE])
 
     def test_db_pipeline_matches_linear_pipeline(self):
-        lp = LinkParams(rain_rate_mm_h=10.0)
+        lp = SimConfig(rain_rate_mm_h=10.0)
         p = _path(interactions=[_bounce(0.7)])
         el = math.radians(30.0)
         db_power = path_power_dbm(p, lp, el, [CONCRETE])
@@ -213,11 +212,11 @@ class TestSnapshotStats:
             total_power_dbm([])
         with pytest.raises(EmptyPathSet):
             build_snapshot(utc(2023, 1, 1), math.radians(50.0), [],
-                           LinkParams(), [CONCRETE], [])
+                           SimConfig(), [CONCRETE], [])
 
 
 def test_build_snapshot_sorted_and_consistent():
-    lp = LinkParams()
+    lp = SimConfig()
     paths = [_path(d_near=0.9, d_atm=549.5, launch_index=1),
              _path(d_near=0.5, d_atm=549.5, launch_index=0)]
     snap = build_snapshot(utc(2023, 1, 1), math.radians(50.0), paths, lp,

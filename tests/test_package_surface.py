@@ -10,10 +10,17 @@ definition's own body, or inside code nothing live reaches, does not
 count, and neither does an import.  Dunder methods and dunder names,
 such as ``__all__``, are exempt: Python reads them.  Oracles and
 fixtures that only the tests call belong under ``tests/``.
+
+Likewise every ``SimConfig`` field, a config key, is read as an attribute
+by package code outside ``__post_init__``, which checks the record but
+does not use it: a key that no run reads fails here.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from leochan.config import SimConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "leochan"
@@ -103,3 +110,26 @@ def unused_names() -> list[str]:
 def test_every_package_name_is_used_by_the_package():
     unused = unused_names()
     assert not unused, "not used by src/leochan: " + ", ".join(unused)
+
+
+def attributes_read() -> set[str]:
+    """The attribute names that package code loads, outside every
+    ``__post_init__``."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        checks = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, FUNCTIONS)
+                  and node.name == "__post_init__"
+                  for sub in ast.walk(node)}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in checks}
+    return names
+
+
+def test_every_config_key_is_read_by_the_package():
+    unread = sorted({f.name for f in fields(SimConfig)} - attributes_read())
+    assert not unread, "config keys no package code reads: " + ", ".join(
+        unread)

@@ -203,8 +203,7 @@ class TestEmitOutputs:
             assert abs(total - float(parts[3])) < 1e-6
 
     def test_empty_snapshot_list_headers_only(self, light_report, tmp_path):
-        empty = PassReport(window=light_report.window, snapshots=(),
-                           config=light_report.config)
+        empty = PassReport(window=light_report.window, snapshots=())
         emit_outputs(empty, tmp_path)
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
         assert (tmp_path / "paths.csv").read_text().count("\n") == 1
@@ -359,6 +358,19 @@ class TestCli:
     def test_trace_once_outside_window(self, light_config, capsys):
         assert main(["trace-once", "--config", str(light_config),
                      "--at-minute", "500.0"]) == 2
+
+    @pytest.mark.parametrize("minute", ["nan", "inf", "-inf", "-5"])
+    def test_trace_once_bad_minute_exit_two_before_search(
+            self, light_config, capsys, no_pass_search, minute):
+        assert main(["trace-once", "--config", str(light_config),
+                     f"--at-minute={minute}"]) == 2
+        assert "--at-minute" in capsys.readouterr().err
+
+    def test_trace_once_far_past_window_exit_two(self, light_config, capsys):
+        # past the window by more than timedelta can hold
+        assert main(["trace-once", "--config", str(light_config),
+                     "--at-minute", "1e300"]) == 2
+        assert "--at-minute" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -494,6 +494,28 @@ def test_bound_degenerate_wedge_is_the_ray():
     assert not keep.any()
 
 
+def test_grid_bound_degenerate_wedge_is_the_ray():
+    # The same lone block and receiver on the launch grid: with no
+    # receiver window, the bands keep none of the launch rays that hit,
+    # as the bound on their reflections keeps none.
+    city = generate_city(1, 1, seed=3)
+    el = math.radians(40.0)
+    sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
+    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    rx, rx_radius = np.array([0.0, 5.0, 0.0015]), 0.006
+    origins = plane.launch_points()
+    dirs = np.broadcast_to(plane.direction, origins.shape)
+    fid = city.intersect_batch(origins, dirs, _SELF_HIT_EPS, grid=plane)[1]
+    assert (fid >= 0).sum() == 610
+    keep = _grid_bands(plane, city, rx,
+                       _bound_slack(rx, rx_radius, city.bounds),
+                       city.distinct_normals,
+                       np.zeros(len(origins), dtype=bool))
+    fid = city.intersect_batch(origins, dirs, _SELF_HIT_EPS, grid=plane,
+                               keep=keep)[1]
+    assert (fid >= 0).sum() == 0
+
+
 def _march(plane, scene, bounces):
     """Launch indices, origins and directions of the rays after
     ``bounces`` reflections, with the tracer's arithmetic."""
