@@ -7,6 +7,7 @@ never produce a silently shifted element.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -14,6 +15,10 @@ from pathlib import Path
 from .timebase import epoch_from_year_day
 
 LINE_LENGTH = 69
+
+# A fixed-column decimal field: optional sign, digits and at most one
+# point, padded with spaces.  No exponent, no "inf" or "nan".
+_DECIMAL = re.compile(r" *[+-]?([0-9]+\.?[0-9]*|\.[0-9]+) *")
 
 
 class TleError(ValueError):
@@ -94,10 +99,9 @@ def _check_line(line: str, expected_number: str) -> None:
 
 
 def _parse_float(field: str, what: str) -> float:
-    try:
-        return float(field)
-    except ValueError:
-        raise MalformedField(f"{what}: not a number: {field!r}") from None
+    if _DECIMAL.fullmatch(field) is None:
+        raise MalformedField(f"{what}: not a decimal number: {field!r}")
+    return float(field)
 
 
 def _parse_int(field: str, what: str) -> int:

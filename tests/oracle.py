@@ -28,7 +28,9 @@ Doppler law, with its inputs measured from the propagated states at
 culmination by ``build_pass_geometry``; C01-C03 check it against the
 finite-difference range rate of ``Ephemeris.ecef_at``.
 ``elevation_triangle`` is the law-of-cosines form of
-``passes.elevation``.
+``passes.elevation``.  ``find_pass_every_step`` is the reference for
+``passes.find_pass``: the same search with every scan instant
+propagated, none skipped.
 
 Frames.  The inverses of the package's forward chain, for the C12 round
 trips and for placing sites: ``eci_to_teme``, ``ecef_to_eci``,
@@ -38,7 +40,7 @@ trips and for placing sites: ``eci_to_teme``, ``ecef_to_eci``,
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -47,7 +49,9 @@ from leochan.frames import (DEG2RAD, EARTH_ROTATION_RATE, WGS84_A_KM,
                             geodetic_to_ecef, nutation_matrix,
                             precession_matrix, rot3, teme_to_eci_matrix)
 from leochan.link import SPEED_OF_LIGHT_KM_S
-from leochan.passes import Ephemeris, PassWindow
+from leochan.passes import (Ephemeris, NoPassFound, PassWindow,
+                            _bisect_crossing, _golden_max, elevation,
+                            gamma_at_culmination)
 from leochan.scene import _DET_EPS, M_PER_KM
 from leochan.states import Frame, StateVector
 from leochan.tracer import _SELF_HIT_EPS, _path_records
@@ -240,6 +244,74 @@ def doppler_closed_form(t: datetime, geom: PassGeometry,
     num = (geom.fc_hz * geom.r_e * geom.r * math.sin(dpsi) * cos_g0
            * geom.omega_f)
     return -num / denom
+
+
+def find_pass_every_step(tle, site_geodetic, theta_min=0.0, step_s=30.0,
+                         search_hours=48.0, ephemeris=None) -> PassWindow:
+    """Reference for ``passes.find_pass``: its search with every scan
+    instant propagated, one after another, and no instant skipped."""
+    ephem = ephemeris if ephemeris is not None else Ephemeris(tle)
+    site_ecef = geodetic_to_ecef(*site_geodetic)
+
+    def el(t: datetime) -> float:
+        return elevation(site_ecef, ephem.ecef_at(t).position)
+
+    def margin(t: datetime) -> float:
+        return el(t) - theta_min
+
+    t_epoch = tle.epoch
+    n_steps = int(search_hours * 3600.0 / step_s)
+
+    def scan_time(k: int) -> datetime:
+        return t_epoch + timedelta(seconds=step_s * k)
+
+    rise_idx = set_idx = None
+    was_above = margin(scan_time(0)) > 0.0
+    for k in range(1, n_steps + 1):
+        is_above = margin(scan_time(k)) > 0.0
+        if rise_idx is None:
+            if is_above and not was_above:
+                rise_idx = k - 1
+        elif was_above and not is_above:
+            set_idx = k - 1
+            break
+        was_above = is_above
+    if rise_idx is None:
+        raise NoPassFound(
+            f"no pass above {math.degrees(theta_min):.1f} deg within "
+            f"{search_hours:.0f} h of epoch")
+    if set_idx is None:
+        raise NoPassFound("pass does not set within the search horizon")
+
+    t_start = _bisect_crossing(margin, scan_time(rise_idx),
+                               scan_time(rise_idx + 1), rising=True)
+    t_end = _bisect_crossing(margin, scan_time(set_idx),
+                             scan_time(set_idx + 1), rising=False)
+    t0 = _golden_max(el, t_start, t_end)
+
+    sat0 = ephem.ecef_at(t0)
+    theta_max = elevation(site_ecef, sat0.position)
+    r = float(np.linalg.norm(sat0.position))
+    r_e = float(np.linalg.norm(site_ecef))
+    gamma_t0 = gamma_at_culmination(theta_max, r_e, r)
+
+    omega_s = ephem.inertial_angular_rate(t0)
+    incl = math.radians(tle.inclination_deg)
+    omega_f = omega_s - EARTH_ROTATION_RATE * math.cos(incl)
+
+    gamma_min = gamma_at_culmination(theta_min, r_e, r)
+    ratio = math.cos(gamma_min) / math.cos(gamma_t0)
+    if ratio >= 1.0:
+        t_du_analytic = 0.0
+    else:
+        t_du_analytic = 2.0 / omega_f * math.acos(ratio) / 60.0
+
+    return PassWindow(
+        t_start=t_start, t_end=t_end, t0=t0,
+        theta_max=theta_max, theta_min=theta_min, gamma_t0=gamma_t0,
+        t_du_min=(t_end - t_start).total_seconds() / 60.0,
+        t_du_analytic_min=t_du_analytic,
+    )
 
 
 def eci_to_teme(state: StateVector, eo: EarthOrientation) -> StateVector:

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import circular_mean_motion, make_circular_tle, synthetic_tle
-from oracle import doppler_closed_form, ecef_to_geodetic, elevation_triangle
-from leochan.frames import geodetic_to_ecef
-from leochan.passes import (DomainError, Ephemeris, NoPassFound, elevation,
-                            find_pass, gamma_at_culmination,
+from conftest import (WGS72_MU, WGS72_RE, circular_mean_motion,
+                      load_perfbench, make_circular_tle, synthetic_tle)
+from oracle import (doppler_closed_form, ecef_to_geodetic, elevation_triangle,
+                    find_pass_every_step)
+from leochan.frames import EARTH_ROTATION_RATE, geodetic_to_ecef
+from leochan.passes import (DomainError, Ephemeris, NoPassFound, _scan_bound,
+                            elevation, find_pass, gamma_at_culmination,
                             per_path_doppler)
-from leochan.sgp4 import SatelliteDecayed
+from leochan.sgp4 import (PropagationError, SatelliteDecayed, sgp4_init,
+                          sgp4_propagate)
 from leochan.timebase import utc
 from leochan.tle import read_tle_file
 from leochan.tracer import PathRecord
@@ -23,6 +27,18 @@ DEMO_SITE = (1.9, 0.7791238226849033, 0.0)
 def _unit(v):
     v = np.asarray(v, float)
     return v / np.linalg.norm(v)
+
+
+def _count_ecef_at(monkeypatch):
+    calls = []
+    ecef_at = Ephemeris.ecef_at
+
+    def counted(self, t):
+        calls.append(t)
+        return ecef_at(self, t)
+
+    monkeypatch.setattr(Ephemeris, "ecef_at", counted)
+    return calls
 
 
 class TestElevation:
@@ -203,14 +219,7 @@ class TestFindPass:
         # the demo window sets 26.5 min after the epoch; scanning the whole
         # 48 h horizon would take 5,761 instants
         tle = read_tle_file(DEMO_TLE)[0]
-        ecef_at = Ephemeris.ecef_at
-        calls = []
-
-        def counted(self, t):
-            calls.append(t)
-            return ecef_at(self, t)
-
-        monkeypatch.setattr(Ephemeris, "ecef_at", counted)
+        calls = _count_ecef_at(monkeypatch)
         counts = []
         for _ in range(2):
             calls.clear()
@@ -268,3 +277,110 @@ def test_window_duration_formula_reference_case():
     t_du = (2.0 / (omega_s - omega_e * math.cos(incl))
             * math.acos(math.cos(gamma_min) / math.cos(gamma_max))) / 60.0
     assert t_du == pytest.approx(12.76, abs=0.1)
+
+
+def _outcome(search, *args, **kwargs):
+    """The window's repr, or the class and message of what was raised."""
+    try:
+        return repr(search(*args, **kwargs))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _orbit_tle(incl, e, perigee_km, bstar, raan=30.0, argp=60.0, ma=90.0):
+    a = (WGS72_RE + perigee_km) / (1.0 - e)
+    return synthetic_tle(
+        epoch=utc(2023, 6, 1, 12, 0, 0), inclination_deg=incl,
+        raan_deg=raan, eccentricity=e, arg_perigee_deg=argp,
+        mean_anomaly_deg=ma,
+        mean_motion_revs_per_day=(math.sqrt(WGS72_MU / a ** 3)
+                                  * 86400.0 / (2.0 * math.pi)),
+        bstar=bstar)
+
+
+@st.composite
+def _search_case(draw):
+    """An element set, a site, a threshold and a scan step.
+
+    Orbits have e up to 0.2 and bstar of 0, +-1e-5 to 1e-3, or (low
+    orbits) 0.1 to 0.5, which brings most down within the horizon.  The
+    site lies near the ground track some minutes after the epoch: at 0
+    minutes a pass is in progress at the epoch.
+    """
+    if draw(st.integers(0, 2)) == 0:  # decaying
+        e = 0.0
+        perigee_km = draw(st.floats(180.0, 280.0))
+        bstar = draw(st.floats(0.1, 0.5))
+    else:
+        e = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+        perigee_km = draw(st.floats(250.0, 1500.0))
+        bstar = draw(st.sampled_from([0.0, -1.0, 1.0])) \
+            * 10.0 ** draw(st.floats(-5.0, -3.0))
+    tle = _orbit_tle(draw(st.floats(0.0, 180.0)), e, perigee_km, bstar,
+                     *(draw(st.floats(0.0, 359.0)) for _ in range(3)))
+    lead = timedelta(minutes=draw(st.sampled_from([0.0, 0.0, 10.0, 45.0])))
+    try:
+        lat, lon, _ = ecef_to_geodetic(
+            Ephemeris(tle).ecef_at(tle.epoch + lead).position)
+    except PropagationError:
+        lat = lon = 0.0
+    lat = max(-89.0, min(89.0, lat + draw(st.floats(-12.0, 12.0))))
+    site = (lat, lon + draw(st.floats(-12.0, 12.0)), 0.0)
+    theta_min = math.radians(draw(st.floats(0.0, 60.0)))
+    step_s = draw(st.sampled_from([10.0, 30.0, 120.0]))
+    return tle, site, theta_min, step_s
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_search_case())
+def test_find_pass_matches_every_step_scan(case):
+    # The skipped instants must not change the window by a bit, nor the
+    # exception: class, and message with its instant.
+    tle, site, theta_min, step_s = case
+    kwargs = dict(theta_min=theta_min, step_s=step_s, search_hours=3.0)
+    assert _outcome(find_pass, tle, site, **kwargs) \
+        == _outcome(find_pass_every_step, tle, site, **kwargs)
+
+
+@pytest.mark.parametrize("incl,e,perigee_km,bstar", [
+    (180.0, 0.0, 200.0, 0.0),    # the Keplerian turn rate nearly reached
+    (97.5, 0.0, 550.0, 3e-4),
+    (51.6, 0.2, 400.0, -1e-3),
+    (0.0, 0.01, 1200.0, 1e-5),
+])
+def test_scan_bound_holds_over_the_horizon(incl, e, perigee_km, bstar):
+    # radius and turn rate of the propagated positions, every 2 s for 3 h
+    state = sgp4_init(_orbit_tle(incl, e, perigee_km, bstar))
+    r_min, r_max, omega = _scan_bound(state, 180.0)
+    dt_s = 2.0
+    pos = np.array([sgp4_propagate(state, k * dt_s / 60.0).position
+                    for k in range(int(180.0 * 60.0 / dt_s) + 1)])
+    r = np.linalg.norm(pos, axis=1)
+    u = pos / r[:, None]
+    turn = np.arctan2(np.linalg.norm(np.cross(u[1:], u[:-1]), axis=1),
+                      np.einsum("ij,ij->i", u[1:], u[:-1])) / dt_s
+    assert r_min <= r.min() and r.max() <= r_max
+    assert turn.max() + EARTH_ROTATION_RATE <= omega
+
+
+def test_no_pass_search_skips_the_instants_below_the_horizon(monkeypatch):
+    # The demo orbit never rises at 80 N; every-step scanning takes
+    # 5,761 instants over the 48 h horizon.
+    tle = read_tle_file(DEMO_TLE)[0]
+    calls = _count_ecef_at(monkeypatch)
+    with pytest.raises(NoPassFound, match="no pass above 0.0 deg"):
+        find_pass(tle, (80.0, 0.0, 0.0))
+    assert len(calls) < 400
+
+
+def test_pass_search_workload_takes_fewer_instants(tmp_path, monkeypatch):
+    # The seed-0 benchmark searches took 435 ecef_at calls when every
+    # scan instant was propagated.
+    workloads = load_perfbench("workloads")
+    wl = workloads.pass_search(0)
+    workloads.write_inputs(wl, tmp_path)
+    calls = _count_ecef_at(monkeypatch)
+    for tle, (lat, lon, alt, min_elev) in zip(
+            read_tle_file(tmp_path / "sets.tle"), wl.searches):
+        find_pass(tle, (lat, lon, alt), theta_min=math.radians(min_elev))
+    assert len(calls) < 300

@@ -11,6 +11,7 @@ from leochan.config import (ConfigError, SimConfig, parse_config,
                             parse_config_text)
 from leochan.link import total_power_dbm
 from leochan.simulate import PassReport, emit_outputs, run_pass_simulation
+from leochan.tle import tle_checksum
 
 DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
 
@@ -313,6 +314,19 @@ class TestCli:
                 "pass": ["--tle", str(bad), "--site", "0,0,0"]}[command]
         assert main([command, *argv]) == 2
         assert f"{bad}:1: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["inf", "nan"])
+    def test_non_finite_mean_motion_exit_two_names_file_and_line(
+            self, tmp_path, capsys, field):
+        # once exit 4, "float division by zero" (inf) or "Kepler iteration
+        # did not reach 1e-12" (nan), with no file or line
+        name, line1, line2 = DEMO_TLE.read_text().splitlines()
+        line2 = line2[:52] + f"{field:>11}" + line2[63:68]
+        bad = tmp_path / "bad.tle"
+        bad.write_text(f"{name}\n{line1}\n{line2}{tle_checksum(line2)}\n")
+        assert main(["pass", "--tle", str(bad), "--site", "0,0,0"]) == 2
+        assert (f"{bad}:2-3: mean motion: not a decimal number"
+                in capsys.readouterr().err)
 
     def test_non_utf8_config_exit_two_names_file_and_line(
             self, tmp_path, capsys, no_pass_search):

@@ -174,3 +174,30 @@ def test_read_tle_file_damage_names_file_line(tmp_path, lines, error,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(error, match=f"^{re.escape(str(path))}:{lineno}: "):
         read_tle_file(path)
+
+
+def _with_mean_motion(field):
+    """ISS_2020's line 2 with its mean-motion columns replaced."""
+    line2 = ISS_2020[1][:52] + f"{field:>11}" + ISS_2020[1][63:68]
+    return line2 + str(tle_checksum(line2))
+
+
+@pytest.mark.parametrize("field", ["inf", "-inf", "nan", "infinity",
+                                   "715.E8103", "1e999", "1.5e1", "15_49"])
+def test_read_tle_file_non_decimal_mean_motion_names_file_line(tmp_path,
+                                                               field):
+    # float() reads all of these, and "inf" or "nan" once reached SGP4
+    path = tmp_path / "sats.tle"
+    path.write_text("\n".join(["SAT-A", ISS_2020[0],
+                               _with_mean_motion(field)]) + "\n")
+    with pytest.raises(MalformedField,
+                       match=f"^{re.escape(str(path))}:2-3: mean motion: "
+                             f"not a decimal number"):
+        read_tle_file(path)
+
+
+@pytest.mark.parametrize("field", ["15.49398617", "+15.4939862", "15.",
+                                   "  .5", "15"])
+def test_decimal_fields_keep_their_column_forms(field):
+    tle = parse_tle(ISS_2020[0], _with_mean_motion(field))
+    assert tle.mean_motion_revs_per_day == float(field)
