@@ -5,7 +5,9 @@ All geometry is stored in kilometers in the LOCAL frame (generator inputs
 are meters and are converted).  ``Scene.intersect_batch`` is the one
 intersection engine; it must agree exactly with a brute-force oracle over
 every triangle (same Moller-Trumbore arithmetic) and breaks distance ties
-on the lower face id.
+on the lower face id.  A hit is a distance and a face id, nothing more:
+the tracer turns the face's normal against the ray and reflects it
+(``tracer._reflect``).
 
 The engine has two sources of candidate (ray, face) pairs and one
 nearest-hit step.  Each source yields its pairs in batches that hold
@@ -106,6 +108,15 @@ HEIGHT_LAWS = ("uniform", "constant")
 
 class InvalidDimensions(ValueError):
     pass
+
+
+class DegenerateTriangle(ValueError):
+    """Face ``face`` has an area of at most ``MIN_TRIANGLE_AREA_KM2``, or
+    one too large to represent."""
+
+    def __init__(self, face: int):
+        super().__init__(f"degenerate triangle (face {face}) in scene")
+        self.face = face
 
 
 @dataclass(frozen=True)
@@ -243,13 +254,17 @@ class Scene:
         if not np.isfinite(triangles).all():
             raise ValueError("non-finite vertex coordinate in scene")
         v0 = triangles[:, 0, :]
-        e1 = triangles[:, 1, :] - v0
-        e2 = triangles[:, 2, :] - v0
-        normals = np.cross(e1, e2)
-        lengths = np.linalg.norm(normals, axis=1)
+        # an area at the floor fails, and so does one too large to
+        # represent, whose normal would be NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            e1 = triangles[:, 1, :] - v0
+            e2 = triangles[:, 2, :] - v0
+            normals = np.cross(e1, e2)
+            lengths = np.linalg.norm(normals, axis=1)
         areas = 0.5 * lengths
-        if len(triangles) and areas.min() <= MIN_TRIANGLE_AREA_KM2:
-            raise ValueError("degenerate triangle in scene")
+        ok = (areas > MIN_TRIANGLE_AREA_KM2) & (areas < np.inf)
+        if not ok.all():
+            raise DegenerateTriangle(int(np.argmin(ok)))
         self.triangles = triangles
         self.material_ids = material_ids
         self.materials = list(materials)
@@ -361,9 +376,11 @@ class Scene:
                         t_min: float = 0.0, grid=None, keep=None):
         """Nearest hits for many rays at once.
 
-        Returns (t, face_id, normal): misses get t = +inf, face_id = -1.
-        Normals are unit and oriented against each ray.  Hits lie in
-        (t_min, +inf); among equal distances the lower face id wins.
+        Returns (t, face_id): misses get t = +inf, face_id = -1.  Hits
+        lie in (t_min, +inf); among equal distances the lower face id
+        wins.  The engine ends at which face and how far: the face's
+        normal is ``normals[face_id]``, as built, and orienting it
+        against the ray is the tracer's (``tracer._reflect``).
 
         ``grid`` is the launch plane the rays leave from, when they all
         do (any object with ``direction``, ``origin``, ``e1``, ``e2``,
@@ -386,9 +403,8 @@ class Scene:
         directions = np.asarray(directions, dtype=float)
         m = len(origins)
         t_out = np.full(m, np.inf)
-        normals = np.zeros((m, 3))
         if len(self.triangles) == 0 or m == 0:
-            return t_out, np.full(m, -1), normals
+            return t_out, np.full(m, -1)
 
         if grid is None:
             candidates = self._walk(origins, directions, t_min)
@@ -399,15 +415,8 @@ class Scene:
         for ray, face in candidates:
             self._nearest_hits(origins, directions, ray, face, t_min,
                                t_out, fid_out)
-        hit = t_out < np.inf
-        fid_out[~hit] = -1
-        # by index, as a boolean mask gathers and scatters (rays, 3)
-        # rows several times slower
-        hit = np.flatnonzero(hit)
-        n = self.normals[fid_out[hit]]
-        flip = np.einsum("ij,ij->i", n, directions[hit]) > 0.0
-        normals[hit] = np.where(flip[:, None], -n, n)
-        return t_out, fid_out, normals
+        fid_out[t_out == np.inf] = -1
+        return t_out, fid_out
 
     def _nearest_hits(self, origins, directions, ray, face, t_min, t_out,
                       fid_out):
@@ -620,6 +629,7 @@ def scene_from_text(text: str,
         materials = [CONCRETE]
     tris = []
     mats = []
+    linenos = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -641,5 +651,10 @@ def scene_from_text(text: str,
                              f"[0, {len(materials)})")
         tris.append(tri)
         mats.append(mat)
-    return Scene(np.asarray(tris).reshape(-1, 3, 3),
-                 np.asarray(mats, dtype=int), materials)
+        linenos.append(lineno)
+    try:
+        return Scene(np.asarray(tris).reshape(-1, 3, 3),
+                     np.asarray(mats, dtype=int), materials)
+    except DegenerateTriangle as exc:
+        raise ValueError(
+            f"line {linenos[exc.face]}: degenerate triangle") from None

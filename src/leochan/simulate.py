@@ -22,6 +22,7 @@ from . import frames, link, passes, scene as scene_mod, tracer
 from .config import ConfigError, SimConfig
 from .link import ChannelSnapshot
 from .passes import Ephemeris, PassWindow
+from .sgp4 import DecayedOrbit, DeepSpaceUnsupported, sgp4_init
 from .tle import Tle, TleError, read_tle_file
 from .tracer import SatelliteBelowHorizon
 
@@ -98,13 +99,20 @@ def simulate_snapshot(t: datetime, ephem: Ephemeris,
 
 def first_element_set(path) -> Tle:
     """The first element set in a TLE file.  A file that cannot be read,
-    holds a damaged set or holds none is a config error."""
+    holds a damaged set or holds none is a config error, and so is a set
+    that SGP4 refuses from its elements alone, before any propagation: a
+    deep-space period or a perigee at or below the surface."""
     try:
         tles = read_tle_file(path)
     except (OSError, TleError) as exc:
         raise ConfigError(f"cannot read element sets: {exc}") from None
     if not tles:
         raise ConfigError(f"no element sets in {path}")
+    try:
+        sgp4_init(tles[0])
+    except (DeepSpaceUnsupported, DecayedOrbit) as exc:
+        raise ConfigError(f"{path}: element set {tles[0].satnum} cannot "
+                          f"be propagated: {exc}") from None
     return tles[0]
 
 

@@ -40,13 +40,16 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
   on a face, and so each test of the bound on its reflection, is affine
   in the ray's grid coordinates, so per face the bound becomes a few
   bands and half-planes on the grid, widened by a derived rounding
-  margin (``_grid_bands``).  Segment 0 finds the nearest hit only of
-  the rays in the receiver window or in the bands of a face whose span
-  covers them; every other launch ray reports a miss.  With two
-  bounces, segment 1's bound would drop its reflection anyway; with
-  one, segment 1 is the last, and a reflection that passes within the
-  capture radius is kept by the bound's edge along it.  On the demo
-  pass this leaves hits for 4,910 of the 69,385 launch rays that hit.
+  margin (``_grid_bands``).  Each face's reflection there comes from
+  ``_reflect``, as every reflection of the march does, so the margin
+  covers the rounding of the march's own arithmetic.  Segment 0 finds
+  the nearest hit only of the rays in the receiver window or in the
+  bands of a face whose span covers them; every other launch ray
+  reports a miss.  With two bounces, segment 1's bound would drop its
+  reflection anyway; with one, segment 1 is the last, and a reflection
+  that passes within the capture radius is kept by the bound's edge
+  along it.  On the demo pass this leaves hits for 4,910 of the 69,385
+  launch rays that hit.
 
 ``tests/oracle.py::trace_every_ray`` intersects and tests every ray on
 every segment, and gives the same records to the bit.
@@ -108,7 +111,6 @@ class PathRecord:
     d_near_ground: float     # km, plane entry to receiver
     d_atmosphere: float      # km, satellite to launch plane
     aod: np.ndarray          # unit, satellite toward first interaction
-    aoa: np.ndarray          # unit, along the final segment into the rx
     bounce_count: int
     miss_distance: float     # km, closest approach to the receiver point
 
@@ -214,6 +216,16 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
                        half_u=float(half_u), half_v=float(half_v),
                        spacing=spacing_km, d_atmosphere=float(d_atmosphere),
                        sat_position=sat)
+
+
+def _reflect(d: np.ndarray, n: np.ndarray):
+    """Per row, the face normal ``n`` turned against the ray direction
+    ``d``, d.n about it (at most 0), and the specular reflection
+    d - 2 (d.n) n: the one place a normal is oriented or a ray
+    reflected."""
+    n = np.where((np.einsum("ij,ij->i", n, d) > 0.0)[:, None], -n, n)
+    dn = np.einsum("ij,ij->i", d, n)
+    return n, dn, d - 2.0 * dn[:, None] * n
 
 
 def _receiver_window(plane: LaunchPlane, rx: np.ndarray,
@@ -331,13 +343,14 @@ def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
     edge along it (``own``), and then the bands below keep the launch
     ray.
 
-    For face f, with its normal n oriented against the launch direction
-    d, the tracer reflects d into d1 = d - 2 (d.n) n.  The foot p of
-    launch ray (i, j) on f's plane along d is affine in (i, j), and so
-    is w = rx - p.  If the ray's nearest hit is on f, p is the tracer's
-    hit point up to rounding, and on segment 1 the bound keeps the
-    reflected ray only if, for some of ``normals`` n2, with c = d1.n2,
-    s^2 = 1 - c^2, y = w.n2 - c w.d1 and z = c w.d1 + (1 - 2 c^2) w.n2:
+    For face f, ``_reflect`` turns its normal n against the launch
+    direction d and reflects d into d1 = d - 2 (d.n) n, as on segment 0
+    of the march.  The foot p of launch ray (i, j) on f's plane along d
+    is affine in (i, j), and so is w = rx - p.  If the ray's nearest hit
+    is on f, p is the tracer's hit point up to rounding, and on segment
+    1 the bound keeps the reflected ray only if, for some of ``normals``
+    n2, with c = d1.n2, s^2 = 1 - c^2, y = w.n2 - c w.d1 and
+    z = c w.d1 + (1 - 2 c^2) w.n2:
 
     - |(w x d1).n2| <= slack s (its ``inside`` and ``edge`` branches
       both require this), and
@@ -383,12 +396,8 @@ def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
     d = plane.direction
     v0 = scene.triangles[:, 0]
     kappa = scene.shape_factors
-    # the normals and reflections as intersect_batch and trace give them
-    inc = np.tile(d, (len(v0), 1))
-    n = scene.normals
-    n = np.where((np.einsum("ij,ij->i", n, inc) > 0.0)[:, None], -n, n)
-    d1 = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
-    dn = n @ d
+    # each face's normal and reflection, as trace gives them
+    n, dn, d1 = _reflect(np.tile(d, (len(v0), 1)), scene.normals)
     # one row per normal n2 and one column per face
     cos = normals @ d1.T
     whole = ((kappa > _GRID_MAX_GAIN * np.abs(dn))
@@ -548,7 +557,7 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
                                            _SELF_HIT_EPS)[0]
         else:
             # segment 0's rays are the launch grid's; later ones scatter
-            t_hit, fid_hit, normals = (
+            t_hit, fid_hit = (
                 scene.intersect_batch(origins, dirs, _SELF_HIT_EPS,
                                       grid=plane, keep=keep)
                 if segment == 0 else
@@ -557,11 +566,10 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         seen = s_star <= t_near
 
         for i, s, q in zip(near[seen], s_star[seen], miss[seen]):
-            captured.append((
-                int(launch_idx[i]), segment, hist_fid[i].copy(),
-                hist_pts[i].copy(), hist_ang[i].copy(),
-                float(acc_len[i] + s), float(q), dirs[i].copy(),
-            ))
+            captured.append((int(launch_idx[i]), segment,
+                             hist_fid[i].copy(), hist_pts[i].copy(),
+                             hist_ang[i].copy(), float(acc_len[i] + s),
+                             float(q)))
 
         if segment == max_bounces:
             break
@@ -573,9 +581,7 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         idx = np.flatnonzero(alive)
         inc = dirs[idx]
         hit_pts = origins[idx] + t_hit[idx, None] * inc
-        n = normals[idx]
-        dn = np.einsum("ij,ij->i", inc, n)
-        new_dirs = inc - 2.0 * dn[:, None] * n
+        _, dn, new_dirs = _reflect(inc, scene.normals[fid_hit[idx]])
         if bounded and segment + 2 == max_bounces:
             # the next segment has one bounce left: only the rays that
             # can still be captured go on
@@ -583,13 +589,12 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
                                            axes)
             idx, hit_pts, new_dirs, dn = (idx[go], hit_pts[go],
                                           new_dirs[go], dn[go])
-        cos_inc = np.clip(-dn, -1.0, 1.0)
 
         acc_len = acc_len[idx] + t_hit[idx]
         hist_fid = np.concatenate([hist_fid[idx], fid_hit[idx, None]], 1)
         hist_pts = np.concatenate([hist_pts[idx], hit_pts[:, None]], 1)
         hist_ang = np.concatenate(
-            [hist_ang[idx], np.arccos(cos_inc)[:, None]], 1)
+            [hist_ang[idx], np.arccos(np.clip(-dn, -1.0, 1.0))[:, None]], 1)
         origins = hit_pts
         dirs = new_dirs
         launch_idx = launch_idx[idx]
@@ -603,9 +608,9 @@ def _path_records(captured: list[tuple], plane: LaunchPlane,
     """Deduplicated, sorted ``PathRecord``s from captured rays.
 
     Each capture is (launch index, bounces, face ids, points, incidence
-    angles, near-ground length, miss distance, final direction).  The
-    merge is deterministic: launch order first, then per-face-sequence
-    dedup keeping the closest pass, then a (bounces, length) sort.
+    angles, near-ground length, miss distance).  The merge is
+    deterministic: launch order first, then per-face-sequence dedup
+    keeping the closest pass, then a (bounces, length) sort.
     """
     captured = sorted(captured, key=lambda rec: rec[0])
     best: dict[tuple, tuple] = {}
@@ -617,29 +622,18 @@ def _path_records(captured: list[tuple], plane: LaunchPlane,
 
     records = []
     for rec in best.values():
-        (launch_index, bounces, fids, pts, angs, d_near, miss_d,
-         final_dir) = rec
+        launch_index, bounces, fids, pts, angs, d_near, miss_d = rec
         interactions = tuple(
             Interaction(point=pts[k], face_id=int(fids[k]),
                         incidence_angle=float(angs[k]),
                         material_id=int(scene.material_ids[int(fids[k])]))
             for k in range(bounces))
-        if bounces > 0:
-            anchor = pts[0]
-        else:
-            anchor = rx
-        aod = anchor - plane.sat_position
+        aod = (pts[0] if bounces else rx) - plane.sat_position
         aod = aod / np.linalg.norm(aod)
         records.append(PathRecord(
-            launch_index=launch_index,
-            interactions=interactions,
-            d_near_ground=d_near,
-            d_atmosphere=plane.d_atmosphere,
-            aod=aod,
-            aoa=final_dir,
-            bounce_count=bounces,
-            miss_distance=miss_d,
-        ))
+            launch_index=launch_index, interactions=interactions,
+            d_near_ground=d_near, d_atmosphere=plane.d_atmosphere, aod=aod,
+            bounce_count=bounces, miss_distance=miss_d))
     records.sort(key=lambda p: (p.bounce_count, p.d_near_ground))
     return records
 

@@ -21,6 +21,10 @@ subtract), and face normals come from the same
 bit.  (A hand-written ``ax*bx + ay*by + az*bz`` does not: ``einsum``
 sums the three products in another order.)
 
+``nearest_hits`` also returns each hit's face normal turned against the
+ray, its own reference for the orientation that ``tracer._reflect``
+gives: the engine returns only the distance and the face.
+
 ``trace_every_ray`` is the reference for ``tracer.trace``.
 
 Pass geometry.  ``doppler_closed_form`` is the closed-form along-track
@@ -54,7 +58,7 @@ from leochan.passes import (Ephemeris, NoPassFound, PassWindow,
                             gamma_at_culmination)
 from leochan.scene import _DET_EPS, M_PER_KM
 from leochan.states import Frame, StateVector
-from leochan.tracer import _SELF_HIT_EPS, _path_records
+from leochan.tracer import _SELF_HIT_EPS, _path_records, _reflect
 
 
 def nearest_hits(scene, origins, directions, t_min=0.0, t_max=np.inf):
@@ -103,7 +107,11 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
     No receiver window and no capture-first last segment: each segment
     intersects all its rays, with the launch grid's raster on segment 0,
     and keeps full-grid history arrays.  The captures go through the
-    tracer's own dedup and record step, ``tracer._path_records``.
+    tracer's own dedup and record step, ``tracer._path_records``, and
+    each hit reflects through its one reflection step,
+    ``tracer._reflect``: the reference is for what the march skips, not
+    for the law of reflection, which ``nearest_hits``' oriented normals
+    and the specularity test check.
     """
     rx = np.asarray(receiver, dtype=float)
     rx_radius = rx_radius_m / M_PER_KM
@@ -118,7 +126,7 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
     hist_ang = np.zeros((m, width))
     captured = []
     for segment in range(max_bounces + 1):
-        t_hit, fid_hit, normals = scene.intersect_batch(
+        t_hit, fid_hit = scene.intersect_batch(
             origins, dirs, _SELF_HIT_EPS,
             grid=plane if segment == 0 else None)
         s_star = np.einsum("ij,ij->i", rx[None, :] - origins, dirs)
@@ -130,16 +138,14 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
                 int(launch_idx[i]), segment,
                 hist_fid[i, :segment].copy(), hist_pts[i, :segment].copy(),
                 hist_ang[i, :segment].copy(),
-                float(acc_len[i] + s_star[i]), float(miss[i]),
-                dirs[i].copy()))
+                float(acc_len[i] + s_star[i]), float(miss[i])))
         alive = ~can_capture & (fid_hit >= 0)
         if segment == max_bounces or not alive.any():
             break
         idx = np.flatnonzero(alive)
         hit_pts = origins[idx] + t_hit[idx, None] * dirs[idx]
-        n = normals[idx]
-        d = dirs[idx]
-        cos_inc = np.clip(-np.einsum("ij,ij->i", d, n), -1.0, 1.0)
+        _, dn, out = _reflect(dirs[idx], scene.normals[fid_hit[idx]])
+        cos_inc = np.clip(-dn, -1.0, 1.0)
         acc_len = acc_len[idx] + t_hit[idx]
         hist_fid = hist_fid[idx]
         hist_pts = hist_pts[idx]
@@ -148,7 +154,7 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
         hist_pts[:, segment] = hit_pts
         hist_ang[:, segment] = np.arccos(cos_inc)
         origins = hit_pts
-        dirs = d - 2.0 * np.einsum("ij,ij->i", d, n)[:, None] * n
+        dirs = out
         launch_idx = launch_idx[idx]
     return _path_records(captured, plane, scene, rx)
 

@@ -176,7 +176,7 @@ def test_criterion_07_engine_oracle_agreement():
     origins[:, 2] = rng.uniform(-0.05, 0.5, n)
     dirs = rng.normal(size=(n, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    t, fid, _ = city.intersect_batch(origins, dirs, 1e-9)
+    t, fid = city.intersect_batch(origins, dirs, 1e-9)
     t_ref, fid_ref, _ = nearest_hits(city, origins, dirs, 1e-9)
     hit = fid_ref >= 0
     bad = fid != fid_ref

@@ -22,7 +22,7 @@ def _path(d_near=0.5, d_atm=549.5, interactions=(), launch_index=0):
     return PathRecord(
         launch_index=launch_index, interactions=tuple(interactions),
         d_near_ground=d_near, d_atmosphere=d_atm,
-        aod=np.array([0.0, 0.0, -1.0]), aoa=np.array([0.0, 0.0, -1.0]),
+        aod=np.array([0.0, 0.0, -1.0]),
         bounce_count=len(interactions), miss_distance=0.0)
 
 

@@ -148,8 +148,7 @@ class TestPerPathDoppler:
     def _los_path(self, aod):
         return PathRecord(launch_index=0, interactions=(),
                           d_near_ground=0.4, d_atmosphere=550.0,
-                          aod=np.asarray(aod, float),
-                          aoa=np.asarray(aod, float), bounce_count=0,
+                          aod=np.asarray(aod, float), bounce_count=0,
                           miss_distance=0.0)
 
     def test_perpendicular_velocity_zero(self):

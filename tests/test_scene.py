@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 import leochan.scene as scene_module
 from conftest import ground_plane, scene_to_text
 from oracle import nearest_hits
-from leochan.scene import (_LEAF_SIZE, CONCRETE, InvalidDimensions,
-                           Material, Scene, generate_city, scene_from_text)
+from leochan.scene import (_LEAF_SIZE, CONCRETE, DegenerateTriangle,
+                           InvalidDimensions, Material, Scene, generate_city,
+                           scene_from_text)
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
-from leochan.tracer import build_launch_plane
+from leochan.tracer import _reflect, build_launch_plane
 
 
 def test_single_block_triangle_count():
@@ -62,40 +63,61 @@ def test_degenerate_triangle_rejected():
         Scene(tri, np.zeros(1, dtype=int), [CONCRETE])
 
 
+def test_triangle_whose_area_overflows_rejected():
+    # finite vertices, but the cross product overflows: once accepted,
+    # with an infinite area and a NaN normal
+    tri = [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]
+    tris = np.concatenate([ground_plane().triangles, [tri]])
+    with pytest.raises(DegenerateTriangle, match="face 2") as exc:
+        Scene(tris, np.zeros(3, dtype=int), [CONCRETE])
+    assert exc.value.face == 2
+
+
 def _one_ray(scene, origin, direction):
-    t, fid, normal = scene.intersect_batch(np.array([origin], dtype=float),
-                                           np.array([direction], dtype=float))
-    return t[0], fid[0], normal[0]
+    t, fid = scene.intersect_batch(np.array([origin], dtype=float),
+                                   np.array([direction], dtype=float))
+    return t[0], fid[0]
 
 
 def test_vertical_ray_hits_ground():
     g = ground_plane(1000.0)
-    t, fid, normal = _one_ray(g, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    d = np.array([0.0, 0.0, -1.0])
+    t, fid = _one_ray(g, [0.0, 0.0, 1.0], d)
     assert fid >= 0
     assert t == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(normal, [0.0, 0.0, 1.0])
+    assert np.allclose(_reflect(d[None], g.normals[[fid]])[0], [0, 0, 1])
     assert g.material_ids[fid] == 0
 
 
 def test_parallel_outside_ray_misses():
     g = ground_plane(1000.0)
-    t, fid, _ = _one_ray(g, [2.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    t, fid = _one_ray(g, [2.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     assert fid == -1 and t == np.inf
 
 
 def test_normal_faces_against_ray():
+    # from below the ground, the normal that the tracer reflects about
+    # faces back along the ray, which goes straight back
     g = ground_plane(1000.0)
-    _, fid, normal = _one_ray(g, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
+    d = np.array([[0.0, 0.0, 1.0]])
+    _, fid = _one_ray(g, [0.0, 0.0, -1.0], d[0])
     assert fid >= 0
-    assert normal[2] == -1.0
+    n, dn, out = _reflect(d, g.normals[[fid]])
+    assert n[0, 2] == -1.0 and dn[0] == -1.0
+    assert np.array_equal(out, -d)
 
 
 def _assert_matches_oracle(scene, origins, dirs, t_min, grid=None):
-    t, fid, normals = scene.intersect_batch(origins, dirs, t_min, grid=grid)
+    # The engine's hits are the oracle's, and per hit the normal that
+    # the tracer turns against the ray is the oracle's, row for row.
+    t, fid = scene.intersect_batch(origins, dirs, t_min, grid=grid)
     t_ref, fid_ref, normals_ref = nearest_hits(scene, origins, dirs, t_min)
     assert np.array_equal(fid, fid_ref)
     assert np.array_equal(t, t_ref)
-    assert np.array_equal(normals, normals_ref)
+    hit = np.flatnonzero(fid >= 0)
+    n = _reflect(np.asarray(dirs, dtype=float)[hit],
+                 scene.normals[fid[hit]])[0]
+    assert np.array_equal(n, normals_ref[hit])
 
 
 def test_bvh_equals_brute_force_random_rays(rng):
@@ -121,13 +143,11 @@ def test_batch_equals_single_queries(rng):
     origins[:, 2] = rng.uniform(0.0, 0.4, n)
     dirs = rng.normal(size=(n, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    ts, fids, normals = city.intersect_batch(origins, dirs, 1e-9)
+    ts, fids = city.intersect_batch(origins, dirs, 1e-9)
     for i in range(n):
-        t, fid, normal = city.intersect_batch(origins[i:i + 1],
-                                              dirs[i:i + 1], 1e-9)
+        t, fid = city.intersect_batch(origins[i:i + 1], dirs[i:i + 1], 1e-9)
         assert fids[i] == fid[0]
         assert ts[i] == t[0]
-        assert np.array_equal(normals[i], normal[0])
 
 
 def test_rays_at_ground_perimeter_survive_box_cull():
@@ -448,7 +468,7 @@ def _launch_grid_case(draw):
 @given(_launch_grid_case())
 def test_grid_path_equals_oracle(case):
     # The span raster must list every true hit of the launch grid's
-    # rays: then t, face id and normal are the oracle's to the bit.
+    # rays: then t and face id are the oracle's to the bit.
     scene, plane, t_min = case
     origins = plane.launch_points()
     dirs = np.broadcast_to(plane.direction, origins.shape).copy()
@@ -597,6 +617,19 @@ def test_text_import_names_line_of_bad_material_id():
     lines[1] = lines[1].rsplit(",", 1)[0] + ",3"
     with pytest.raises(ValueError, match=r"line 2: material id 3"):
         scene_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("bad", [
+    "0,0,0, 1,0,0, 2,0,0",
+    # finite, but its cross product overflows: once accepted, with an
+    # infinite area and a NaN normal
+    "0,0,0, 1e200,0,0, 0,1e200,0",
+])
+def test_text_import_names_line_of_degenerate_triangle(bad):
+    lines = scene_to_text(ground_plane()).splitlines()
+    with pytest.raises(ValueError, match=r"^line 3: degenerate triangle$"):
+        scene_from_text("\n".join([lines[0], "# note", bad + ",0",
+                                   lines[1]]))
 
 
 def test_text_import_names_line_of_bad_coordinate():

@@ -248,6 +248,10 @@ class TestCli:
     @pytest.mark.parametrize("line,expected", [
         ("0,0,0, 0.1,0,0, 0,0.1,0, 3", "line 2: material id 3"),
         ("x-0.09,0,0, 0.1,0,0, 0,0.1,0, 0", "line 2: could not convert"),
+        ("0,0,0, 0.1,0,0, 0.2,0,0, 0", "line 2: degenerate triangle"),
+        # its cross product overflows: once an infinite area, a NaN
+        # normal and a run that exited 0 with empty snapshots
+        ("0,0,0, 1e200,0,0, 0,1e200,0, 0", "line 2: degenerate triangle"),
     ])
     def test_bad_scene_file_exit_two_names_file_and_line(
             self, tmp_path, capsys, no_pass_search, line, expected):
@@ -327,6 +331,30 @@ class TestCli:
         assert main(["pass", "--tle", str(bad), "--site", "0,0,0"]) == 2
         assert (f"{bad}:2-3: mean motion: not a decimal number"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "trace-once", "pass"])
+    @pytest.mark.parametrize("revs,expected", [
+        ("2.00000000", "period 720.1 min exceeds the near-Earth regime"),
+        ("18.00000000",
+         "perigee radius 6157.3 km is at or below the surface"),
+    ])
+    def test_element_set_sgp4_refuses_exit_two_names_file(
+            self, tmp_path, capsys, no_pass_search, command, revs,
+            expected):
+        # once exit 4 from Ephemeris or the pass search, naming no file
+        name, line1, line2 = DEMO_TLE.read_text().splitlines()
+        line2 = line2[:52] + f"{revs:>11}" + line2[63:68]
+        bad = tmp_path / "bad.tle"
+        bad.write_text(f"{name}\n{line1}\n{line2}{tle_checksum(line2)}\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {bad}\n")
+        argv = {"simulate": ["--config", str(cfg)],
+                "trace-once": ["--config", str(cfg), "--at-minute", "1"],
+                "pass": ["--tle", str(bad), "--site", "0,0,0"]}[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: element set 90000 " in err
+        assert expected in err
 
     def test_non_utf8_config_exit_two_names_file_and_line(
             self, tmp_path, capsys, no_pass_search):

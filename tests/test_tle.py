@@ -1,12 +1,21 @@
 import math
 import re
+from datetime import timedelta
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import format_tle, synthetic_tle
+from leochan.passes import Ephemeris
+from leochan.sgp4 import PropagationError
 from leochan.tle import (ChecksumMismatch, LineLengthError, MalformedField,
-                         Tle, parse_tle, read_tle_file, tle_checksum)
+                         Tle, TleError, parse_tle, read_tle_file,
+                         tle_checksum)
 from leochan.timebase import utc
+
+DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
 
 # Real element sets (checksums verified by hand-summing digits mod 10).
 ISS_2020 = (
@@ -201,3 +210,47 @@ def test_read_tle_file_non_decimal_mean_motion_names_file_line(tmp_path,
 def test_decimal_fields_keep_their_column_forms(field):
     tle = parse_tle(ISS_2020[0], _with_mean_motion(field))
     assert tle.mean_motion_revs_per_day == float(field)
+
+
+# minutes after the epoch at which a parsed mutant is propagated
+_PROBE_MINUTES = (0.0, 90.0, 720.0, 2880.0)
+
+
+@st.composite
+def _mutant_lines(draw):
+    """The demo set's two element lines with one to three columns
+    changed, and both checksums repaired."""
+    name, *lines = DEMO_TLE.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 1))
+        col = draw(st.integers(0, 67))
+        char = draw(st.sampled_from("0123456789 .+-eEUA"))
+        lines[k] = lines[k][:col] + char + lines[k][col + 1:]
+    return [name] + [line[:68] + str(tle_checksum(line[:68]))
+                     for line in lines]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_mutant_lines())
+def test_mutated_element_set_fails_by_name_or_propagates(tmp_path_factory,
+                                                          lines):
+    # A damaged set is refused naming its file line; a set that parses
+    # either propagates to finite Earth-fixed states over two days or
+    # raises one of SGP4's named errors, and nothing else happens.
+    path = tmp_path_factory.mktemp("mutant") / "sat.tle"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        (tle,) = read_tle_file(path)
+    except TleError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+(-\d+)?: ", str(exc))
+        return
+    try:
+        ephem = Ephemeris(tle)
+        states = [ephem.ecef_at(tle.epoch + timedelta(minutes=m))
+                  for m in _PROBE_MINUTES]
+    except PropagationError as exc:
+        assert type(exc) is not PropagationError and str(exc)
+        return
+    for state in states:
+        assert np.isfinite(state.position).all()
+        assert np.isfinite(state.velocity).all()

@@ -16,8 +16,8 @@ from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
                             SatelliteBelowHorizon, _bound_slack, _grid_bands,
-                            _reaches_after_one_bounce, build_launch_plane,
-                            dump_paths, trace)
+                            _reaches_after_one_bounce, _reflect,
+                            build_launch_plane, dump_paths, trace)
 
 T0 = utc(2023, 1, 1)
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "sim.cfg"
@@ -196,11 +196,10 @@ def test_specularity_and_segment_validity():
             seg_dir = seg / seg_len
             # incoming matches the current direction
             assert np.allclose(seg_dir, direction, atol=1e-9)
-            normal = city.normals[inter.face_id]
-            if float(normal @ direction) > 0.0:
-                normal = -normal
-            # specular: angle in == angle out, coplanar in/out/normal
-            out = direction - 2.0 * float(direction @ normal) * normal
+            # the tracer's reflection is specular: angle in == angle
+            # out, and in, out and normal are coplanar
+            normal, _, out = (v[0] for v in _reflect(
+                direction[None], city.normals[[inter.face_id]]))
             angle_in = math.acos(min(1.0, -float(direction @ normal)))
             angle_out = math.acos(min(1.0, float(out @ normal)))
             assert abs(angle_in - angle_out) < 1e-9
@@ -328,7 +327,6 @@ def test_paths_sorted_and_unit_vectors():
     assert keys == sorted(keys)
     for p in paths:
         assert abs(np.linalg.norm(p.aod) - 1.0) < 1e-9
-        assert abs(np.linalg.norm(p.aoa) - 1.0) < 1e-9
         assert p.bounce_count == len(p.interactions) <= 2
         # near-ground length consistent with the recorded geometry
         pts = [plane.launch_points()[p.launch_index]]
@@ -405,13 +403,10 @@ def _bounce_case(draw):
         d = _unit(other + 10.0 ** rng.uniform(-12, -3) * n)
     o = rng.uniform(-1.0, 1.0, 3)
     t = 10.0 ** rng.uniform(-6, 0.3)
-    # the tracer's hit point and reflection, about the normal as
-    # intersect_batch orients it
+    # the tracer's hit point and reflection
     inc = d[None]
-    n_hit = (-n if n @ d > 0.0 else n)[None]
     p = (o[None] + np.array([t])[:, None] * inc)[0]
-    d_out = (inc - 2.0 * np.einsum("ij,ij->i", inc, n_hit)[:, None]
-             * n_hit)[0]
+    d_out = _reflect(inc, n[None])[2][0]
     rx_radius = 10.0 ** rng.uniform(-4, -1)
     where = draw(st.sampled_from(["reflected", "own", "origin"]))
     if where == "origin":
@@ -469,7 +464,8 @@ def test_bound_drops_rays_far_from_their_wedge(rng):
     for o, d, k in zip(origins, dirs, keep):
         if (1.0 - (d @ normals.T) ** 2).min() < 1e-4:
             continue  # a normal nearly along d keeps the ray
-        best = min(_wedge_distance(rx - o, d, d - 2.0 * (d @ n) * n)
+        best = min(_wedge_distance(rx - o, d,
+                                   _reflect(d[None], n[None])[2][0])
                    for n in normals)
         assert k == (best <= rx_radius)
     assert 0 < keep.sum() < len(keep)
@@ -523,13 +519,13 @@ def _march(plane, scene, bounces):
     dirs = np.broadcast_to(plane.direction, origins.shape)
     launch_idx = np.arange(len(origins))
     for segment in range(bounces):
-        t, fid, normals = scene.intersect_batch(
+        t, fid = scene.intersect_batch(
             origins, dirs, _SELF_HIT_EPS,
             grid=plane if segment == 0 else None)
         idx = np.flatnonzero(fid >= 0)
-        inc, n = dirs[idx], normals[idx]
+        inc = dirs[idx]
         origins = origins[idx] + t[idx, None] * inc
-        dirs = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+        dirs = _reflect(inc, scene.normals[fid[idx]])[2]
         launch_idx = launch_idx[idx]
     return launch_idx, origins, dirs
 
@@ -597,11 +593,11 @@ def _band_edge_case(frac):
     plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
                                spacing_m=4.0)
     _, origins, dirs = _march(plane, city, 1)
-    t, fid, normals = city.intersect_batch(origins, dirs, _SELF_HIT_EPS)
+    t, fid = city.intersect_batch(origins, dirs, _SELF_HIT_EPS)
     hit = np.flatnonzero(fid >= 0)
-    inc, n = dirs[hit], normals[hit]
+    inc = dirs[hit]
     second = origins[hit] + t[hit, None] * inc
-    out = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+    n, _, out = _reflect(inc, city.normals[fid[hit]])
     run = city.intersect_batch(second, out, _SELF_HIT_EPS)[0]
     run = np.where(np.isfinite(run), run, 0.04)
     i = int(np.argmax(run))
@@ -767,7 +763,6 @@ def test_trace_equals_every_ray_march(case):
         assert _faces(p) == _faces(q)
         assert p.d_near_ground == q.d_near_ground
         assert p.miss_distance == q.miss_distance
-        assert np.array_equal(p.aoa, q.aoa)
         assert np.array_equal(p.aod, q.aod)
         for a, b in zip(p.interactions, q.interactions):
             assert np.array_equal(a.point, b.point)
@@ -796,22 +791,20 @@ def test_grid_bound_keeps_every_ray_the_bound_keeps(case):
     slack = _bound_slack(rx, rx_radius, scene.bounds)
     origins = plane.launch_points()
     dirs = np.broadcast_to(plane.direction, origins.shape)
-    t, fid, normals = scene.intersect_batch(origins, dirs, _SELF_HIT_EPS,
-                                            grid=plane)
+    t, fid = scene.intersect_batch(origins, dirs, _SELF_HIT_EPS, grid=plane)
     hit = np.flatnonzero(fid >= 0)
-    inc, n = dirs[hit], normals[hit]
+    inc = dirs[hit]
     p = origins[hit] + t[hit, None] * inc
-    out = inc - 2.0 * np.einsum("ij,ij->i", inc, n)[:, None] * n
+    out = _reflect(inc, scene.normals[fid[hit]])[2]
     window = np.zeros(len(origins), dtype=bool)
     keep = _grid_bands(plane, scene, rx, slack, axes, window)
     needed = _reaches_after_one_bounce(p, out, rx, slack, axes)
-    t_k, fid_k, normals_k = scene.intersect_batch(
+    t_k, fid_k = scene.intersect_batch(
         origins, dirs, _SELF_HIT_EPS, grid=plane, keep=keep)
     kept = fid_k >= 0
     assert kept[hit[needed]].all()
     assert np.array_equal(fid_k[kept], fid[kept])
     assert np.array_equal(t_k[kept], t[kept])
-    assert np.array_equal(normals_k[kept], normals[kept])
     assert np.isinf(t_k[~kept]).all()
 
 
