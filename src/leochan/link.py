@@ -3,7 +3,9 @@
 Large-scale loss is free-space path loss over the full satellite-to-
 receiver distance plus a rain term with an elevation-dependent effective
 path, both in the dB domain.  Reflected paths additionally pay the
-Fresnel power reflection loss of each surface interaction.  Snapshot
+Fresnel power reflection loss of each surface interaction.  Every
+surface is concrete (``CONCRETE``), so the material is a constant of
+this module and no scene or path record carries one.  Snapshot
 aggregates are the linear-power sum and the power-weighted RMS delay
 spread.
 
@@ -23,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .scene import Material
 from .tracer import PathRecord
 
 if TYPE_CHECKING:
@@ -38,6 +39,23 @@ RAIN_PATH_CONSTANT = 0.232 - 0.00018
 
 POLARIZATIONS = ("H", "V")
 RAIN_PATH_MODES = ("verbatim", "latitude")
+
+
+@dataclass(frozen=True)
+class Material:
+    name: str
+    relative_permittivity: float
+    conductivity: float  # S/m
+
+    def __post_init__(self):
+        if self.relative_permittivity < 1.0:
+            raise ValueError("relative permittivity must be >= 1")
+        if self.conductivity < 0.0:
+            raise ValueError("conductivity must be >= 0")
+
+
+# ITU-style building-material constants: the material of every face.
+CONCRETE = Material("concrete", 5.31, 0.1395)
 
 
 class NonPositiveInput(ValueError):
@@ -124,11 +142,12 @@ def reflection_loss_db(incidence_angle: float, material: Material,
 
 
 def path_power_dbm(path: PathRecord, config: SimConfig,
-                   elevation_rad: float, materials: list[Material]) -> float:
+                   elevation_rad: float) -> float:
     """Received power of one traced path under ``config``'s link keys.
 
     Transmit power minus free-space loss over the total distance, minus
-    rain attenuation, minus the Fresnel loss of every reflection.
+    rain attenuation, minus the Fresnel loss of every reflection off
+    concrete.
     Antennas are isotropic (0 dBi).
     """
     total = path.total_distance
@@ -139,8 +158,7 @@ def path_power_dbm(path: PathRecord, config: SimConfig,
             elevation_rad,
             rain_path_constant(config.rain_path_mode, config.site_lat_deg))
     for interaction in path.interactions:
-        material = materials[interaction.material_id]
-        power -= reflection_loss_db(interaction.incidence_angle, material,
+        power -= reflection_loss_db(interaction.incidence_angle, CONCRETE,
                                     config.fc_mhz, config.polarization)
     return power
 
@@ -193,7 +211,6 @@ def rms_delay_spread_ns(powers_dbm, delays_us) -> float:
 
 def build_snapshot(t: datetime, elevation_rad: float,
                    paths: list[PathRecord], config: SimConfig,
-                   materials: list[Material],
                    dopplers_hz: list[float]) -> ChannelSnapshot:
     """Score traced paths under ``config``'s link keys and assemble the
     per-instant snapshot."""
@@ -201,8 +218,7 @@ def build_snapshot(t: datetime, elevation_rad: float,
         raise ValueError("one Doppler value per path required")
     scored = [
         ScoredPath(record=p,
-                   power_dbm=path_power_dbm(p, config, elevation_rad,
-                                            materials),
+                   power_dbm=path_power_dbm(p, config, elevation_rad),
                    delay_us=path_delay_us(p),
                    doppler_hz=float(fd))
         for p, fd in zip(paths, dopplers_hz)

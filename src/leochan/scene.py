@@ -7,7 +7,8 @@ intersection engine; it must agree exactly with a brute-force oracle over
 every triangle (same Moller-Trumbore arithmetic) and breaks distance ties
 on the lower face id.  A hit is a distance and a face id, nothing more:
 the tracer turns the face's normal against the ray and reflects it
-(``tracer._reflect``).
+(``tracer._reflect``).  A scene holds geometry only: every face is
+concrete, a constant of the link budget (``link.CONCRETE``).
 
 The engine has two sources of candidate (ray, face) pairs and one
 nearest-hit step.  Each source yields its pairs in batches that hold
@@ -78,7 +79,6 @@ costs nothing and reports a miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,23 +117,6 @@ class DegenerateTriangle(ValueError):
     def __init__(self, face: int):
         super().__init__(f"degenerate triangle (face {face}) in scene")
         self.face = face
-
-
-@dataclass(frozen=True)
-class Material:
-    name: str
-    relative_permittivity: float
-    conductivity: float  # S/m
-
-    def __post_init__(self):
-        if self.relative_permittivity < 1.0:
-            raise ValueError("relative permittivity must be >= 1")
-        if self.conductivity < 0.0:
-            raise ValueError("conductivity must be >= 0")
-
-
-# ITU-style building-material constants used as the single default.
-CONCRETE = Material("concrete", 5.31, 0.1395)
 
 
 def _morton_order(points: np.ndarray, lo: np.ndarray,
@@ -233,24 +216,17 @@ def _moller_trumbore(origins, directions, v0, e1, e2, t_min):
 
 
 class Scene:
-    """Immutable triangle soup with materials and batch ray queries.
+    """Immutable triangle soup with batch ray queries.
 
-    The scene keeps read-only copies of its triangles and material ids,
-    so a caller that later changes its own arrays cannot make them
-    disagree with the tree and the face data built from them."""
+    Every face is concrete: the link budget charges each reflection the
+    Fresnel loss of ``link.CONCRETE``, so a scene holds geometry only.
+    It keeps a read-only copy of its triangles, so a caller that later
+    changes its own array cannot make it disagree with the tree and the
+    face data built from it."""
 
-    def __init__(self, triangles: np.ndarray, material_ids: np.ndarray,
-                 materials: list[Material]):
+    def __init__(self, triangles: np.ndarray):
         triangles = np.array(triangles, dtype=float).reshape(-1, 3, 3)
-        material_ids = np.array(material_ids, dtype=int)
         triangles.flags.writeable = False
-        material_ids.flags.writeable = False
-        if len(material_ids) != len(triangles):
-            raise ValueError("one material id per triangle required")
-        if len(material_ids) and (material_ids.min() < 0
-                                  or material_ids.max() >= len(materials)):
-            raise ValueError(
-                f"material ids must be in [0, {len(materials)})")
         if not np.isfinite(triangles).all():
             raise ValueError("non-finite vertex coordinate in scene")
         v0 = triangles[:, 0, :]
@@ -266,8 +242,6 @@ class Scene:
         if not ok.all():
             raise DegenerateTriangle(int(np.argmin(ok)))
         self.triangles = triangles
-        self.material_ids = material_ids
-        self.materials = list(materials)
         self._v0, self._e1, self._e2 = v0, e1, e2
         normals /= lengths[:, None]
         normals.flags.writeable = False
@@ -565,8 +539,7 @@ _BOX_TRIANGLES = np.array([tri for a, b, c, d in _BOX_QUADS
 def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
                   street_w_m: float = 20.0, height_law: str = "uniform",
                   h_min_m: float = 20.0, h_max_m: float = 120.0,
-                  h_const_m: float = 30.0, seed: int = 0,
-                  materials: list[Material] | None = None) -> Scene:
+                  h_const_m: float = 30.0, seed: int = 0) -> Scene:
     """Procedural Manhattan-style grid: box buildings over a ground plane.
 
     Deterministic for a fixed seed; buildings are watertight 12-triangle
@@ -615,20 +588,14 @@ def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
     np.take(corners, _BOX_TRIANGLES, axis=1,
             out=triangles[:-2].reshape(len(corners), -1, 3, 3))
     triangles[-2:] = ground[[[0, 1, 2], [0, 2, 3]]]
-    if materials is None:
-        materials = [CONCRETE]
-    material_ids = np.zeros(len(triangles), dtype=int)
-    return Scene(triangles, material_ids, materials)
+    return Scene(triangles)
 
 
-def scene_from_text(text: str,
-                    materials: list[Material] | None = None) -> Scene:
+def scene_from_text(text: str) -> Scene:
     """Parse a scene file, one triangle per line: nine vertex coordinates
-    (km) and a material id.  Errors name the offending line."""
-    if materials is None:
-        materials = [CONCRETE]
+    (km) and a material id, which must be 0 (concrete, the one material).
+    Errors name the offending line."""
     tris = []
-    mats = []
     linenos = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -646,15 +613,12 @@ def scene_from_text(text: str,
         tri = np.asarray(values).reshape(3, 3)
         if not np.isfinite(tri).all():
             raise ValueError(f"line {lineno}: non-finite coordinate")
-        if not 0 <= mat < len(materials):
-            raise ValueError(f"line {lineno}: material id {mat} not in "
-                             f"[0, {len(materials)})")
+        if mat != 0:
+            raise ValueError(f"line {lineno}: material id {mat} is not 0")
         tris.append(tri)
-        mats.append(mat)
         linenos.append(lineno)
     try:
-        return Scene(np.asarray(tris).reshape(-1, 3, 3),
-                     np.asarray(mats, dtype=int), materials)
+        return Scene(np.asarray(tris).reshape(-1, 3, 3))
     except DegenerateTriangle as exc:
         raise ValueError(
             f"line {linenos[exc.face]}: degenerate triangle") from None

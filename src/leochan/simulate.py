@@ -93,8 +93,7 @@ def simulate_snapshot(t: datetime, ephem: Ephemeris,
     dopplers = [passes.per_path_doppler(p, local.velocity,
                                         config.fc_mhz * 1e6)
                 for p in paths]
-    return link.build_snapshot(t, elevation, paths, config,
-                               city.materials, dopplers)
+    return link.build_snapshot(t, elevation, paths, config, dopplers)
 
 
 def first_element_set(path) -> Tle:

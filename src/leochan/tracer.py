@@ -101,7 +101,6 @@ class Interaction:
     point: np.ndarray        # km, local frame
     face_id: int
     incidence_angle: float   # rad, measured from the surface normal
-    material_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -600,11 +599,11 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         launch_idx = launch_idx[idx]
         near = slice(None)
 
-    return _path_records(captured, plane, scene, rx)
+    return _path_records(captured, plane, rx)
 
 
 def _path_records(captured: list[tuple], plane: LaunchPlane,
-                  scene: Scene, rx: np.ndarray) -> list[PathRecord]:
+                  rx: np.ndarray) -> list[PathRecord]:
     """Deduplicated, sorted ``PathRecord``s from captured rays.
 
     Each capture is (launch index, bounces, face ids, points, incidence
@@ -625,8 +624,7 @@ def _path_records(captured: list[tuple], plane: LaunchPlane,
         launch_index, bounces, fids, pts, angs, d_near, miss_d = rec
         interactions = tuple(
             Interaction(point=pts[k], face_id=int(fids[k]),
-                        incidence_angle=float(angs[k]),
-                        material_id=int(scene.material_ids[int(fids[k])]))
+                        incidence_angle=float(angs[k]))
             for k in range(bounces))
         aod = (pts[0] if bounces else rx) - plane.sat_position
         aod = aod / np.linalg.norm(aod)

@@ -1,7 +1,7 @@
 """Shared fixtures: the acceptance summary, perfbench loading, and the
 builders the tests make their inputs with (formatted and synthetic
-element sets, a bare ground plane, scene files).  None of this runs in a
-simulation."""
+element sets, a bare ground plane, scene files, mutated input files).
+None of this runs in a simulation."""
 
 import importlib.util
 import io
@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from leochan.scene import CONCRETE, M_PER_KM, Material, Scene
+from leochan.scene import M_PER_KM, Scene
 from leochan.timebase import utc
 from leochan.tle import Tle, parse_tle, tle_checksum
 
@@ -122,25 +123,41 @@ def synthetic_tle(*, epoch: datetime, inclination_deg: float, raan_deg: float,
     return parse_tle(line1, line2, name=name)
 
 
-def ground_plane(width_m: float = 1000.0,
-                 materials: list[Material] | None = None) -> Scene:
+def ground_plane(width_m: float = 1000.0) -> Scene:
     """Bare square ground plane centered at the origin (two triangles)."""
     h = width_m / 2.0 / M_PER_KM
     quad = np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
     tris = np.asarray([quad[[0, 1, 2]], quad[[0, 2, 3]]])
-    if materials is None:
-        materials = [CONCRETE]
-    return Scene(tris, np.zeros(2, dtype=int), materials)
+    return Scene(tris)
 
 
 def scene_to_text(scene: Scene) -> str:
     """A scene file for ``scene_from_text``: one triangle per line, nine
-    vertex coordinates (km) and a material id."""
+    vertex coordinates (km) and the material id 0."""
     buf = io.StringIO()
-    for tri, mat in zip(scene.triangles, scene.material_ids):
+    for tri in scene.triangles:
         coords = ",".join(repr(float(v)) for v in tri.reshape(9))
-        buf.write(f"{coords},{int(mat)}\n")
+        buf.write(f"{coords},0\n")
     return buf.getvalue()
+
+
+@st.composite
+def one_line_mutant(draw, text: str, alphabet: str) -> tuple[str, int]:
+    """``text`` with one to three characters of one of its lines
+    replaced, inserted or deleted (from ``alphabet``, which holds no line
+    break), and the number of that line."""
+    lines = text.splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    for _ in range(draw(st.integers(1, 3))):
+        ops = ("replace", "insert", "delete") if line else ("insert",)
+        op = draw(st.sampled_from(ops))
+        width = op != "insert"
+        col = draw(st.integers(0, len(line) - width))
+        char = "" if op == "delete" else draw(st.sampled_from(alphabet))
+        line = line[:col] + char + line[col + width:]
+    lines[k] = line
+    return "\n".join(lines) + "\n", k + 1
 
 
 def circular_mean_motion(altitude_km: float) -> float:

@@ -156,7 +156,7 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
         origins = hit_pts
         dirs = out
         launch_idx = launch_idx[idx]
-    return _path_records(captured, plane, scene, rx)
+    return _path_records(captured, plane, rx)
 
 
 def elevation_triangle(site_ecef, sat_ecef) -> float:

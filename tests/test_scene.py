@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leochan.scene as scene_module
-from conftest import ground_plane, scene_to_text
+from conftest import ground_plane, one_line_mutant, scene_to_text
 from oracle import nearest_hits
-from leochan.scene import (_LEAF_SIZE, CONCRETE, DegenerateTriangle,
-                           InvalidDimensions, Material, Scene, generate_city,
-                           scene_from_text)
+from leochan.scene import (_LEAF_SIZE, DegenerateTriangle, InvalidDimensions,
+                           Scene, generate_city, scene_from_text)
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import _reflect, build_launch_plane
@@ -48,19 +47,10 @@ def test_invalid_dimensions():
         generate_city(2, 2, height_law="fractal")
 
 
-def test_material_invariants():
-    with pytest.raises(ValueError):
-        Material("void", 0.5, 0.0)
-    with pytest.raises(ValueError):
-        Material("weird", 2.0, -1.0)
-    assert CONCRETE.relative_permittivity == 5.31
-    assert CONCRETE.conductivity == 0.1395
-
-
 def test_degenerate_triangle_rejected():
     tri = np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], dtype=float)
     with pytest.raises(ValueError):
-        Scene(tri, np.zeros(1, dtype=int), [CONCRETE])
+        Scene(tri)
 
 
 def test_triangle_whose_area_overflows_rejected():
@@ -69,7 +59,7 @@ def test_triangle_whose_area_overflows_rejected():
     tri = [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]
     tris = np.concatenate([ground_plane().triangles, [tri]])
     with pytest.raises(DegenerateTriangle, match="face 2") as exc:
-        Scene(tris, np.zeros(3, dtype=int), [CONCRETE])
+        Scene(tris)
     assert exc.value.face == 2
 
 
@@ -86,7 +76,6 @@ def test_vertical_ray_hits_ground():
     assert fid >= 0
     assert t == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(_reflect(d[None], g.normals[[fid]])[0], [0, 0, 1])
-    assert g.material_ids[fid] == 0
 
 
 def test_parallel_outside_ray_misses():
@@ -196,8 +185,7 @@ _direction = st.one_of(
 @st.composite
 def _scene_and_rays(draw):
     tris = draw(st.lists(_triangle, max_size=6))
-    scene = Scene(np.asarray(tris, dtype=float).reshape(-1, 3, 3),
-                  np.zeros(len(tris), dtype=int), [CONCRETE])
+    scene = Scene(np.asarray(tris, dtype=float).reshape(-1, 3, 3))
     # origin components on the box faces, on the grid (mostly inside the
     # box) or anywhere around it
     lo, hi = scene.bounds
@@ -258,11 +246,11 @@ def _soup(rng, n, n_wide=0):
                 ends = rng.choice(3, 2, replace=False)
                 tri[ends, axis] = -1.5, 1.5
     tris = rng.permutation(np.concatenate([tris, wide]))
-    return Scene(tris, np.zeros(len(tris), dtype=int), [CONCRETE])
+    return Scene(tris)
 
 
 def _without_ground(city):
-    return Scene(city.triangles[:-2], city.material_ids[:-2], city.materials)
+    return Scene(city.triangles[:-2])
 
 
 @st.composite
@@ -327,8 +315,7 @@ _WIDE_CASES = {
     "city 20x20": (lambda: generate_city(20, 20, seed=4), 2),
     "bare city": (lambda: _without_ground(generate_city(6, 6, seed=2)), 0),
     "ground": (ground_plane, 2),
-    "one face": (lambda: Scene(ground_plane().triangles[:1], [0],
-                               [CONCRETE]), 1),
+    "one face": (lambda: Scene(ground_plane().triangles[:1]), 1),
     "soup": (lambda: _soup(np.random.default_rng(1), 2 * _LEAF_SIZE + 1), 0),
     "soup, 1 wide": (lambda: _soup(np.random.default_rng(2),
                                    16 * _LEAF_SIZE + 2, 1), 1),
@@ -458,7 +445,7 @@ def _launch_grid_case(draw):
             tris = tris if _area(tris[0]) > 1e-12 else city.triangles[-1:]
         else:
             tris = _snapped_mesh(draw, plane, rng)
-        scene = Scene(tris, np.zeros(len(tris), dtype=int), [CONCRETE])
+        scene = Scene(tris)
     t_min = draw(st.one_of(st.sampled_from([0.0, 1e-7]),
                            st.floats(0.0, 0.1)))
     return scene, plane, t_min
@@ -519,7 +506,7 @@ def _doubled(scene, seed):
     new_id = np.argsort(perm)
     twin = new_id[(perm + n) % (2 * n)]
     tris = np.concatenate([scene.triangles, scene.triangles])[perm]
-    return Scene(tris, np.zeros(2 * n, dtype=int), [CONCRETE]), twin
+    return Scene(tris), twin
 
 
 @pytest.mark.parametrize("source", ["walk", "raster"])
@@ -557,7 +544,7 @@ def test_grid_path_rejects_other_rays():
 def test_watertight_box_entry_exit_parity(rng):
     city = generate_city(1, 1, height_law="constant", h_const_m=50.0)
     # strip the ground so only the box remains
-    box = Scene(city.triangles[:12], city.material_ids[:12], city.materials)
+    box = Scene(city.triangles[:12])
     n = 10_000
     # aim from random outside points at random points inside the box
     origins = rng.uniform(-1.0, 1.0, (n, 3))
@@ -583,22 +570,12 @@ def test_text_round_trip():
     text = scene_to_text(city)
     back = scene_from_text(text)
     assert np.array_equal(back.triangles, city.triangles)
-    assert np.array_equal(back.material_ids, city.material_ids)
 
 
 def test_text_import_rejects_bad_field_count():
     with pytest.raises(ValueError):
         scene_from_text("1,2,3,4,5\n")
 
-
-
-def test_scene_rejects_material_id_out_of_range():
-    city = generate_city(1, 1)
-    ids = city.material_ids.copy()
-    for bad in (1, -1):
-        ids[3] = bad
-        with pytest.raises(ValueError, match="material ids"):
-            Scene(city.triangles, ids, city.materials)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -609,14 +586,37 @@ def test_scene_rejects_non_finite_vertices(bad):
     tris = g.triangles.copy()
     tris[1, 2, 0] = bad
     with pytest.raises(ValueError, match="non-finite vertex"):
-        Scene(tris, g.material_ids, g.materials)
+        Scene(tris)
 
 
 def test_text_import_names_line_of_bad_material_id():
+    # the id column takes exactly what int() reads as 0: concrete, the
+    # one material
     lines = scene_to_text(ground_plane()).splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0] + ",3"
-    with pytest.raises(ValueError, match=r"line 2: material id 3"):
-        scene_from_text("\n".join(lines))
+    coords = lines[1].rsplit(",", 1)[0]
+    for bad in ("1", "-1", "3"):
+        lines[1] = f"{coords},{bad}"
+        with pytest.raises(ValueError, match=rf"^line 2: material id {bad}"):
+            scene_from_text("\n".join(lines))
+    for zero in ("00", "+0", "-0"):
+        lines[1] = f"{coords},{zero}"
+        back = scene_from_text("\n".join(lines))
+        assert np.array_equal(back.triangles, ground_plane().triangles)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(one_line_mutant(scene_to_text(generate_city(1, 1, seed=3)),
+                       "0123456789.,-+eE_ #x"))
+def test_mutated_scene_file_builds_or_names_its_line(mutant):
+    # A damaged line is refused by its number, and nothing else happens:
+    # a mutant that is refused by no line builds a scene.
+    text, lineno = mutant
+    try:
+        scene = scene_from_text(text)
+    except ValueError as exc:
+        assert str(exc).startswith(f"line {lineno}: ")
+        return
+    assert len(scene) <= 14
 
 
 @pytest.mark.parametrize("bad", [
@@ -642,21 +642,16 @@ def test_text_import_names_line_of_bad_coordinate():
 
 
 def test_scene_keeps_its_own_arrays(rng):
-    # Changing the caller's arrays after construction must change
+    # Changing the caller's array after construction must change
     # nothing in the scene: its faces, the tree and the face data stay
-    # those it was built from, and its own arrays are read-only.
+    # those it was built from, and its own array is read-only.
     city = generate_city(2, 2, seed=5)
     tris = city.triangles.copy()
-    mats = city.material_ids.copy()
-    scene = Scene(tris, mats, city.materials)
+    scene = Scene(tris)
     tris += 0.25
-    mats[:] = 7
     assert np.array_equal(scene.triangles, city.triangles)
-    assert np.array_equal(scene.material_ids, city.material_ids)
     with pytest.raises(ValueError):
         scene.triangles[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        scene.material_ids[0] = 1
     origins = rng.uniform(-0.2, 0.2, (2000, 3))
     origins[:, 2] = rng.uniform(0.0, 0.2, 2000)
     dirs = rng.normal(size=(2000, 3))
@@ -672,15 +667,13 @@ def test_distinct_normals_up_to_sign():
     assert np.array_equal(axes, np.eye(3)[::-1])
     # a rotated soup: every face normal is one row or its negation
     rng = np.random.default_rng(3)
-    soup = Scene(rng.uniform(-1.0, 1.0, (40, 3, 3)), np.zeros(40, int),
-                 [CONCRETE])
+    soup = Scene(rng.uniform(-1.0, 1.0, (40, 3, 3)))
     axes = soup.distinct_normals
     assert len(axes) == 40
     for n in soup.normals:
         same = np.all(axes == n, axis=1) | np.all(axes == -n, axis=1)
         assert same.sum() == 1
-    assert Scene(np.empty((0, 3, 3)), np.empty(0, int),
-                 [CONCRETE]).distinct_normals.shape == (0, 3)
+    assert Scene(np.empty((0, 3, 3))).distinct_normals.shape == (0, 3)
 
 
 def test_shape_factors():
@@ -689,7 +682,7 @@ def test_shape_factors():
     # which meet the diagonal at 45 degrees, and large for a sliver.
     tris = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
                      [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]]])
-    scene = Scene(tris, np.zeros(2, dtype=int), [CONCRETE])
+    scene = Scene(tris)
     assert scene.shape_factors[0] == 1.0
     assert scene.shape_factors[1] == pytest.approx(math.hypot(1.0, 1e-3)
                                                    / 1e-3, rel=1e-12)

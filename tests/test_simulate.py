@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import one_line_mutant
 from leochan import passes
 from leochan.cli import main
 from leochan.config import (ConfigError, SimConfig, parse_config,
@@ -13,7 +15,8 @@ from leochan.link import total_power_dbm
 from leochan.simulate import PassReport, emit_outputs, run_pass_simulation
 from leochan.tle import tle_checksum
 
-DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+DEMO_TLE = DEMO / "demo.tle"
 
 LIGHT_CONFIG = f"""
 tle_path = {DEMO_TLE}
@@ -129,6 +132,21 @@ class TestConfig:
             got, want = getattr(cfg, f.name), getattr(defaults, f.name)
             assert type(got) is type(want), f.name
             assert got == want, f.name
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(one_line_mutant((DEMO / "sim.cfg").read_text(),
+                           "0123456789.,-+eE_=# abfinxy"))
+    def test_mutated_config_parses_or_names_line_or_key(self, mutant):
+        # A damaged line is refused by its number, or a bad value by its
+        # key, and nothing else happens.
+        text, lineno = mutant
+        try:
+            parse_config_text(text, base_dir=DEMO)
+        except ConfigError as exc:
+            msg = str(exc)
+            assert msg.startswith(f"line {lineno}: ") or any(
+                re.search(rf"\b{f.name}\b", msg) for f in fields(SimConfig))
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         tle = tmp_path / "a.tle"

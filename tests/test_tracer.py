@@ -10,7 +10,7 @@ from conftest import ground_plane
 from oracle import nearest_hits, trace_every_ray
 from leochan import tracer as tracer_module
 from leochan.config import parse_config
-from leochan.scene import CONCRETE, Scene, generate_city
+from leochan.scene import Scene, generate_city
 from leochan.simulate import prepare_pass
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
@@ -153,7 +153,7 @@ def test_capture_miss_distance_bounded_by_radius():
 def test_empty_scene_sees_only_the_sky(max_bounces):
     # No face: nothing to bound or hit, and the receiver gets its line
     # of sight alone.
-    scene = Scene(np.empty((0, 3, 3)), np.empty(0, dtype=int), [CONCRETE])
+    scene = Scene(np.empty((0, 3, 3)))
     plane = LaunchPlane(direction=np.array([0.0, 0.0, -1.0]),
                         origin=np.array([0.0, 0.0, 0.1]),
                         e1=np.array([1.0, 0.0, 0.0]),
@@ -563,8 +563,7 @@ def _turn(angle_deg):
 
 def _turned(scene, angle_deg):
     """``scene`` turned about the vertical by ``angle_deg``."""
-    return Scene(scene.triangles @ _turn(angle_deg).T, scene.material_ids,
-                 scene.materials)
+    return Scene(scene.triangles @ _turn(angle_deg).T)
 
 
 def _zenith_case(offset_deg, az_deg, max_bounces):
@@ -647,7 +646,7 @@ def _soup_scene(draw, spacing_m, rng):
     ground = 1.5 * half * np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0],
                                     [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]])
     tris = np.concatenate([tris, ground[[[0, 1, 2], [0, 2, 3]]]])
-    scene = Scene(tris, np.zeros(len(tris), dtype=int), [CONCRETE])
+    scene = Scene(tris)
     assert (len(scene.distinct_normals) <= _BOUND_MAX_NORMALS) == few
     return scene
 
@@ -767,7 +766,6 @@ def test_trace_equals_every_ray_march(case):
         for a, b in zip(p.interactions, q.interactions):
             assert np.array_equal(a.point, b.point)
             assert a.incidence_angle == b.incidence_angle
-            assert a.material_id == b.material_id
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
