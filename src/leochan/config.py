@@ -4,9 +4,12 @@ Every numeric key carries its unit in the name (fc_mhz, spacing_m, ...)
 so a config file can never be unit-ambiguous.  Unknown keys are errors:
 a typo should fail, not silently fall back to a default.
 
-``SimConfig`` is frozen: the record that passed its checks is the record
-every stage of a run reads, the link budget included.  A changed copy
-(``dataclasses.replace``) runs the checks again.
+``SimConfig.__post_init__`` is the one place that checks config values,
+and each message starts with the key it refuses.  The record is frozen:
+the record that passed its checks is the record every stage of a run
+reads (scene, tracer, frames and the link budget), and those stages do
+not check its values again.  A changed copy (``dataclasses.replace``)
+runs the checks again.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 from .link import POLARIZATIONS, RAIN_PATH_MODES
 from .scene import HEIGHT_LAWS
-from .tle import undecodable_line
+from .tle import read_utf8
 
 
 class ConfigError(ValueError):
@@ -70,26 +73,31 @@ class SimConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.time_step_s <= 0.0:
-            raise ConfigError("time_step_s must be positive")
-        if self.spacing_m <= 0.0:
-            raise ConfigError("spacing_m must be positive")
+        # keys that must be positive: the city's widths and heights are
+        # checked whatever scene_file and scene_height_law say
+        for key in ("time_step_s", "spacing_m", "fc_mhz", "rain_k",
+                    "rain_alpha", "scene_block_w_m", "scene_street_w_m",
+                    "scene_h_min_m", "scene_h_const_m"):
+            if getattr(self, key) <= 0.0:
+                raise ConfigError(f"{key} must be positive")
+        for key in ("jobs", "scene_grid_nx", "scene_grid_ny"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.scene_grid_nx * self.scene_grid_ny > 10_000:
+            raise ConfigError(
+                "scene_grid_nx * scene_grid_ny must be at most 10000")
+        if self.scene_h_max_m < self.scene_h_min_m:
+            raise ConfigError("scene_h_max_m must be >= scene_h_min_m")
         if self.max_bounces < 0:
             raise ConfigError("max_bounces must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if not -90.0 <= self.site_lat_deg <= 90.0:
             raise ConfigError("site_lat_deg must be in [-90, 90]")
         if self.rx_radius_m < 0.0:
             raise ConfigError("rx_radius_m must be >= 0 (0 = auto)")
         if not 0.0 <= self.theta_min_deg < 90.0:
             raise ConfigError("theta_min_deg must be in [0, 90)")
-        if self.fc_mhz <= 0.0:
-            raise ConfigError("fc_mhz must be positive")
         if self.rain_rate_mm_h < 0.0:
             raise ConfigError("rain_rate_mm_h must be >= 0")
-        if self.rain_k <= 0.0 or self.rain_alpha <= 0.0:
-            raise ConfigError("rain_k and rain_alpha must be positive")
         if self.polarization not in POLARIZATIONS:
             raise ConfigError(f"polarization must be one of {POLARIZATIONS}")
         if self.rain_path_mode not in RAIN_PATH_MODES:
@@ -140,12 +148,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
             if val and not Path(val).is_absolute():
                 values[key] = str(base_dir / val)
 
-    try:
-        cfg = SimConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = SimConfig(**values)
     if not cfg.tle_path:
         raise ConfigError("tle_path is required")
     if not Path(cfg.tle_path).exists():
@@ -158,13 +161,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
 def parse_config(path) -> SimConfig:
     path = Path(path)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
+        text = read_utf8(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"cannot read config: {path}:{undecodable_line(data, exc)}: "
-            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_config_text(text, base_dir=path.parent)

@@ -199,10 +199,9 @@ def build_local_frame(site_geodetic: tuple[float, float, float]) -> LocalFrame:
 
     ``site_geodetic`` is (lat_deg, lon_deg, alt_km); the site is the
     origin.  At the poles the first rotation angle is undefined and fixed
-    to zero.
+    to zero.  The latitude is in [-90, 90], as ``config.SimConfig``
+    checks.
     """
-    if not -90.0 <= site_geodetic[0] <= 90.0:
-        raise ValueError("latitude must be in [-90, 90] degrees")
     site = geodetic_to_ecef(*site_geodetic)
     ux, uy, uz = site
     rho = math.hypot(ux, uy)

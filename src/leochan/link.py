@@ -11,8 +11,12 @@ spread.
 
 The budget reads its carrier, transmit power, rain and polarization from
 the run's validated ``config.SimConfig``, under the config's own key
-names.  This module imports ``config`` only for type checking, as
-``config`` takes ``POLARIZATIONS`` and ``RAIN_PATH_MODES`` from here.
+names, and checks none of them again.  Nor does it check what a run
+cannot produce: every path length includes the positive satellite-to-
+plane leg, a run scores paths only above the horizon and only when it
+traced some, and an incidence angle lies in [0, pi/2].  This module
+imports ``config`` only for type checking, as ``config`` takes
+``POLARIZATIONS`` and ``RAIN_PATH_MODES`` from here.
 """
 
 from __future__ import annotations
@@ -47,27 +51,9 @@ class Material:
     relative_permittivity: float
     conductivity: float  # S/m
 
-    def __post_init__(self):
-        if self.relative_permittivity < 1.0:
-            raise ValueError("relative permittivity must be >= 1")
-        if self.conductivity < 0.0:
-            raise ValueError("conductivity must be >= 0")
-
 
 # ITU-style building-material constants: the material of every face.
 CONCRETE = Material("concrete", 5.31, 0.1395)
-
-
-class NonPositiveInput(ValueError):
-    pass
-
-
-class InvalidElevation(ValueError):
-    pass
-
-
-class EmptyPathSet(ValueError):
-    pass
 
 
 def rain_path_constant(mode: str, site_lat_deg: float) -> float:
@@ -81,17 +67,12 @@ def rain_path_constant(mode: str, site_lat_deg: float) -> float:
 
 def fspl_db(distance_km: float, fc_mhz: float) -> float:
     """Free-space path loss: 32.4 + 20 log10 D(km) + 20 log10 fc(MHz)."""
-    if distance_km <= 0.0 or fc_mhz <= 0.0:
-        raise NonPositiveInput("distance and frequency must be positive")
     return 32.4 + 20.0 * math.log10(distance_km) + 20.0 * math.log10(fc_mhz)
 
 
 def effective_rain_path_km(rain_rate_mm_h: float, elevation_rad: float,
                            path_constant: float = RAIN_PATH_CONSTANT) -> float:
     """Elevation-dependent effective distance through rain."""
-    if not 0.0 < elevation_rad <= math.pi / 2.0:
-        raise InvalidElevation(
-            f"elevation must be in (0, pi/2], got {elevation_rad}")
     return 1.0 / (0.00741 * rain_rate_mm_h ** 0.776
                   + path_constant * math.sin(elevation_rad))
 
@@ -100,8 +81,6 @@ def rain_attenuation_db(rain_rate_mm_h: float, k: float, alpha: float,
                         elevation_rad: float,
                         path_constant: float = RAIN_PATH_CONSTANT) -> float:
     """Rain attenuation k * R^alpha * L(R, elevation), dB."""
-    if rain_rate_mm_h < 0.0:
-        raise ValueError("rain rate must be >= 0")
     if rain_rate_mm_h == 0.0:
         return 0.0
     path = effective_rain_path_km(rain_rate_mm_h, elevation_rad,
@@ -116,8 +95,6 @@ def fresnel_power_reflectance(incidence_angle: float, material: Material,
     Incidence is measured from the surface normal.  The medium enters as
     the complex relative permittivity  eps_r - j 60 lambda sigma.
     """
-    if not 0.0 <= incidence_angle < math.pi / 2.0 + 1e-12:
-        raise ValueError("incidence angle must be in [0, pi/2)")
     wavelength_m = SPEED_OF_LIGHT_KM_S * 1e3 / (fc_mhz * 1e6)
     eps = complex(material.relative_permittivity,
                   -60.0 * wavelength_m * material.conductivity)
@@ -126,10 +103,8 @@ def fresnel_power_reflectance(incidence_angle: float, material: Material,
     root = cmath.sqrt(eps - sin2_i)
     if polarization == "V":
         gamma = (eps * cos_i - root) / (eps * cos_i + root)
-    elif polarization == "H":
+    else:  # "H"
         gamma = (cos_i - root) / (cos_i + root)
-    else:
-        raise ValueError("polarization must be 'H' or 'V'")
     return abs(gamma) ** 2
 
 
@@ -188,8 +163,6 @@ class ChannelSnapshot:
 
 def total_power_dbm(powers_dbm) -> float:
     powers = np.asarray(list(powers_dbm), dtype=float)
-    if len(powers) == 0:
-        raise EmptyPathSet("no paths to aggregate")
     return 10.0 * math.log10(np.sum(10.0 ** (powers / 10.0)))
 
 
@@ -197,10 +170,6 @@ def rms_delay_spread_ns(powers_dbm, delays_us) -> float:
     """Power-weighted second central moment of the path delays."""
     powers = np.asarray(list(powers_dbm), dtype=float)
     delays = np.asarray(list(delays_us), dtype=float)
-    if len(powers) == 0:
-        raise EmptyPathSet("no paths to aggregate")
-    if len(powers) != len(delays):
-        raise ValueError("powers and delays must pair up")
     w = 10.0 ** (powers / 10.0)
     mean = float(np.sum(w * delays) / np.sum(w))
     # two-pass second central moment: the one-pass E[t^2] - E[t]^2 form
@@ -214,8 +183,6 @@ def build_snapshot(t: datetime, elevation_rad: float,
                    dopplers_hz: list[float]) -> ChannelSnapshot:
     """Score traced paths under ``config``'s link keys and assemble the
     per-instant snapshot."""
-    if len(dopplers_hz) != len(paths):
-        raise ValueError("one Doppler value per path required")
     scored = [
         ScoredPath(record=p,
                    power_dbm=path_power_dbm(p, config, elevation_rad),

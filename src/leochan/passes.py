@@ -36,6 +36,14 @@ from .tle import Tle
 from .timebase import minutes_between
 
 
+# Half-step of the central difference in Ephemeris.inertial_angular_rate,
+# and the widths, in seconds, to which the pass search narrows a threshold
+# crossing and the culmination.
+_RATE_HALF_STEP_S = 0.5
+_CROSSING_TOL_S = 0.1
+_CULMINATION_TOL_S = 0.01
+
+
 class NoPassFound(RuntimeError):
     pass
 
@@ -62,7 +70,7 @@ class Ephemeris:
         eo = earth_orientation(t)
         return frames.eci_to_ecef(frames.teme_to_eci(self.teme_at(t), eo), eo)
 
-    def inertial_angular_rate(self, t: datetime, h_s: float = 0.5) -> float:
+    def inertial_angular_rate(self, t: datetime) -> float:
         """Instantaneous angular speed of the position vector in ECI,
         rad/s, by central difference of the direction angle.
 
@@ -71,6 +79,7 @@ class Ephemeris:
         derivative only to ~1e-4 km/s, which matters for Hz-level
         Doppler closure.
         """
+        h_s = _RATE_HALF_STEP_S
         ra = self.eci_at(t - timedelta(seconds=h_s)).position
         rb = self.eci_at(t + timedelta(seconds=h_s)).position
         cosang = float(ra @ rb) / float(np.linalg.norm(ra)
@@ -128,9 +137,9 @@ def per_path_doppler(path, sat_vel_local, fc_hz: float) -> float:
 
 
 def _bisect_crossing(f, t_lo: datetime, t_hi: datetime,
-                     rising: bool, tol_s: float = 0.1) -> datetime:
+                     rising: bool) -> datetime:
     """Refine a threshold crossing bracketed by (t_lo, t_hi)."""
-    while (t_hi - t_lo).total_seconds() > tol_s:
+    while (t_hi - t_lo).total_seconds() > _CROSSING_TOL_S:
         mid = t_lo + (t_hi - t_lo) / 2
         above = f(mid) > 0.0
         if above == rising:
@@ -140,8 +149,7 @@ def _bisect_crossing(f, t_lo: datetime, t_hi: datetime,
     return t_lo + (t_hi - t_lo) / 2
 
 
-def _golden_max(f, t_lo: datetime, t_hi: datetime,
-                tol_s: float = 0.01) -> datetime:
+def _golden_max(f, t_lo: datetime, t_hi: datetime) -> datetime:
     """Golden-section maximization of f over [t_lo, t_hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = t_lo, t_hi
@@ -149,7 +157,7 @@ def _golden_max(f, t_lo: datetime, t_hi: datetime,
     c = a + timedelta(seconds=(1.0 - invphi) * h)
     d = a + timedelta(seconds=invphi * h)
     fc, fd = f(c), f(d)
-    while (b - a).total_seconds() > tol_s:
+    while (b - a).total_seconds() > _CULMINATION_TOL_S:
         if fc > fd:
             b, d, fd = d, c, fc
             h = (b - a).total_seconds()

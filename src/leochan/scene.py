@@ -106,10 +106,6 @@ _PAIR_BATCH = 4096
 HEIGHT_LAWS = ("uniform", "constant")
 
 
-class InvalidDimensions(ValueError):
-    pass
-
-
 class DegenerateTriangle(ValueError):
     """Face ``face`` has an area of at most ``MIN_TRIANGLE_AREA_KM2``, or
     one too large to represent."""
@@ -545,19 +541,9 @@ def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
     Deterministic for a fixed seed; buildings are watertight 12-triangle
     boxes; the ground plane covers the street grid including the
     perimeter streets.  Distances are meters here, kilometers inside the
-    returned scene.
+    returned scene.  The arguments are the city keys of a checked
+    ``config.SimConfig`` and are not checked again.
     """
-    if grid_nx <= 0 or grid_ny <= 0 or block_w_m <= 0 or street_w_m <= 0:
-        raise InvalidDimensions("grid counts and widths must be positive")
-    if grid_nx * grid_ny > 10_000:
-        raise InvalidDimensions("more than 10^4 blocks requested")
-    if height_law not in HEIGHT_LAWS:
-        raise InvalidDimensions(f"unknown height law {height_law!r}")
-    if height_law == "uniform" and not 0.0 < h_min_m <= h_max_m:
-        raise InvalidDimensions("need 0 < h_min <= h_max")
-    if height_law == "constant" and h_const_m <= 0.0:
-        raise InvalidDimensions("constant height must be positive")
-
     period = block_w_m + street_w_m
     width_x = grid_nx * period + street_w_m
     width_y = grid_ny * period + street_w_m

@@ -23,7 +23,7 @@ from .config import ConfigError, SimConfig
 from .link import ChannelSnapshot
 from .passes import Ephemeris, PassWindow
 from .sgp4 import DecayedOrbit, DeepSpaceUnsupported, sgp4_init
-from .tle import Tle, TleError, read_tle_file
+from .tle import Tle, TleError, read_tle_file, read_utf8
 from .tracer import SatelliteBelowHorizon
 
 
@@ -39,25 +39,22 @@ def _fmt(x: float) -> str:
 
 
 def _build_scene(config: SimConfig) -> scene_mod.Scene:
-    """The configured scene; a bad scene file or city size is a config
-    error."""
+    """The configured scene.  A scene file that cannot be read, is not
+    UTF-8 text or holds a bad line is a config error; the city keys
+    were checked with the rest of the config."""
     if config.scene_file:
         try:
-            return scene_mod.scene_from_text(
-                Path(config.scene_file).read_text())
+            return scene_mod.scene_from_text(read_utf8(config.scene_file))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"scene_file {config.scene_file}: {exc}") \
                 from None
-    try:
-        return scene_mod.generate_city(
-            config.scene_grid_nx, config.scene_grid_ny,
-            block_w_m=config.scene_block_w_m,
-            street_w_m=config.scene_street_w_m,
-            height_law=config.scene_height_law,
-            h_min_m=config.scene_h_min_m, h_max_m=config.scene_h_max_m,
-            h_const_m=config.scene_h_const_m, seed=config.seed)
-    except scene_mod.InvalidDimensions as exc:
-        raise ConfigError(f"procedural city: {exc}") from None
+    return scene_mod.generate_city(
+        config.scene_grid_nx, config.scene_grid_ny,
+        block_w_m=config.scene_block_w_m,
+        street_w_m=config.scene_street_w_m,
+        height_law=config.scene_height_law,
+        h_min_m=config.scene_h_min_m, h_max_m=config.scene_h_max_m,
+        h_const_m=config.scene_h_const_m, seed=config.seed)
 
 
 def _empty_snapshot(t: datetime, elevation_rad: float) -> ChannelSnapshot:

@@ -201,10 +201,20 @@ def parse_tle(line1: str, line2: str, name: str = "") -> Tle:
     )
 
 
-def undecodable_line(data: bytes, exc: UnicodeDecodeError) -> int:
-    """The line of ``data`` that holds the first byte ``exc`` reports,
-    counted from 1 as ``str.splitlines`` counts them."""
-    return len((data[:exc.start].decode("utf-8") + ".").splitlines())
+def read_utf8(path) -> str:
+    """The text of file ``path``, decoded as UTF-8 whatever the locale.
+
+    Bytes that are not UTF-8 text raise ``ValueError`` that starts
+    ``path:line:``, the line of the first bad byte counted from 1 as
+    ``str.splitlines`` counts them.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
 
 
 def read_tle_file(path) -> list[Tle]:
@@ -217,13 +227,10 @@ def read_tle_file(path) -> list[Tle]:
     or a set that does not parse (``path:line1-line2:``), such as a line
     1 of the wrong length, or bytes that are not UTF-8 text.
     """
-    data = Path(path).read_bytes()
     try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise TleError(f"{path}:{undecodable_line(data, exc)}: "
-                       f"not UTF-8 text: {exc.reason} at byte "
-                       f"{exc.start}") from None
+        lines = read_utf8(path).splitlines()
+    except ValueError as exc:
+        raise TleError(str(exc)) from None
     out: list[Tle] = []
     name_at = None  # index of a name line still waiting for its line 1
     try:

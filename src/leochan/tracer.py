@@ -53,6 +53,10 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
 
 ``tests/oracle.py::trace_every_ray`` intersects and tests every ray on
 every segment, and gives the same records to the bit.
+
+The launch spacing, capture radius and bounce count come from the run's
+validated ``config.SimConfig`` (the capture radius from its
+``effective_rx_radius_m``, which is positive) and are not checked again.
 """
 
 from __future__ import annotations
@@ -163,8 +167,6 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
     """
     sat_local.require(Frame.LOCAL)
     sat = np.asarray(sat_local.position, dtype=float)
-    if spacing_m <= 0.0:
-        raise ValueError("spacing must be positive")
 
     bmin, bmax = scene.bounds
     target = np.array([(bmin[0] + bmax[0]) / 2.0,
@@ -502,10 +504,6 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     the receiver; the result is sorted by (bounce count, path length)
     and is fully deterministic.
     """
-    if rx_radius_m <= 0.0:
-        raise ValueError("capture radius must be positive")
-    if max_bounces < 0:
-        raise ValueError("max_bounces must be >= 0")
     rx = np.asarray(receiver, dtype=float)
     rx_radius = rx_radius_m / M_PER_KM
 

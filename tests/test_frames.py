@@ -206,8 +206,3 @@ def test_local_round_trip(rng):
         back = local_to_global(global_to_local(s, frame), frame)
         assert np.linalg.norm(back.position - r) < 1e-9
         assert np.linalg.norm(back.velocity - v) < 1e-12
-
-
-def test_local_frame_rejects_bad_latitude():
-    with pytest.raises(ValueError):
-        build_local_frame((95.0, 0.0, 0.0))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from leochan.config import SimConfig
-from leochan.link import (CONCRETE, EmptyPathSet, InvalidElevation, Material,
-                          NonPositiveInput, ScoredPath, build_snapshot,
+from leochan.link import (CONCRETE, Material, build_snapshot,
                           effective_rain_path_km, fresnel_power_reflectance,
                           fspl_db, path_delay_us, path_power_dbm,
                           rain_attenuation_db, rain_path_constant,
@@ -31,10 +30,6 @@ def _bounce(angle, face_id=0):
 
 
 def test_material_invariants():
-    with pytest.raises(ValueError):
-        Material("void", 0.5, 0.0)
-    with pytest.raises(ValueError):
-        Material("weird", 2.0, -1.0)
     assert CONCRETE.relative_permittivity == 5.31
     assert CONCRETE.conductivity == 0.1395
 
@@ -52,12 +47,6 @@ class TestFspl:
     def test_doubling_distance(self):
         gain = fspl_db(2.0, 100.0) - fspl_db(1.0, 100.0)
         assert gain == pytest.approx(20.0 * math.log10(2.0), abs=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveInput):
-            fspl_db(0.0, 100.0)
-        with pytest.raises(NonPositiveInput):
-            fspl_db(100.0, -5.0)
 
 
 class TestRain:
@@ -82,12 +71,6 @@ class TestRain:
         values = [rain_attenuation_db(r, 0.0000847, 1.0664,
                                       math.radians(30.0)) for r in rates]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_elevation_domain(self):
-        with pytest.raises(InvalidElevation):
-            rain_attenuation_db(10.0, 0.0000847, 1.0664, 0.0)
-        with pytest.raises(InvalidElevation):
-            rain_attenuation_db(10.0, 0.0000847, 1.0664, math.pi)
 
     def test_latitude_mode_constant(self):
         assert rain_path_constant("latitude", 40.0) == pytest.approx(
@@ -205,13 +188,6 @@ class TestSnapshotStats:
         total = total_power_dbm([-100.0, -100.0])
         assert total == pytest.approx(-100.0 + 10.0 * math.log10(2.0),
                                       abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyPathSet):
-            total_power_dbm([])
-        with pytest.raises(EmptyPathSet):
-            build_snapshot(utc(2023, 1, 1), math.radians(50.0), [],
-                           SimConfig(), [])
 
 
 def test_build_snapshot_sorted_and_consistent():

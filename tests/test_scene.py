@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import leochan.scene as scene_module
 from conftest import ground_plane, one_line_mutant, scene_to_text
 from oracle import nearest_hits
-from leochan.scene import (_LEAF_SIZE, DegenerateTriangle, InvalidDimensions,
-                           Scene, generate_city, scene_from_text)
+from leochan.config import ConfigError, SimConfig
+from leochan.scene import (_LEAF_SIZE, DegenerateTriangle, Scene,
+                           generate_city, scene_from_text)
 from leochan.states import Frame, StateVector
 from leochan.timebase import utc
 from leochan.tracer import _reflect, build_launch_plane
@@ -37,14 +38,15 @@ def test_different_seed_differs():
 
 
 def test_invalid_dimensions():
-    with pytest.raises(InvalidDimensions):
-        generate_city(0, 5)
-    with pytest.raises(InvalidDimensions):
-        generate_city(5, 5, block_w_m=-1.0)
-    with pytest.raises(InvalidDimensions):
-        generate_city(101, 101)
-    with pytest.raises(InvalidDimensions):
-        generate_city(2, 2, height_law="fractal")
+    # the city's keys are checked with the rest of the config, and the
+    # message starts with the key it refuses
+    for key, bad in [("scene_grid_nx", {"scene_grid_nx": 0}),
+                     ("scene_block_w_m", {"scene_block_w_m": -1.0}),
+                     ("scene_grid_nx", {"scene_grid_nx": 101,
+                                        "scene_grid_ny": 101}),
+                     ("scene_height_law", {"scene_height_law": "fractal"})]:
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            SimConfig(**bad)
 
 
 def test_degenerate_triangle_rejected():

@@ -75,6 +75,12 @@ _OUT_OF_RANGE = {
     | st.floats(max_value=-90.0, exclude_max=True),
     "theta_min_deg": st.floats(min_value=90.0)
     | st.floats(max_value=0.0, exclude_max=True),
+    "scene_block_w_m": st.floats(max_value=0.0),
+    "scene_street_w_m": st.floats(max_value=0.0),
+    "scene_h_min_m": st.floats(max_value=0.0),
+    # below the default scene_h_min_m of 20
+    "scene_h_max_m": st.floats(max_value=20.0, exclude_max=True),
+    "scene_h_const_m": st.floats(max_value=0.0),
 }
 
 
@@ -94,6 +100,24 @@ class TestConfig:
         key, value = entry
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key} = {value!r}\n")
+
+    @pytest.mark.parametrize("key", ["scene_grid_nx", "scene_grid_ny"])
+    @pytest.mark.parametrize("value", ["0", "-3", "1700"])
+    def test_bad_city_grid_names_key(self, key, value):
+        # 1700 blocks by the other key's default 6: over 10,000
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("text,key", [
+        ("scene_file = city.txt\nscene_h_const_m = -1\n", "scene_h_const_m"),
+        ("scene_file = city.txt\nscene_block_w_m = -1\n", "scene_block_w_m"),
+        ("scene_height_law = constant\nscene_h_max_m = 10\n",
+         "scene_h_max_m"),
+    ])
+    def test_city_key_checked_whatever_scene_file_and_law(self, text, key):
+        # a city key that the run does not read is still refused
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            parse_config_text(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -287,10 +311,21 @@ class TestCli:
                      "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
-    def test_bad_city_size_exit_two(self, tmp_path, no_pass_search):
+    def test_bad_city_size_exit_two(self, tmp_path, capsys, no_pass_search):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_grid_nx = 0\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "scene_grid_nx" in capsys.readouterr().err
+
+    def test_non_utf8_scene_file_exit_two_names_file_and_line(
+            self, tmp_path, capsys, no_pass_search):
+        scene_file = tmp_path / "bad.scene"
+        scene_file.write_bytes(b"0,0,0, 0.1,0,0, 0,0.1,0, 0\n"
+                               b"0,0,0, \xff\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"{scene_file}:2: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_pass_exit_three(self, tmp_path):
         cfg = tmp_path / "polar.cfg"
