@@ -5,6 +5,8 @@ equinoxes rotation (TEME to true-of-date), IAU 1980 nutation truncated to
 its four largest terms (error below 0.003 deg in longitude, well under
 scene scale), and the precession polynomials to J2000.  The Earth-fixed
 side rotates by apparent sidereal time; polar motion is ignored (< 15 m).
+Both sides use the precession-nutation product P N, which
+``EarthOrientation.tod_to_j2000`` computes once per instant and shares.
 
 The LOCAL frame is the scene frame: two rotations (about z then y) map
 the Earth-center-to-site direction onto +z, and a translation puts the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +84,9 @@ def _delaunay_arguments(ttt: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class EarthOrientation:
-    """Orientation angles at one instant (all radians)."""
+    """Orientation angles at one instant (all radians), and the
+    precession-nutation product that both halves of the chain share,
+    computed once per instant."""
 
     gmst: float
     precession_angles: tuple[float, float, float]  # (zeta, z, theta)
@@ -96,6 +101,13 @@ class EarthOrientation:
     @property
     def gast(self) -> float:
         return self.gmst + self.equation_of_equinoxes
+
+    @cached_property
+    def tod_to_j2000(self) -> np.ndarray:
+        """True-of-date -> J2000 rotation P N, read-only."""
+        m = precession_matrix(self) @ nutation_matrix(self)
+        m.flags.writeable = False
+        return m
 
 
 def earth_orientation(t: datetime) -> EarthOrientation:
@@ -144,8 +156,7 @@ def nutation_matrix(eo: EarthOrientation) -> np.ndarray:
 
 
 def teme_to_eci_matrix(eo: EarthOrientation) -> np.ndarray:
-    return (precession_matrix(eo) @ nutation_matrix(eo)
-            @ rot3(-eo.equation_of_equinoxes))
+    return eo.tod_to_j2000 @ rot3(-eo.equation_of_equinoxes)
 
 
 def teme_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
@@ -160,11 +171,16 @@ def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
     """J2000 -> Earth-fixed: precession, nutation, then apparent sidereal
     rotation; velocity picks up the -omega x r frame-rate term."""
     state.require(Frame.ECI)
-    to_tod = (precession_matrix(eo) @ nutation_matrix(eo)).T
+    to_tod = eo.tod_to_j2000.T
     spin = rot3(eo.gast)
     r_ecef = spin @ (to_tod @ state.position)
-    omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
-    v_ecef = spin @ (to_tod @ state.velocity) - np.cross(omega, r_ecef)
+    # omega x r for omega = (0, 0, w), with the arithmetic of np.cross:
+    # per component a multiply, then a subtract, the zero terms kept
+    x, y, z = r_ecef.tolist()
+    w = EARTH_ROTATION_RATE
+    omega_x_r = np.array([0.0 * z - w * y, w * x - 0.0 * z,
+                          0.0 * y - 0.0 * x])
+    v_ecef = spin @ (to_tod @ state.velocity) - omega_x_r
     return StateVector(Frame.ECEF, state.t, r_ecef, v_ecef)
 
 

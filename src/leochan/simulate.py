@@ -40,12 +40,17 @@ def _fmt(x: float) -> str:
 
 def _build_scene(config: SimConfig) -> scene_mod.Scene:
     """The configured scene.  A scene file that cannot be read, is not
-    UTF-8 text or holds a bad line is a config error; the city keys
-    were checked with the rest of the config."""
+    UTF-8 text or holds a bad line is a config error that names the file
+    once; the city keys were checked with the rest of the config."""
     if config.scene_file:
         try:
-            return scene_mod.scene_from_text(read_utf8(config.scene_file))
+            text = read_utf8(config.scene_file)
         except (OSError, ValueError) as exc:
+            # both messages already name the file
+            raise ConfigError(f"cannot read scene_file: {exc}") from None
+        try:
+            return scene_mod.scene_from_text(text)
+        except ValueError as exc:
             raise ConfigError(f"scene_file {config.scene_file}: {exc}") \
                 from None
     return scene_mod.generate_city(

@@ -155,6 +155,15 @@ class LaunchPlane:
         return points.reshape(-1, 3)
 
 
+def _cross3(a, b) -> np.ndarray:
+    """a x b for two 3-vectors, with the arithmetic of ``np.cross`` (per
+    component a multiply, then a subtract) and none of its overhead."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
+
+
 def build_launch_plane(sat_local: StateVector, scene: Scene,
                        spacing_m: float,
                        extent_pad_km: float | None = None) -> LaunchPlane:
@@ -194,14 +203,13 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
     origin = sat + direction * d_atmosphere
 
     # In-plane basis: e1 horizontal where possible.
-    up = np.array([0.0, 0.0, 1.0])
-    e1 = np.cross(direction, up)
+    e1 = _cross3(direction, (0.0, 0.0, 1.0))
     n1 = np.linalg.norm(e1)
     if n1 < 1e-9:
         e1 = np.array([1.0, 0.0, 0.0])
     else:
         e1 = e1 / n1
-    e2 = np.cross(direction, e1)
+    e2 = _cross3(direction, e1)
     e2 = e2 / np.linalg.norm(e2)
 
     spacing_km = spacing_m / M_PER_KM
@@ -307,7 +315,7 @@ def _reaches_after_one_bounce(origins: np.ndarray, dirs: np.ndarray,
         d = dirs[a:a + _BOUND_BLOCK]
         wd = np.einsum("ij,ij->i", w, d)
         ww = np.einsum("ij,ij->i", w, w)
-        x = np.cross(w, d)
+        x = _cross(w, d)
         # the d edge: a capture on the ray's own segment
         own = np.where(wd > 0.0, np.einsum("ij,ij->i", x, x), ww) <= slack2
         # one row per normal and one column per ray, so that the

@@ -180,6 +180,19 @@ def make_circular_tle(altitude_km: float = 542.0,
         name=name)
 
 
+def orbit_tle(incl, e, perigee_km, bstar, raan=30.0, argp=60.0, ma=90.0):
+    """An element set with the given perigee altitude (km) and
+    eccentricity, at the epoch 2023-06-01 12:00 UTC."""
+    a = (WGS72_RE + perigee_km) / (1.0 - e)
+    return synthetic_tle(
+        epoch=utc(2023, 6, 1, 12, 0, 0), inclination_deg=incl,
+        raan_deg=raan, eccentricity=e, arg_perigee_deg=argp,
+        mean_anomaly_deg=ma,
+        mean_motion_revs_per_day=(math.sqrt(WGS72_MU / a ** 3)
+                                  * 86400.0 / (2.0 * math.pi)),
+        bstar=bstar)
+
+
 @pytest.fixture(scope="session")
 def equatorial_pass():
     """The reference pass: 542 km circular equatorial orbit, site offset

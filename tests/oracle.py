@@ -39,7 +39,10 @@ propagated, none skipped.
 Frames.  The inverses of the package's forward chain, for the C12 round
 trips and for placing sites: ``eci_to_teme``, ``ecef_to_eci``,
 ``local_to_global`` (with ``local_point_to_global``) and
-``ecef_to_geodetic``.
+``ecef_to_geodetic``.  ``ecef_reference`` is the forward chain as first
+written, the reference for the bytes of ``Ephemeris.eci_at`` and
+``ecef_at``: it builds the precession-nutation product once per half of
+the chain and takes the Earth-rate term from ``np.cross``.
 """
 
 import math
@@ -50,8 +53,9 @@ import numpy as np
 
 from leochan.frames import (DEG2RAD, EARTH_ROTATION_RATE, WGS84_A_KM,
                             WGS84_E2, WGS84_F, EarthOrientation, LocalFrame,
-                            geodetic_to_ecef, nutation_matrix,
-                            precession_matrix, rot3, teme_to_eci_matrix)
+                            earth_orientation, geodetic_to_ecef,
+                            nutation_matrix, precession_matrix, rot3,
+                            teme_to_eci_matrix)
 from leochan.link import SPEED_OF_LIGHT_KM_S
 from leochan.passes import (Ephemeris, NoPassFound, PassWindow,
                             _bisect_crossing, _golden_max, elevation,
@@ -318,6 +322,24 @@ def find_pass_every_step(tle, site_geodetic, theta_min=0.0, step_s=30.0,
         t_du_min=(t_end - t_start).total_seconds() / 60.0,
         t_du_analytic_min=t_du_analytic,
     )
+
+
+def ecef_reference(ephem: Ephemeris,
+                   t: datetime) -> tuple[StateVector, StateVector]:
+    """The ECI and ECEF states of ``ephem`` at ``t``, by the forward chain
+    with P N built in each half and omega x r from ``np.cross``."""
+    eo = earth_orientation(t)
+    teme = ephem.teme_at(t)
+    to_eci = (precession_matrix(eo) @ nutation_matrix(eo)
+              @ rot3(-eo.equation_of_equinoxes))
+    eci = StateVector(Frame.ECI, teme.t, to_eci @ teme.position,
+                      to_eci @ teme.velocity)
+    to_tod = (precession_matrix(eo) @ nutation_matrix(eo)).T
+    spin = rot3(eo.gast)
+    r_ecef = spin @ (to_tod @ eci.position)
+    omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
+    v_ecef = spin @ (to_tod @ eci.velocity) - np.cross(omega, r_ecef)
+    return eci, StateVector(Frame.ECEF, teme.t, r_ecef, v_ecef)
 
 
 def eci_to_teme(state: StateVector, eo: EarthOrientation) -> StateVector:

@@ -1,17 +1,25 @@
 import math
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracle import ecef_to_eci, ecef_to_geodetic, eci_to_teme, local_to_global
+from conftest import orbit_tle
+from oracle import (ecef_reference, ecef_to_eci, ecef_to_geodetic,
+                    eci_to_teme, local_to_global)
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
                             build_local_frame, earth_orientation, eci_to_ecef,
                             geodetic_to_ecef, global_to_local,
                             nutation_matrix, precession_matrix, rot2, rot3,
                             teme_to_eci, teme_to_eci_matrix)
+from leochan.passes import Ephemeris
 from leochan.states import Frame, FrameMismatch, StateVector
 from leochan.timebase import utc
+from leochan.tle import read_tle_file
+
+DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
 
 
 def _stub_eo(gmst=0.0):
@@ -138,6 +146,42 @@ def test_chain_associativity():
 
 def _ecef_matrix(eo):
     return rot3(eo.gast) @ (precession_matrix(eo) @ nutation_matrix(eo)).T
+
+
+@st.composite
+def _element_set(draw):
+    """The demo set, or a synthetic one with e up to 0.2 and no drag."""
+    if draw(st.booleans()):
+        return read_tle_file(DEMO_TLE)[0]
+    e = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+    return orbit_tle(draw(st.floats(0.0, 180.0)), e,
+                     draw(st.floats(250.0, 1500.0)), 0.0,
+                     *(draw(st.floats(0.0, 359.0)) for _ in range(3)))
+
+
+_THIRTY_DAYS_US = 30 * 86400 * 10 ** 6
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_element_set(),
+       st.lists(st.integers(-_THIRTY_DAYS_US, _THIRTY_DAYS_US),
+                min_size=1, max_size=4))
+def test_frame_chain_bytes_match_reference(tle, offsets_us):
+    # Sharing P N between the halves of the chain and writing omega x r
+    # out must not change a bit of any state.
+    ephem = Ephemeris(tle)
+    for offset_us in offsets_us:
+        t = tle.epoch + timedelta(microseconds=offset_us)
+        eci_ref, ecef_ref = ecef_reference(ephem, t)
+        for got, ref in ((ephem.eci_at(t), eci_ref),
+                         (ephem.ecef_at(t), ecef_ref)):
+            assert got.frame is ref.frame
+            assert got.position.tobytes() == ref.position.tobytes()
+            assert got.velocity.tobytes() == ref.velocity.tobytes()
+        eo = earth_orientation(t)
+        assert teme_to_eci_matrix(eo).tobytes() == (
+            precession_matrix(eo) @ nutation_matrix(eo)
+            @ rot3(-eo.equation_of_equinoxes)).tobytes()
 
 
 def test_geodetic_round_trip(rng):

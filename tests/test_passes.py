@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (WGS72_MU, WGS72_RE, circular_mean_motion,
-                      load_perfbench, make_circular_tle, synthetic_tle)
+from conftest import (circular_mean_motion, load_perfbench,
+                      make_circular_tle, orbit_tle, synthetic_tle)
 from oracle import (doppler_closed_form, ecef_to_geodetic, elevation_triangle,
                     find_pass_every_step)
 from leochan.frames import EARTH_ROTATION_RATE, geodetic_to_ecef
@@ -286,17 +286,6 @@ def _outcome(search, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def _orbit_tle(incl, e, perigee_km, bstar, raan=30.0, argp=60.0, ma=90.0):
-    a = (WGS72_RE + perigee_km) / (1.0 - e)
-    return synthetic_tle(
-        epoch=utc(2023, 6, 1, 12, 0, 0), inclination_deg=incl,
-        raan_deg=raan, eccentricity=e, arg_perigee_deg=argp,
-        mean_anomaly_deg=ma,
-        mean_motion_revs_per_day=(math.sqrt(WGS72_MU / a ** 3)
-                                  * 86400.0 / (2.0 * math.pi)),
-        bstar=bstar)
-
-
 @st.composite
 def _search_case(draw):
     """An element set, a site, a threshold and a scan step.
@@ -315,7 +304,7 @@ def _search_case(draw):
         perigee_km = draw(st.floats(250.0, 1500.0))
         bstar = draw(st.sampled_from([0.0, -1.0, 1.0])) \
             * 10.0 ** draw(st.floats(-5.0, -3.0))
-    tle = _orbit_tle(draw(st.floats(0.0, 180.0)), e, perigee_km, bstar,
+    tle = orbit_tle(draw(st.floats(0.0, 180.0)), e, perigee_km, bstar,
                      *(draw(st.floats(0.0, 359.0)) for _ in range(3)))
     lead = timedelta(minutes=draw(st.sampled_from([0.0, 0.0, 10.0, 45.0])))
     try:
@@ -349,7 +338,7 @@ def test_find_pass_matches_every_step_scan(case):
 ])
 def test_scan_bound_holds_over_the_horizon(incl, e, perigee_km, bstar):
     # radius and turn rate of the propagated positions, every 2 s for 3 h
-    state = sgp4_init(_orbit_tle(incl, e, perigee_km, bstar))
+    state = sgp4_init(orbit_tle(incl, e, perigee_km, bstar))
     r_min, r_max, omega = _scan_bound(state, 180.0)
     dt_s = 2.0
     pos = np.array([sgp4_propagate(state, k * dt_s / 60.0).position

@@ -303,7 +303,7 @@ class TestCli:
         cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert str(scene_file) in err and expected in err
+        assert err.count(str(scene_file)) == 1 and expected in err
 
     def test_zero_jobs_exit_two_names_jobs(self, light_config, capsys,
                                            no_pass_search):
@@ -325,7 +325,19 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert f"{scene_file}:2: not UTF-8 text" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{scene_file}:2: not UTF-8 text" in err
+        assert err.count(str(scene_file)) == 1
+
+    def test_scene_file_directory_exit_two_names_it_once(
+            self, tmp_path, capsys, no_pass_search):
+        scene_dir = tmp_path / "dir.scene"
+        scene_dir.mkdir()
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_dir}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "scene_file" in err and err.count(str(scene_dir)) == 1
 
     def test_missing_pass_exit_three(self, tmp_path):
         cfg = tmp_path / "polar.cfg"
