@@ -49,19 +49,23 @@ NUTATION_TERMS = (
 )
 
 
+# Rotations are built from one flat 9-tuple and multiplied with
+# ``ndarray.dot``.  ``@`` reaches the same BLAS routine on the same
+# operands, so the bits agree, but at 3x3 its dispatch, like the parse
+# of a nested list, costs more than the arithmetic.
 def rot1(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+    return np.array((1.0, 0.0, 0.0, 0.0, c, s, 0.0, -s, c)).reshape(3, 3)
 
 
 def rot2(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    return np.array((c, 0.0, -s, 0.0, 1.0, 0.0, s, 0.0, c)).reshape(3, 3)
 
 
 def rot3(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array((c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
 def _delaunay_arguments(ttt: float) -> tuple[float, ...]:
@@ -105,7 +109,7 @@ class EarthOrientation:
     @cached_property
     def tod_to_j2000(self) -> np.ndarray:
         """True-of-date -> J2000 rotation P N, read-only."""
-        m = precession_matrix(self) @ nutation_matrix(self)
+        m = precession_matrix(self).dot(nutation_matrix(self))
         m.flags.writeable = False
         return m
 
@@ -145,26 +149,26 @@ def earth_orientation(t: datetime) -> EarthOrientation:
 def precession_matrix(eo: EarthOrientation) -> np.ndarray:
     """Mean-of-date -> J2000 rotation."""
     zeta, z, theta = eo.precession_angles
-    return rot3(zeta) @ rot2(-theta) @ rot3(z)
+    return rot3(zeta).dot(rot2(-theta)).dot(rot3(z))
 
 
 def nutation_matrix(eo: EarthOrientation) -> np.ndarray:
     """True-of-date -> mean-of-date rotation."""
     dpsi, deps = eo.nutation
     eps_bar = eo.mean_obliquity
-    return rot1(-eps_bar) @ rot3(dpsi) @ rot1(eps_bar + deps)
+    return rot1(-eps_bar).dot(rot3(dpsi)).dot(rot1(eps_bar + deps))
 
 
 def teme_to_eci_matrix(eo: EarthOrientation) -> np.ndarray:
-    return eo.tod_to_j2000 @ rot3(-eo.equation_of_equinoxes)
+    return eo.tod_to_j2000.dot(rot3(-eo.equation_of_equinoxes))
 
 
 def teme_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
     """Rotate a TEME state onto the J2000 mean equator and equinox."""
     state.require(Frame.TEME)
     m = teme_to_eci_matrix(eo)
-    return StateVector(Frame.ECI, state.t, m @ state.position,
-                       m @ state.velocity)
+    return StateVector(Frame.ECI, state.t, m.dot(state.position),
+                       m.dot(state.velocity))
 
 
 def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
@@ -173,14 +177,14 @@ def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
     state.require(Frame.ECI)
     to_tod = eo.tod_to_j2000.T
     spin = rot3(eo.gast)
-    r_ecef = spin @ (to_tod @ state.position)
+    r_ecef = spin.dot(to_tod.dot(state.position))
     # omega x r for omega = (0, 0, w), with the arithmetic of np.cross:
     # per component a multiply, then a subtract, the zero terms kept
     x, y, z = r_ecef.tolist()
     w = EARTH_ROTATION_RATE
     omega_x_r = np.array([0.0 * z - w * y, w * x - 0.0 * z,
                           0.0 * y - 0.0 * x])
-    v_ecef = spin @ (to_tod @ state.velocity) - omega_x_r
+    v_ecef = spin.dot(to_tod.dot(state.velocity)) - omega_x_r
     return StateVector(Frame.ECEF, state.t, r_ecef, v_ecef)
 
 
@@ -206,8 +210,8 @@ class LocalFrame:
     rotation: np.ndarray      # ECEF -> LOCAL direction cosine matrix
 
     def to_local_point(self, r_ecef: np.ndarray) -> np.ndarray:
-        return self.rotation @ (np.asarray(r_ecef, dtype=float)
-                                - self.origin_ecef)
+        return self.rotation.dot(np.asarray(r_ecef, dtype=float)
+                                 - self.origin_ecef)
 
 
 def build_local_frame(site_geodetic: tuple[float, float, float]) -> LocalFrame:
@@ -223,7 +227,7 @@ def build_local_frame(site_geodetic: tuple[float, float, float]) -> LocalFrame:
     rho = math.hypot(ux, uy)
     gamma = 0.0 if rho == 0.0 else math.atan2(uy, ux)
     beta = math.atan2(rho, uz)
-    return LocalFrame(origin_ecef=site, rotation=rot2(beta) @ rot3(gamma))
+    return LocalFrame(origin_ecef=site, rotation=rot2(beta).dot(rot3(gamma)))
 
 
 def global_to_local(state: StateVector, frame: LocalFrame) -> StateVector:
@@ -232,4 +236,4 @@ def global_to_local(state: StateVector, frame: LocalFrame) -> StateVector:
     state.require(Frame.ECEF)
     return StateVector(Frame.LOCAL, state.t,
                        frame.to_local_point(state.position),
-                       frame.rotation @ state.velocity)
+                       frame.rotation.dot(state.velocity))

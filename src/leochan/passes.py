@@ -94,10 +94,16 @@ def elevation(site_ecef, sat_ecef) -> float:
     site position.
     """
     site = np.asarray(site_ecef, dtype=float)
-    sat = np.asarray(sat_ecef, dtype=float)
-    slant = sat - site
-    zenith = site / np.linalg.norm(site)
-    sin_el = float(slant @ zenith) / float(np.linalg.norm(slant))
+    return _elevation(site, site / np.linalg.norm(site), sat_ecef)
+
+
+def _elevation(site: np.ndarray, zenith: np.ndarray, sat_ecef) -> float:
+    """``elevation`` with the site's unit zenith ``site / |site|`` given,
+    for callers that ask about one site many times.  ``sqrt(v.dot(v))``
+    is how ``np.linalg.norm`` computes a vector's norm, so the bits are
+    those of ``elevation``."""
+    slant = np.asarray(sat_ecef, dtype=float) - site
+    sin_el = float(slant.dot(zenith)) / math.sqrt(slant.dot(slant))
     return math.asin(max(-1.0, min(1.0, sin_el)))
 
 
@@ -290,9 +296,10 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
     ephem = ephemeris if ephemeris is not None else Ephemeris(tle)
     site_ecef = geodetic_to_ecef(*site_geodetic)
     r_e = float(np.linalg.norm(site_ecef))
+    zenith = site_ecef / r_e
 
     def el(t: datetime) -> float:
-        return elevation(site_ecef, ephem.ecef_at(t).position)
+        return _elevation(site_ecef, zenith, ephem.ecef_at(t).position)
 
     def margin(t: datetime) -> float:
         return el(t) - theta_min
@@ -321,11 +328,11 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
         """Whether scan instant k is above ``theta_min``, and the number
         of instants to the next one whose side is not proved."""
         pos = ephem.ecef_at(scan_time(k)).position
-        el_k = elevation(site_ecef, pos)
+        el_k = _elevation(site_ecef, zenith, pos)
         above = el_k - theta_min > 0.0
         if turn_per_step is None:
             return above, 1
-        r = float(np.linalg.norm(pos))
+        r = math.sqrt(pos.dot(pos))
         gamma = (math.pi / 2.0 - el_k
                  - math.asin(min(1.0, r_e / r * math.cos(el_k))))
         clear = g_near - gamma if above else gamma - g_far
@@ -358,8 +365,8 @@ def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
     t0 = _golden_max(el, t_start, t_end)
 
     sat0 = ephem.ecef_at(t0)
-    theta_max = elevation(site_ecef, sat0.position)
-    r = float(np.linalg.norm(sat0.position))
+    theta_max = _elevation(site_ecef, zenith, sat0.position)
+    r = math.sqrt(sat0.position.dot(sat0.position))
     gamma_t0 = gamma_at_culmination(theta_max, r_e, r)
 
     omega_s = ephem.inertial_angular_rate(t0)

@@ -40,8 +40,10 @@ Construction", HPG 2017).  The sorted faces are cut into leaves of
 ``_LEAF_SIZE`` consecutive faces.  Each leaf box is padded by
 ``_BOX_PAD``, and each level above is the pairwise min/max of the level
 below, up to one root: node i of a level has children 2i and 2i + 1.
-Where a level has an odd number of nodes, its last parent has an empty
-right child, which the traversal masks out.  Each chunk of
+Where a level has an odd number of nodes, its last parent's right child
+is a NaN box, which fails every slab test, so the traversal needs no
+mask; parents are built with ``np.fmin``/``np.fmax``, which skip the
+NaN.  Each chunk of
 ``_RAY_CHUNK`` consecutive rays is tested against the padded wide-face
 boxes, and walks the tree breadth-first over (ray, node) pairs, as a
 wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful", HPG
@@ -258,9 +260,9 @@ class Scene:
         faces' ids, and row 0 of ``_wide_lo`` and ``_wide_hi`` their
         padded boxes, x, y, z each.  Leaf k holds the faces
         ``_leaf_faces[k]``, -1 marking an empty slot.  ``_levels`` lists,
-        from the root down, (lo, hi, node count) per level, where row j
-        of lo and hi, shape (parents, 6), holds the boxes of node j's two
-        children, x, y, z each."""
+        from the root down, (lo, hi) per level, where row j of lo and hi,
+        shape (parents, 6), holds the boxes of node j's two children, x,
+        y, z each; a missing right child is a NaN box."""
         self._levels = []
         if len(self.triangles) == 0:
             return
@@ -280,8 +282,7 @@ class Scene:
         order = tree[_morton_order(
             np.take(0.5 * (tri_lo + tri_hi), tree, axis=0), lo, hi)]
         # Empty boxes (lo = +inf, hi = -inf) fill the last leaf's spare
-        # slots and the missing child of an odd level's last node; the
-        # min/max of a parent absorbs them.
+        # slots, which the min/max of the leaf box absorbs.
         n_pad = -len(order) % _LEAF_SIZE
         self._leaf_faces = np.concatenate(
             [order, np.full(n_pad, -1)]).reshape(-1, _LEAF_SIZE)
@@ -299,15 +300,16 @@ class Scene:
             leaf_hi = np.maximum(leaf_hi, hi[:, k])
         lo, hi = leaf_lo - _BOX_PAD, leaf_hi + _BOX_PAD
         while len(lo) > 1:
-            n_nodes = len(lo)
-            if n_nodes % 2:
-                lo = np.concatenate([lo, np.full((1, 3), np.inf)])
-                hi = np.concatenate([hi, np.full((1, 3), -np.inf)])
+            # an odd level's last node gets a NaN box as its right
+            # child: it fails every slab test, and fmin/fmax skip it
+            if len(lo) % 2:
+                lo = np.concatenate([lo, np.full((1, 3), np.nan)])
+                hi = np.concatenate([hi, np.full((1, 3), np.nan)])
             lo = lo.reshape(-1, 6)
             hi = hi.reshape(-1, 6)
-            self._levels.append((lo, hi, n_nodes))
-            lo = np.minimum(lo[:, :3], lo[:, 3:])
-            hi = np.maximum(hi[:, :3], hi[:, 3:])
+            self._levels.append((lo, hi))
+            lo = np.fmin(lo[:, :3], lo[:, 3:])
+            hi = np.fmax(hi[:, :3], hi[:, 3:])
         self._levels.reverse()
 
     def __len__(self) -> int:
@@ -415,27 +417,29 @@ class Scene:
             # parallel to an axis or not, decided once for the chunk, not
             # on every level
             inv_dirs1, axis_parallel = _inverse(directions[a:a + _RAY_CHUNK])
-            wide_ray, wide_slot = np.nonzero(_slab(
-                np.tile(origins1, n_wide), np.tile(inv_dirs1, n_wide),
-                self._wide_lo, self._wide_hi, t_min, axis_parallel))
+            # each ray once per wide face, and twice against both
+            # children of a node, x, y, z each
+            if n_wide:
+                wide_ray, wide_slot = _slab(
+                    np.concatenate([origins1] * n_wide, axis=1),
+                    np.concatenate([inv_dirs1] * n_wide, axis=1),
+                    self._wide_lo, self._wide_hi, t_min,
+                    axis_parallel).nonzero()
+            else:
+                wide_ray = wide_slot = np.empty(0, dtype=np.intp)
             ray = np.arange(len(origins1))
             node = np.zeros(len(origins1), dtype=np.intp)
-            # each ray twice, against both children of a node
-            origins2 = np.tile(origins1, 2)
-            inv_dirs2 = np.tile(inv_dirs1, 2)
-            for lo, hi, n_nodes in self._levels:
-                keep = _slab(np.take(origins2, ray, axis=0),
-                             np.take(inv_dirs2, ray, axis=0),
-                             np.take(lo, node, axis=0),
-                             np.take(hi, node, axis=0), t_min,
-                             axis_parallel)
-                # the right child of an odd level's last node is empty,
-                # and an empty box passes the slab test
-                keep[:, 1] &= 2 * node + 1 < n_nodes
-                pair, side = np.nonzero(keep)
+            origins2 = np.concatenate([origins1, origins1], axis=1)
+            inv_dirs2 = np.concatenate([inv_dirs1, inv_dirs1], axis=1)
+            for lo, hi in self._levels:
+                pair, side = _slab(origins2.take(ray, axis=0),
+                                   inv_dirs2.take(ray, axis=0),
+                                   lo.take(node, axis=0),
+                                   hi.take(node, axis=0), t_min,
+                                   axis_parallel).nonzero()
                 ray, node = ray[pair], 2 * node[pair] + side
             faces = self._leaf_faces[node]
-            pair, slot = np.nonzero(faces >= 0)
+            pair, slot = (faces >= 0).nonzero()
             yield (a + np.concatenate([ray[pair], wide_ray]),
                    np.concatenate([faces[pair, slot],
                                    self._wide[wide_slot]]))

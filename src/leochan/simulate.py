@@ -22,7 +22,7 @@ from . import frames, link, passes, scene as scene_mod, tracer
 from .config import ConfigError, SimConfig
 from .link import ChannelSnapshot
 from .passes import Ephemeris, PassWindow
-from .sgp4 import DecayedOrbit, DeepSpaceUnsupported, sgp4_init
+from .sgp4 import RE, DecayedOrbit, DeepSpaceUnsupported, sgp4_init
 from .tle import Tle, TleError, read_tle_file, read_utf8
 from .tracer import SatelliteBelowHorizon
 
@@ -117,6 +117,29 @@ def first_element_set(path) -> Tle:
     return tles[0]
 
 
+def _check_plane_wave(config: SimConfig, city: scene_mod.Scene,
+                      ephem: Ephemeris,
+                      local_frame: frames.LocalFrame) -> None:
+    """Refuse, before any propagation, a scene too tall for the
+    plane-wave launch at the element set's mean perigee.  Its radius,
+    less the site's geocentric radius, bounds the satellite's distance
+    from the site from below, up to SGP4's short-period terms, so
+    ``tracer.build_launch_plane`` keeps its own check."""
+    height = float(city.bounds[1, 2] - city.bounds[0, 2])
+    need = tracer.plane_wave_min_distance(height)
+    perigee = (ephem.state.ao * (1.0 - ephem.state.ecco) * RE
+               - float(np.linalg.norm(local_frame.origin_ecef)))
+    if perigee < need:
+        source = (f"scene_file {config.scene_file}" if config.scene_file
+                  else "scene_h_max_m" if config.scene_height_law == "uniform"
+                  else "scene_h_const_m")
+        raise ConfigError(
+            f"{source}: a scene {height:.6g} km tall needs the satellite "
+            f"at least {need:.6g} km away for the plane-wave launch, but "
+            f"element set {ephem.tle.satnum} has its mean perigee "
+            f"{perigee:.6g} km above the site")
+
+
 def prepare_pass(config: SimConfig) -> tuple[
         PassWindow, Callable[[datetime], ChannelSnapshot]]:
     """Turn a config into its first pass window and a call that
@@ -124,15 +147,17 @@ def prepare_pass(config: SimConfig) -> tuple[
 
     The ephemeris, scene, local frame (whose origin is the site) and
     receiver are built once here; they and the frozen config are only
-    read by the call, so it may run on several threads at once.
+    read by the call, so it may run on several threads at once.  A scene
+    too tall for the element set's perigee fails before the pass search.
     """
     tle = first_element_set(config.tle_path)
     city = _build_scene(config)
     ephem = Ephemeris(tle)
+    local_frame = frames.build_local_frame(config.site_geodetic)
+    _check_plane_wave(config, city, ephem, local_frame)
     window = passes.find_pass(tle, config.site_geodetic,
                               theta_min=math.radians(config.theta_min_deg),
                               ephemeris=ephem)
-    local_frame = frames.build_local_frame(config.site_geodetic)
     receiver = np.array([config.rx_x_m, config.rx_y_m, config.rx_z_m]) / 1e3
 
     def snapshot(t: datetime) -> ChannelSnapshot:

@@ -155,6 +155,12 @@ class LaunchPlane:
         return points.reshape(-1, 3)
 
 
+def plane_wave_min_distance(scene_height_km: float) -> float:
+    """Least distance (km) from the scene's origin at which a satellite
+    still lights a scene of this height as a plane wave."""
+    return PLANE_WAVE_MIN_RATIO * max(scene_height_km, 1e-3)
+
+
 def _cross3(a, b) -> np.ndarray:
     """a x b for two 3-vectors, with the arithmetic of ``np.cross`` (per
     component a multiply, then a subtract) and none of its overhead."""
@@ -187,7 +193,7 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
             "satellite direction does not point down into the scene")
 
     scene_height = float(bmax[2] - bmin[2])
-    if np.linalg.norm(sat) < PLANE_WAVE_MIN_RATIO * max(scene_height, 1e-3):
+    if np.linalg.norm(sat) < plane_wave_min_distance(scene_height):
         raise ValueError("satellite too close for the plane-wave launch")
 
     corners = np.array([[x, y, z]

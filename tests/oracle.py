@@ -41,8 +41,10 @@ trips and for placing sites: ``eci_to_teme``, ``ecef_to_eci``,
 ``local_to_global`` (with ``local_point_to_global``) and
 ``ecef_to_geodetic``.  ``ecef_reference`` is the forward chain as first
 written, the reference for the bytes of ``Ephemeris.eci_at`` and
-``ecef_at``: it builds the precession-nutation product once per half of
-the chain and takes the Earth-rate term from ``np.cross``.
+``ecef_at``: it builds its own rotations from nested lists, multiplies
+with ``@``, builds the precession-nutation product once per half of the
+chain and takes the Earth-rate term from ``np.cross``.
+``teme_to_eci_reference`` is its TEME -> J2000 matrix.
 """
 
 import math
@@ -324,18 +326,50 @@ def find_pass_every_step(tle, site_geodetic, theta_min=0.0, step_s=30.0,
     )
 
 
+def _rot1_reference(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+
+
+def _rot2_reference(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+
+
+def _rot3_reference(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _tod_to_j2000_reference(eo: EarthOrientation) -> np.ndarray:
+    """P N, from nested-list rotations multiplied with ``@``."""
+    zeta, z, theta = eo.precession_angles
+    dpsi, deps = eo.nutation
+    eps_bar = eo.mean_obliquity
+    p = _rot3_reference(zeta) @ _rot2_reference(-theta) @ _rot3_reference(z)
+    n = (_rot1_reference(-eps_bar) @ _rot3_reference(dpsi)
+         @ _rot1_reference(eps_bar + deps))
+    return p @ n
+
+
+def teme_to_eci_reference(eo: EarthOrientation) -> np.ndarray:
+    """The TEME -> J2000 matrix P N R3(-equation of the equinoxes)."""
+    return (_tod_to_j2000_reference(eo)
+            @ _rot3_reference(-eo.equation_of_equinoxes))
+
+
 def ecef_reference(ephem: Ephemeris,
                    t: datetime) -> tuple[StateVector, StateVector]:
     """The ECI and ECEF states of ``ephem`` at ``t``, by the forward chain
-    with P N built in each half and omega x r from ``np.cross``."""
+    as first written: nested-list rotations, ``@``, P N built in each
+    half and omega x r from ``np.cross``."""
     eo = earth_orientation(t)
     teme = ephem.teme_at(t)
-    to_eci = (precession_matrix(eo) @ nutation_matrix(eo)
-              @ rot3(-eo.equation_of_equinoxes))
+    to_eci = teme_to_eci_reference(eo)
     eci = StateVector(Frame.ECI, teme.t, to_eci @ teme.position,
                       to_eci @ teme.velocity)
-    to_tod = (precession_matrix(eo) @ nutation_matrix(eo)).T
-    spin = rot3(eo.gast)
+    to_tod = _tod_to_j2000_reference(eo).T
+    spin = _rot3_reference(eo.gast)
     r_ecef = spin @ (to_tod @ eci.position)
     omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
     v_ecef = spin @ (to_tod @ eci.velocity) - np.cross(omega, r_ecef)

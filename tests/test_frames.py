@@ -4,17 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import orbit_tle
 from oracle import (ecef_reference, ecef_to_eci, ecef_to_geodetic,
-                    eci_to_teme, local_to_global)
+                    eci_to_teme, local_to_global, teme_to_eci_reference)
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
                             build_local_frame, earth_orientation, eci_to_ecef,
                             geodetic_to_ecef, global_to_local,
                             nutation_matrix, precession_matrix, rot2, rot3,
                             teme_to_eci, teme_to_eci_matrix)
-from leochan.passes import Ephemeris
+from leochan.passes import Ephemeris, _elevation, elevation
 from leochan.states import Frame, FrameMismatch, StateVector
 from leochan.timebase import utc
 from leochan.tle import read_tle_file
@@ -167,8 +168,9 @@ _THIRTY_DAYS_US = 30 * 86400 * 10 ** 6
        st.lists(st.integers(-_THIRTY_DAYS_US, _THIRTY_DAYS_US),
                 min_size=1, max_size=4))
 def test_frame_chain_bytes_match_reference(tle, offsets_us):
-    # Sharing P N between the halves of the chain and writing omega x r
-    # out must not change a bit of any state.
+    # Sharing P N between the halves of the chain, writing omega x r
+    # out, building the rotations from flat tuples and multiplying with
+    # ndarray.dot must not change a bit of any state.
     ephem = Ephemeris(tle)
     for offset_us in offsets_us:
         t = tle.epoch + timedelta(microseconds=offset_us)
@@ -179,9 +181,40 @@ def test_frame_chain_bytes_match_reference(tle, offsets_us):
             assert got.position.tobytes() == ref.position.tobytes()
             assert got.velocity.tobytes() == ref.velocity.tobytes()
         eo = earth_orientation(t)
-        assert teme_to_eci_matrix(eo).tobytes() == (
-            precession_matrix(eo) @ nutation_matrix(eo)
-            @ rot3(-eo.equation_of_equinoxes)).tobytes()
+        assert (teme_to_eci_matrix(eo).tobytes()
+                == teme_to_eci_reference(eo).tobytes())
+
+
+_ENTRY = st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False)
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(arrays(np.float64, (3, 3), elements=_ENTRY),
+       arrays(np.float64, (3, 3), elements=_ENTRY),
+       arrays(np.float64, 3, elements=_ENTRY),
+       arrays(np.float64, 3, elements=_ENTRY))
+def test_dot_and_sqrt_dot_match_matmul_and_norm_bytes(a, b, v, w):
+    # The frame chain and the pass search call ndarray.dot and
+    # sqrt(v.dot(v)) in place of @ and np.linalg.norm, for their lower
+    # call overhead alone: each pair reaches the same BLAS routine on
+    # the same operands.  A numpy or BLAS under which that stops holding
+    # fails here by name, not as a golden mismatch.
+    for m in (a, a.T, _read_only(a)):
+        for x in (v, _read_only(v)):
+            assert m.dot(x).tobytes() == (m @ x).tobytes()
+        for x in (b, b.T, _read_only(b)):
+            assert m.dot(x).tobytes() == (m @ x).tobytes()
+    assert math.sqrt(v.dot(v)).hex() == float(np.linalg.norm(v)).hex()
+    slant = w - v
+    assume(v.dot(v) > 0.0 and slant.dot(slant) > 0.0)
+    assert (_elevation(v, v / np.linalg.norm(v), w).hex()
+            == elevation(v, w).hex())
 
 
 def test_geodetic_round_trip(rng):

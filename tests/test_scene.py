@@ -261,7 +261,7 @@ def _tree_scene_and_rays(draw):
     # ground plane, whose two faces are both wide; or soups one to
     # _LEAF_SIZE + 1 small faces past 2^k full leaves, with zero to two
     # wide faces.  In a soup's tree some level has an odd node count,
-    # and the last node's padded right child is empty.
+    # and the last node's right child is a NaN box.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["city", "bare city", "ground", "soup"]))
     if kind == "ground":

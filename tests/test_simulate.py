@@ -339,6 +339,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "scene_file" in err and err.count(str(scene_dir)) == 1
 
+    @pytest.mark.parametrize("z_km", ["1e300", "8"])
+    def test_scene_too_tall_for_perigee_exit_two_before_pass_search(
+            self, tmp_path, capsys, no_pass_search, z_km):
+        # 100 times the height is more than the demo set's 548 km perigee
+        # over the site; once exit 4 from the launch plane, after the
+        # pass search
+        scene_file = tmp_path / "tall.scene"
+        scene_file.write_text("0,0,0, 1,0,0, 0,1,0, 0\n"
+                              f"0,0,{z_km}, 1,0,{z_km}, 0,1,{z_km}, 0\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(scene_file)) == 1 and "plane-wave" in err
+
+    def test_city_too_tall_for_perigee_names_height_key(
+            self, tmp_path, capsys, no_pass_search):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\n"
+                       "scene_height_law = constant\nscene_h_const_m = 8000\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "scene_h_const_m" in capsys.readouterr().err
+
     def test_missing_pass_exit_three(self, tmp_path):
         cfg = tmp_path / "polar.cfg"
         cfg.write_text(f"tle_path = {DEMO_TLE}\nsite_lat_deg = 80.0\n"

@@ -17,7 +17,8 @@ from leochan.timebase import utc
 from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
                             SatelliteBelowHorizon, _bound_slack, _grid_bands,
                             _reaches_after_one_bounce, _reflect,
-                            build_launch_plane, dump_paths, trace)
+                            build_launch_plane, dump_paths,
+                            plane_wave_min_distance, trace)
 
 T0 = utc(2023, 1, 1)
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "sim.cfg"
@@ -98,6 +99,17 @@ def test_below_horizon_raises():
     scene = ground_plane(500.0)
     with pytest.raises(SatelliteBelowHorizon):
         build_launch_plane(_sat_state([550.0, 0.0, -1.0]), scene, 2.0)
+
+
+def test_satellite_too_close_for_plane_wave_raises():
+    # the backstop to simulate's perigee check, for SGP4's short-period
+    # terms: 100 times a 0.12 km scene's height is 12 km
+    city = generate_city(2, 2, height_law="constant", h_const_m=120.0)
+    need = plane_wave_min_distance(0.12)
+    assert need == pytest.approx(12.0)
+    build_launch_plane(_sat_state([0.0, 0.0, need * 1.001]), city, 4.0)
+    with pytest.raises(ValueError, match="plane-wave"):
+        build_launch_plane(_sat_state([0.0, 0.0, need * 0.999]), city, 4.0)
 
 
 def test_low_elevation_extent_covers_scene_shadow():
