@@ -18,7 +18,7 @@ import sys
 from datetime import timedelta
 
 from .config import ConfigError, parse_config
-from .passes import NoPassFound, find_pass
+from .passes import SCAN_STEP_S, NoPassFound, find_pass
 from .simulate import (dump_debug_paths, emit_outputs, first_element_set,
                        prepare_pass, run_pass_simulation)
 
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pass.add_argument("--site", required=True,
                         help="lat_deg,lon_deg,alt_km")
     p_pass.add_argument("--min-elev", type=float, default=0.0)
-    p_pass.add_argument("--step", type=float, default=30.0,
+    p_pass.add_argument("--step", type=float, default=SCAN_STEP_S,
                         help="scan step, seconds")
 
     p_once = sub.add_parser("trace-once",

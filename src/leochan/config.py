@@ -8,8 +8,11 @@ a typo should fail, not silently fall back to a default.
 and each message starts with the key it refuses.  The record is frozen:
 the record that passed its checks is the record every stage of a run
 reads (scene, tracer, frames and the link budget), and those stages do
-not check its values again.  A changed copy (``dataclasses.replace``)
-runs the checks again.
+not check its values again.  Its defaults are the only ones: the scene
+takes the city keys from the record (``scene.generate_city(config)``),
+as the link budget takes the link keys, not as parameters with defaults
+of their own.  A changed copy (``dataclasses.replace``) runs the checks
+again.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class SimConfig:
         return self.site_lat_deg, self.site_lon_deg, self.site_alt_km
 
 
-def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
+def parse_config_text(text: str, base_dir: Path) -> SimConfig:
     # each key's parser from its field's annotation, a string here (the
     # module postpones annotations): int, str, and float otherwise
     parsers = {f.name: {"int": int, "str": str}.get(f.type, float)
@@ -142,11 +145,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> SimConfig:
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {value!r}") from None
-    if base_dir is not None:
-        for key in ("tle_path", "scene_file"):
-            val = values.get(key)
-            if val and not Path(val).is_absolute():
-                values[key] = str(base_dir / val)
+    for key in ("tle_path", "scene_file"):
+        val = values.get(key)
+        if val and not Path(val).is_absolute():
+            values[key] = str(base_dir / val)
 
     cfg = SimConfig(**values)
     if not cfg.tle_path:

@@ -71,18 +71,15 @@ def fspl_db(distance_km: float, fc_mhz: float) -> float:
 
 
 def effective_rain_path_km(rain_rate_mm_h: float, elevation_rad: float,
-                           path_constant: float = RAIN_PATH_CONSTANT) -> float:
+                           path_constant: float) -> float:
     """Elevation-dependent effective distance through rain."""
     return 1.0 / (0.00741 * rain_rate_mm_h ** 0.776
                   + path_constant * math.sin(elevation_rad))
 
 
 def rain_attenuation_db(rain_rate_mm_h: float, k: float, alpha: float,
-                        elevation_rad: float,
-                        path_constant: float = RAIN_PATH_CONSTANT) -> float:
+                        elevation_rad: float, path_constant: float) -> float:
     """Rain attenuation k * R^alpha * L(R, elevation), dB."""
-    if rain_rate_mm_h == 0.0:
-        return 0.0
     path = effective_rain_path_km(rain_rate_mm_h, elevation_rad,
                                   path_constant)
     return k * rain_rate_mm_h ** alpha * path
@@ -109,7 +106,7 @@ def fresnel_power_reflectance(incidence_angle: float, material: Material,
 
 
 def reflection_loss_db(incidence_angle: float, material: Material,
-                       fc_mhz: float, polarization: str = "V") -> float:
+                       fc_mhz: float, polarization: str) -> float:
     """Power lost at one specular reflection, dB (>= 0)."""
     reflectance = fresnel_power_reflectance(incidence_angle, material,
                                             fc_mhz, polarization)

@@ -43,6 +43,10 @@ _RATE_HALF_STEP_S = 0.5
 _CROSSING_TOL_S = 0.1
 _CULMINATION_TOL_S = 0.01
 
+# The pass search's scan step, seconds: find_pass's default and that of
+# ``leochan pass --step``.
+SCAN_STEP_S = 30.0
+
 
 class NoPassFound(RuntimeError):
     pass
@@ -262,7 +266,7 @@ def _scan_bound(state: PropagatorState,
 
 
 def find_pass(tle: Tle, site_geodetic: tuple[float, float, float],
-              theta_min: float = 0.0, step_s: float = 30.0,
+              theta_min: float, step_s: float = SCAN_STEP_S,
               search_hours: float = 48.0,
               ephemeris: Ephemeris | None = None) -> PassWindow:
     """Locate the first pass above ``theta_min`` after the element epoch.

@@ -82,8 +82,12 @@ costs nothing and reports a miss.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 M_PER_KM = 1000.0
 
@@ -345,12 +349,13 @@ class Scene:
         return shape
 
     def intersect_batch(self, origins: np.ndarray, directions: np.ndarray,
-                        t_min: float = 0.0, grid=None, keep=None):
+                        t_min: float, grid=None, keep=None):
         """Nearest hits for many rays at once.
 
         Returns (t, face_id): misses get t = +inf, face_id = -1.  Hits
-        lie in (t_min, +inf); among equal distances the lower face id
-        wins.  The engine ends at which face and how far: the face's
+        lie in (t_min, +inf), a bound every caller states (the tracer's
+        is its self-hit distance); among equal distances the lower face
+        id wins.  The engine ends at which face and how far: the face's
         normal is ``normals[face_id]``, as built, and orienting it
         against the ray is the tracer's (``tracer._reflect``).
 
@@ -444,12 +449,13 @@ class Scene:
                    np.concatenate([faces[pair, slot],
                                    self._wide[wide_slot]]))
 
-    def _raster(self, grid, m, keep=None):
+    def _raster(self, grid, m, keep):
         """Candidate (ray, face) pairs of a launch grid's parallel rays,
         for a batch of whole grid rows at a time: the grid points each
         face's projection covers (see the module docstring).  Ray
-        i * nv + j leaves from grid point (i, j).  With ``keep``, only
-        the pairs of the rays it keeps (see ``intersect_batch``)."""
+        i * nv + j leaves from grid point (i, j).  With a ``keep`` that
+        is not None, only the pairs of the rays it keeps (see
+        ``intersect_batch``)."""
         nu, nv = grid.grid_shape()
         if m != nu * nv:
             raise ValueError(f"{m} rays for a {nu} x {nv} launch grid")
@@ -536,29 +542,31 @@ _BOX_TRIANGLES = np.array([tri for a, b, c, d in _BOX_QUADS
                            for tri in ((a, b, c), (a, c, d))])
 
 
-def generate_city(grid_nx: int, grid_ny: int, block_w_m: float = 80.0,
-                  street_w_m: float = 20.0, height_law: str = "uniform",
-                  h_min_m: float = 20.0, h_max_m: float = 120.0,
-                  h_const_m: float = 30.0, seed: int = 0) -> Scene:
+def generate_city(config: SimConfig) -> Scene:
     """Procedural Manhattan-style grid: box buildings over a ground plane.
 
-    Deterministic for a fixed seed; buildings are watertight 12-triangle
-    boxes; the ground plane covers the street grid including the
-    perimeter streets.  Distances are meters here, kilometers inside the
-    returned scene.  The arguments are the city keys of a checked
-    ``config.SimConfig`` and are not checked again.
+    The city keys (``scene_grid_nx`` ... ``scene_h_const_m``, and
+    ``seed``) are read from the checked ``config``, which holds their
+    defaults, and are not checked again.  Deterministic for a fixed
+    seed; buildings are watertight 12-triangle boxes; the ground plane
+    covers the street grid including the perimeter streets.  Distances
+    are meters in the config, kilometers inside the returned scene.
     """
+    grid_nx, grid_ny = config.scene_grid_nx, config.scene_grid_ny
+    block_w_m = config.scene_block_w_m
+    street_w_m = config.scene_street_w_m
     period = block_w_m + street_w_m
     width_x = grid_nx * period + street_w_m
     width_y = grid_ny * period + street_w_m
     x0 = -width_x / 2.0
     y0 = -width_y / 2.0
 
-    if height_law == "uniform":
-        rng = np.random.default_rng(seed)
-        heights = rng.uniform(h_min_m, h_max_m, size=grid_nx * grid_ny)
+    if config.scene_height_law == "uniform":
+        rng = np.random.default_rng(config.seed)
+        heights = rng.uniform(config.scene_h_min_m, config.scene_h_max_m,
+                              size=grid_nx * grid_ny)
     else:
-        heights = np.full(grid_nx * grid_ny, h_const_m)
+        heights = np.full(grid_nx * grid_ny, config.scene_h_const_m)
 
     # one box per block, blocks in (i, j) row-major order
     bx0 = np.repeat(x0 + street_w_m + np.arange(grid_nx) * period, grid_ny)

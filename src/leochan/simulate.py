@@ -53,13 +53,7 @@ def _build_scene(config: SimConfig) -> scene_mod.Scene:
         except ValueError as exc:
             raise ConfigError(f"scene_file {config.scene_file}: {exc}") \
                 from None
-    return scene_mod.generate_city(
-        config.scene_grid_nx, config.scene_grid_ny,
-        block_w_m=config.scene_block_w_m,
-        street_w_m=config.scene_street_w_m,
-        height_law=config.scene_height_law,
-        h_min_m=config.scene_h_min_m, h_max_m=config.scene_h_max_m,
-        h_const_m=config.scene_h_const_m, seed=config.seed)
+    return scene_mod.generate_city(config)
 
 
 def _empty_snapshot(t: datetime, elevation_rad: float) -> ChannelSnapshot:
@@ -192,7 +186,7 @@ def _utc_str(t: datetime) -> str:
 
 
 def emit_outputs(report: PassReport, out_dir,
-                 steps_only: bool = False) -> list[Path]:
+                 steps_only: bool) -> list[Path]:
     """Write the analysis tables; returns the created file paths.
 
     pass_summary.csv   window geometry, one key,value row per line

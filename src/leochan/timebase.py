@@ -1,9 +1,11 @@
 """UTC instants and Julian-date arithmetic.
 
-All timestamps in the package are timezone-aware UTC datetimes.  Julian
-dates are carried as (day, fraction) pairs so that sidereal angles keep
-sub-microsecond precision; collapsing to a single float would cost ~50 us
-near the current epoch.
+All timestamps in the package are timezone-aware UTC datetimes: an
+element-set epoch from ``epoch_from_year_day``, plus timedeltas.  So
+these functions read an instant's fields as they stand and convert no
+time zone.  Julian dates are carried as (day, fraction) pairs so that
+sidereal angles keep sub-microsecond precision; collapsing to a single
+float would cost ~50 us near the current epoch.
 """
 
 from __future__ import annotations
@@ -21,18 +23,6 @@ TT_MINUS_UTC_S = 69.184
 SECONDS_PER_DAY = 86400.0
 
 
-def utc(year, month, day, hour=0, minute=0, second=0, microsecond=0) -> datetime:
-    """Construct a timezone-aware UTC datetime."""
-    return datetime(year, month, day, hour, minute, second, microsecond,
-                    tzinfo=timezone.utc)
-
-
-def _ensure_utc(t: datetime) -> datetime:
-    if t.tzinfo is None:
-        return t.replace(tzinfo=timezone.utc)
-    return t.astimezone(timezone.utc)
-
-
 def jd_midnight(year: int, month: int, day: int) -> float:
     """Julian date of 00:00 on a Gregorian calendar date (half-integer)."""
     return (367.0 * year
@@ -43,7 +33,6 @@ def jd_midnight(year: int, month: int, day: int) -> float:
 
 def jd_pair(t: datetime) -> tuple[float, float]:
     """Split an instant into (Julian date at midnight, fraction of day)."""
-    t = _ensure_utc(t)
     jd = jd_midnight(t.year, t.month, t.day)
     frac = (t.hour * 3600.0 + t.minute * 60.0 + t.second
             + t.microsecond * 1e-6) / SECONDS_PER_DAY
@@ -52,7 +41,7 @@ def jd_pair(t: datetime) -> tuple[float, float]:
 
 def julian_centuries_tt(t: datetime) -> float:
     """Julian centuries of Terrestrial Time since J2000 for a UTC instant."""
-    tt = _ensure_utc(t) + timedelta(seconds=TT_MINUS_UTC_S)
+    tt = t + timedelta(seconds=TT_MINUS_UTC_S)
     jd, frac = jd_pair(tt)
     return ((jd - JD_J2000) + frac) / 36525.0
 
@@ -88,10 +77,10 @@ def epoch_from_year_day(year: int, day_of_year: float) -> datetime:
     Resolution is truncated to whole microseconds, which exceeds the
     8-decimal day fraction used by element sets.
     """
-    base = utc(year, 1, 1)
+    base = datetime(year, 1, 1, tzinfo=timezone.utc)
     return base + timedelta(microseconds=round((day_of_year - 1.0) * 86400e6))
 
 
 def minutes_between(t0: datetime, t1: datetime) -> float:
     """Exact (t1 - t0) in minutes via timedelta arithmetic."""
-    return (_ensure_utc(t1) - _ensure_utc(t0)).total_seconds() / 60.0
+    return (t1 - t0).total_seconds() / 60.0

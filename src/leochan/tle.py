@@ -136,7 +136,7 @@ def _epoch_year(two_digit: int) -> int:
     return two_digit + (1900 if two_digit >= 57 else 2000)
 
 
-def parse_tle(line1: str, line2: str, name: str = "") -> Tle:
+def parse_tle(line1: str, line2: str, name: str) -> Tle:
     """Decode a line-1/line-2 pair into a :class:`Tle`.
 
     Raises :class:`LineLengthError`, :class:`ChecksumMismatch` or

@@ -1,21 +1,22 @@
 """Shared fixtures: the acceptance summary, perfbench loading, and the
-builders the tests make their inputs with (formatted and synthetic
-element sets, a bare ground plane, scene files, mutated input files).
-None of this runs in a simulation."""
+builders the tests make their inputs with (UTC instants, configs of the
+default city, formatted and synthetic element sets, a bare ground
+plane, scene files, mutated input files).  None of this runs in a
+simulation."""
 
 import importlib.util
 import io
 import math
 import sys
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from leochan.config import SimConfig
 from leochan.scene import M_PER_KM, Scene
-from leochan.timebase import utc
 from leochan.tle import Tle, parse_tle, tle_checksum
 
 WGS72_MU = 398600.8
@@ -50,6 +51,20 @@ def load_perfbench(stem: str):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def utc(year, month, day, hour=0, minute=0, second=0,
+        microsecond=0) -> datetime:
+    """Construct a timezone-aware UTC datetime."""
+    return datetime(year, month, day, hour, minute, second, microsecond,
+                    tzinfo=timezone.utc)
+
+
+def city_config(nx: int, ny: int, **keys) -> SimConfig:
+    """``SimConfig``'s defaults with a city of nx x ny blocks and the
+    other config ``keys`` changed, for ``generate_city``: the city keys'
+    defaults live in ``SimConfig`` only."""
+    return SimConfig(scene_grid_nx=nx, scene_grid_ny=ny, **keys)
 
 
 def _format_implied_decimal(value: float) -> str:

@@ -12,15 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (ground_plane, make_circular_tle, record_criterion,
-                      scene_to_text, synthetic_tle)
+from conftest import (city_config, ground_plane, make_circular_tle,
+                      record_criterion, scene_to_text, synthetic_tle, utc)
 from oracle import (doppler_closed_form, ecef_to_eci, ecef_to_geodetic,
                     local_point_to_global, local_to_global, nearest_hits)
 from leochan.cli import main
 from leochan.frames import (build_local_frame, earth_orientation,
                             eci_to_ecef, geodetic_to_ecef, global_to_local,
                             teme_to_eci_matrix)
-from leochan.link import (fspl_db, rain_attenuation_db, rms_delay_spread_ns)
+from leochan.link import (RAIN_PATH_CONSTANT, fspl_db, rain_attenuation_db,
+                          rms_delay_spread_ns)
 from leochan.passes import (Ephemeris, elevation, find_pass,
                             gamma_at_culmination, per_path_doppler)
 from leochan.scene import generate_city
@@ -28,7 +29,6 @@ from leochan.simulate import run_pass_simulation
 from leochan.config import parse_config_text
 from leochan.states import Frame, StateVector
 from leochan.sgp4 import sgp4_init, sgp4_propagate
-from leochan.timebase import utc
 from leochan.tle import parse_tle
 from leochan.tracer import build_launch_plane, trace
 
@@ -169,7 +169,7 @@ def test_criterion_06_flat_ground_image_source():
 
 
 def test_criterion_07_engine_oracle_agreement():
-    city = generate_city(6, 6, seed=2)
+    city = generate_city(city_config(6, 6, seed=2))
     rng = np.random.default_rng(77)
     n = 100_000
     origins = rng.uniform(-0.9, 0.9, (n, 3))
@@ -190,7 +190,8 @@ def test_criterion_07_engine_oracle_agreement():
 
 def test_criterion_08_link_budget_spot_values():
     fspl = fspl_db(550.0, 2000.0)
-    rain = rain_attenuation_db(25.0, 0.0000847, 1.0664, math.radians(45.0))
+    rain = rain_attenuation_db(25.0, 0.0000847, 1.0664, math.radians(45.0),
+                               RAIN_PATH_CONSTANT)
     ok = abs(fspl - 153.23) <= 0.01 and abs(rain - 0.0103) <= 1e-4
     record_criterion(
         "C08 link budget spot values", ok,
@@ -229,7 +230,8 @@ def test_criterion_10_per_path_doppler_spread(equatorial_pass):
     site = equatorial_pass["site"]
     site_ecef = geodetic_to_ecef(*site)
     local_frame = build_local_frame(site)
-    city = generate_city(4, 4, height_law="constant", h_const_m=25.0)
+    city = generate_city(city_config(4, 4, scene_height_law="constant",
+                                     scene_h_const_m=25.0))
     rx = np.array([0.0, 0.0, 0.0015])
 
     best = None
@@ -383,7 +385,7 @@ def test_criterion_14_empty_scene_pass_shape(tmp_path):
         "site_lat_deg = 1.9\n"
         "site_lon_deg = 0.7791238226849033\n"
         f"scene_file = {scene_file}\n"
-        "theta_min_deg = 5.0\ntime_step_s = 30\nspacing_m = 8\n")
+        "theta_min_deg = 5.0\ntime_step_s = 30\nspacing_m = 8\n", Path())
     report = run_pass_simulation(cfg)
     powers = [s.total_power_dbm for s in report.snapshots]
     assert all(s.paths for s in report.snapshots), "LOS must always exist"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import orbit_tle
+from conftest import orbit_tle, utc
 from oracle import (ecef_reference, ecef_to_eci, ecef_to_geodetic,
                     eci_to_teme, local_to_global, teme_to_eci_reference)
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
@@ -17,7 +17,6 @@ from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
                             teme_to_eci, teme_to_eci_matrix)
 from leochan.passes import Ephemeris, _elevation, elevation
 from leochan.states import Frame, FrameMismatch, StateVector
-from leochan.timebase import utc
 from leochan.tle import read_tle_file
 
 DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"

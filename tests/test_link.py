@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import utc
 from leochan.config import SimConfig
-from leochan.link import (CONCRETE, Material, build_snapshot,
-                          effective_rain_path_km, fresnel_power_reflectance,
-                          fspl_db, path_delay_us, path_power_dbm,
-                          rain_attenuation_db, rain_path_constant,
-                          reflection_loss_db, rms_delay_spread_ns,
-                          total_power_dbm, SPEED_OF_LIGHT_KM_S)
-from leochan.timebase import utc
+from leochan.link import (CONCRETE, RAIN_PATH_CONSTANT, Material,
+                          build_snapshot, effective_rain_path_km,
+                          fresnel_power_reflectance, fspl_db, path_delay_us,
+                          path_power_dbm, rain_attenuation_db,
+                          rain_path_constant, reflection_loss_db,
+                          rms_delay_spread_ns, total_power_dbm,
+                          SPEED_OF_LIGHT_KM_S)
 from leochan.tracer import Interaction, PathRecord
 
 PEC = Material("conductor", 1.0, 1e12)
@@ -52,10 +53,12 @@ class TestFspl:
 class TestRain:
     def test_zero_rate_is_zero(self):
         assert rain_attenuation_db(0.0, 0.0000847, 1.0664,
-                                   math.radians(45.0)) == 0.0
+                                   math.radians(45.0),
+                                   RAIN_PATH_CONSTANT) == 0.0
 
     def test_effective_path_spot(self):
-        length = effective_rain_path_km(25.0, math.radians(45.0))
+        length = effective_rain_path_km(25.0, math.radians(45.0),
+                                        RAIN_PATH_CONSTANT)
         direct = 1.0 / (0.00741 * 25.0 ** 0.776
                         + (0.232 - 0.00018) * math.sin(math.radians(45.0)))
         assert length == pytest.approx(direct, rel=1e-12)
@@ -63,13 +66,14 @@ class TestRain:
 
     def test_attenuation_spot(self):
         att = rain_attenuation_db(25.0, 0.0000847, 1.0664,
-                                  math.radians(45.0))
+                                  math.radians(45.0), RAIN_PATH_CONSTANT)
         assert att == pytest.approx(0.0103, abs=1e-4)
 
     def test_monotone_in_rate(self):
         rates = np.linspace(0.5, 200.0, 400)
         values = [rain_attenuation_db(r, 0.0000847, 1.0664,
-                                      math.radians(30.0)) for r in rates]
+                                      math.radians(30.0), RAIN_PATH_CONSTANT)
+                  for r in rates]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_latitude_mode_constant(self):
@@ -131,8 +135,9 @@ class TestPathPower:
         db_power = path_power_dbm(p, lp, el)
         lin = 10.0 ** (lp.pt_dbm / 10.0)
         lin /= 10.0 ** (fspl_db(p.total_distance, lp.fc_mhz) / 10.0)
-        lin /= 10.0 ** (rain_attenuation_db(10.0, lp.rain_k, lp.rain_alpha,
-                                            el) / 10.0)
+        lin /= 10.0 ** (rain_attenuation_db(
+            10.0, lp.rain_k, lp.rain_alpha, el,
+            rain_path_constant(lp.rain_path_mode, lp.site_lat_deg)) / 10.0)
         lin *= fresnel_power_reflectance(0.7, CONCRETE, lp.fc_mhz, "V")
         assert db_power == pytest.approx(10.0 * math.log10(lin), abs=1e-9)
 

@@ -14,9 +14,20 @@ fixtures that only the tests call belong under ``tests/``.
 Likewise every ``SimConfig`` field, a config key, is read as an attribute
 by package code outside ``__post_init__``, which checks the record but
 does not use it: a key that no run reads fails here.
+
+And every parameter of a module-level function or a method (dunders
+again exempt) is used by the package's own calls, matched by short name
+as above: a call passes a parameter by keyword, by enough positional
+arguments after ``self``, or by ``*args``/``**kwargs``.  A default must
+be left out by at least one package call, and every parameter must be
+passed by at least one, except the few in ``PASSED_ONLY_BY_TESTS``.  So
+each default has one home: a value that only tests set is passed by
+them, as the config keys' defaults are taken from ``SimConfig``.
 """
 
 import ast
+import math
+from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,6 +37,17 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "leochan"
 CONSOLE_SCRIPT = "cli.main"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Parameters that no package call passes, each with its reason.
+PASSED_ONLY_BY_TESTS = {
+    "cli.main(argv)":
+        "tests and the benchmark drive the CLI through it",
+    "passes.find_pass(search_hours)":
+        "the every-step oracle comparison and the 'does not set within the "
+        "horizon' path need a 3 h horizon",
+    "tracer.build_launch_plane(extent_pad_km)":
+        "C06 sets its grids' pad, and a gate's input may not be resized",
+}
 
 
 def _referenced(nodes) -> set[str]:
@@ -133,3 +155,84 @@ def test_every_config_key_is_read_by_the_package():
     unread = sorted({f.name for f in fields(SimConfig)} - attributes_read())
     assert not unread, "config keys no package code reads: " + ", ".join(
         unread)
+
+
+def _parameters():
+    """(``module.function(parameter)``, short name, positional index or
+    None for a keyword-only parameter, whether it has a default) for
+    every parameter of a module-level function or a method, ``self``
+    left out."""
+    params = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, FUNCTIONS):
+                found = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                found = [(f"{node.name}.{m.name}", m, 1) for m in node.body
+                         if isinstance(m, FUNCTIONS)
+                         and not _is_dunder(m.name)]
+            else:
+                continue
+            for name, fn, skip in found:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first_default = len(positional) - len(a.defaults)
+                qualified = f"{path.stem}.{name}"
+                params += [(f"{qualified}({p.arg})", fn.name, i - skip,
+                            i >= first_default)
+                           for i, p in enumerate(positional) if i >= skip]
+                params += [(f"{qualified}({p.arg})", fn.name, None,
+                            default is not None)
+                           for p, default in zip(a.kwonlyargs, a.kw_defaults)]
+    return params
+
+
+def _calls():
+    """{short name: [(positional count, keyword names)]} of every call
+    in package code; ``*args`` counts as every position and ``**kwargs``
+    as the keyword name None."""
+    calls = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            n = (math.inf if any(isinstance(a, ast.Starred)
+                                 for a in node.args) else len(node.args))
+            calls[name].append((n, {k.arg for k in node.keywords}))
+    return calls
+
+
+def parameter_use() -> tuple[list[str], list[str]]:
+    """(parameters whose default every package call overrides,
+    parameters no package call passes), as ``module.function(name)``."""
+    calls = _calls()
+    overridden, never_passed = [], []
+    for qualified, short, index, has_default in _parameters():
+        name = qualified[qualified.index("(") + 1:-1]
+        passes = [(index is not None and index < n) or name in kw
+                  or None in kw for n, kw in calls[short]]
+        if has_default and all(passes):
+            overridden.append(qualified)
+        if not any(passes):
+            never_passed.append(qualified)
+    return overridden, never_passed
+
+
+def test_every_parameter_default_is_left_out_by_a_package_call():
+    overridden = parameter_use()[0]
+    assert not overridden, ("defaults every package call overrides: "
+                            + ", ".join(overridden))
+
+
+def test_every_parameter_is_passed_by_a_package_call():
+    never_passed = parameter_use()[1]
+    unexpected = sorted(set(never_passed) - set(PASSED_ONLY_BY_TESTS))
+    stale = sorted(set(PASSED_ONLY_BY_TESTS) - set(never_passed))
+    assert not unexpected, ("parameters no package call passes: "
+                            + ", ".join(unexpected))
+    assert not stale, ("exempt, yet a package call passes them or they are "
+                       "gone: " + ", ".join(stale))

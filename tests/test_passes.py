@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (circular_mean_motion, load_perfbench,
-                      make_circular_tle, orbit_tle, synthetic_tle)
+                      make_circular_tle, orbit_tle, synthetic_tle, utc)
 from oracle import (doppler_closed_form, ecef_to_geodetic, elevation_triangle,
                     find_pass_every_step)
 from leochan.frames import EARTH_ROTATION_RATE, geodetic_to_ecef
@@ -16,7 +16,6 @@ from leochan.passes import (DomainError, Ephemeris, NoPassFound, _scan_bound,
                             per_path_doppler)
 from leochan.sgp4 import (PropagationError, SatelliteDecayed, sgp4_init,
                           sgp4_propagate)
-from leochan.timebase import utc
 from leochan.tle import read_tle_file
 from leochan.tracer import PathRecord
 
@@ -236,7 +235,7 @@ class TestFindPass:
             mean_motion_revs_per_day=circular_mean_motion(300.0), bstar=0.2)
         with pytest.raises(SatelliteDecayed):
             Ephemeris(tle).ecef_at(tle.epoch + timedelta(hours=6))
-        w = find_pass(tle, (50.76, 39.12, 0.0))
+        w = find_pass(tle, (50.76, 39.12, 0.0), theta_min=0.0)
         assert utc(2023, 6, 1, 12, 20, 0) < w.t_start \
             < utc(2023, 6, 1, 12, 21, 0)
         assert utc(2023, 6, 1, 12, 29, 0) < w.t_end \
@@ -248,7 +247,7 @@ class TestFindPass:
         horizon = timedelta(minutes=20)
         assert w.t_start < tle.epoch + horizon < w.t_end
         with pytest.raises(NoPassFound, match="does not set"):
-            find_pass(tle, equatorial_pass["site"],
+            find_pass(tle, equatorial_pass["site"], theta_min=0.0,
                       search_hours=horizon.total_seconds() / 3600.0)
 
     def test_pass_in_progress_at_epoch_is_skipped(self, equatorial_pass):
@@ -258,7 +257,7 @@ class TestFindPass:
         lat, lon, _ = ecef_to_geodetic(sat)
         site = (lat, lon, 0.0)
         assert elevation(geodetic_to_ecef(*site), sat) > math.radians(80.0)
-        w = find_pass(tle, site, ephemeris=ephem)
+        w = find_pass(tle, site, theta_min=0.0, ephemeris=ephem)
         # the next pass comes one revolution relative to the site later
         assert w.t_start > tle.epoch + timedelta(minutes=60)
         assert w.t_start < w.t0 < w.t_end
@@ -357,7 +356,7 @@ def test_no_pass_search_skips_the_instants_below_the_horizon(monkeypatch):
     tle = read_tle_file(DEMO_TLE)[0]
     calls = _count_ecef_at(monkeypatch)
     with pytest.raises(NoPassFound, match="no pass above 0.0 deg"):
-        find_pass(tle, (80.0, 0.0, 0.0))
+        find_pass(tle, (80.0, 0.0, 0.0), theta_min=0.0)
     assert len(calls) < 400
 
 

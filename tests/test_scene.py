@@ -6,34 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leochan.scene as scene_module
-from conftest import ground_plane, one_line_mutant, scene_to_text
+from conftest import (city_config, ground_plane, one_line_mutant,
+                      scene_to_text, utc)
 from oracle import nearest_hits
 from leochan.config import ConfigError, SimConfig
 from leochan.scene import (_LEAF_SIZE, DegenerateTriangle, Scene,
                            generate_city, scene_from_text)
 from leochan.states import Frame, StateVector
-from leochan.timebase import utc
 from leochan.tracer import _reflect, build_launch_plane
 
 
 def test_single_block_triangle_count():
-    city = generate_city(1, 1, height_law="constant", h_const_m=30.0)
+    city = generate_city(city_config(1, 1, scene_height_law="constant",
+                                     scene_h_const_m=30.0))
     assert len(city) == 12 + 2
 
 
 def test_ten_by_ten_triangle_count():
-    assert len(generate_city(10, 10, seed=3)) == 100 * 12 + 2
+    assert len(generate_city(city_config(10, 10, seed=3))) == 100 * 12 + 2
 
 
 def test_same_seed_identical_vertices():
-    a = generate_city(4, 5, seed=11)
-    b = generate_city(4, 5, seed=11)
+    a = generate_city(city_config(4, 5, seed=11))
+    b = generate_city(city_config(4, 5, seed=11))
     assert np.array_equal(a.triangles, b.triangles)
 
 
 def test_different_seed_differs():
-    a = generate_city(4, 5, seed=11)
-    b = generate_city(4, 5, seed=12)
+    a = generate_city(city_config(4, 5, seed=11))
+    b = generate_city(city_config(4, 5, seed=12))
     assert not np.array_equal(a.triangles, b.triangles)
 
 
@@ -67,7 +68,7 @@ def test_triangle_whose_area_overflows_rejected():
 
 def _one_ray(scene, origin, direction):
     t, fid = scene.intersect_batch(np.array([origin], dtype=float),
-                                   np.array([direction], dtype=float))
+                                   np.array([direction], dtype=float), 0.0)
     return t[0], fid[0]
 
 
@@ -112,7 +113,7 @@ def _assert_matches_oracle(scene, origins, dirs, t_min, grid=None):
 
 
 def test_bvh_equals_brute_force_random_rays(rng):
-    city = generate_city(6, 6, seed=2)
+    city = generate_city(city_config(6, 6, seed=2))
     n = 20_000
     origins = rng.uniform(-0.9, 0.9, (n, 3))
     origins[:, 2] = rng.uniform(-0.05, 0.4, n)
@@ -128,7 +129,7 @@ def test_bvh_equals_brute_force_random_rays(rng):
 def test_batch_equals_single_queries(rng):
     # A ray's hit must not depend on the batch it is queried in: the
     # chunking runs per batch, so query each ray on its own.
-    city = generate_city(5, 4, seed=9)
+    city = generate_city(city_config(5, 4, seed=9))
     n = 3000
     origins = rng.uniform(-0.8, 0.8, (n, 3))
     origins[:, 2] = rng.uniform(0.0, 0.4, n)
@@ -144,7 +145,7 @@ def test_batch_equals_single_queries(rng):
 def test_rays_at_ground_perimeter_survive_box_cull():
     # Hits on the edge of the scene box must not be culled by slab
     # rounding: aim every ray at a point on the ground plane's border.
-    city = generate_city(6, 6, seed=2)
+    city = generate_city(city_config(6, 6, seed=2))
     rng = np.random.default_rng(5)
     n = 5000
     (x0, y0, _), (x1, y1, _) = city.bounds
@@ -271,8 +272,9 @@ def _tree_scene_and_rays(draw):
              + draw(st.integers(1, _LEAF_SIZE + 1)))
         scene = _soup(rng, n, draw(st.integers(0, 2)))
     else:
-        scene = generate_city(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
-                              seed=draw(st.integers(0, 2**31 - 1)))
+        scene = generate_city(city_config(
+            draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            seed=draw(st.integers(0, 2**31 - 1))))
         if kind == "bare city":
             scene = _without_ground(scene)
     tris = scene.triangles
@@ -311,11 +313,13 @@ def test_batch_equals_oracle_multi_level_trees(case):
 
 
 _WIDE_CASES = {
-    "city 1x1": (lambda: generate_city(1, 1), 6),
-    "city 1x8": (lambda: generate_city(1, 8), 2),
-    "city 4x7": (lambda: generate_city(4, 7, height_law="constant"), 2),
-    "city 20x20": (lambda: generate_city(20, 20, seed=4), 2),
-    "bare city": (lambda: _without_ground(generate_city(6, 6, seed=2)), 0),
+    "city 1x1": (lambda: generate_city(city_config(1, 1)), 6),
+    "city 1x8": (lambda: generate_city(city_config(1, 8)), 2),
+    "city 4x7": (lambda: generate_city(
+        city_config(4, 7, scene_height_law="constant")), 2),
+    "city 20x20": (lambda: generate_city(city_config(20, 20, seed=4)), 2),
+    "bare city": (lambda: _without_ground(
+        generate_city(city_config(6, 6, seed=2))), 0),
     "ground": (ground_plane, 2),
     "one face": (lambda: Scene(ground_plane().triangles[:1]), 1),
     "soup": (lambda: _soup(np.random.default_rng(1), 2 * _LEAF_SIZE + 1), 0),
@@ -342,15 +346,16 @@ def test_city_wide_faces_are_its_ground():
     # a lone block's roof and floor span over half the footprint too,
     # but from two blocks on, even in a one-block-wide street canyon,
     # only the ground does
-    for city in (generate_city(1, 8), generate_city(2, 2),
-                 generate_city(3, 9, seed=5)):
+    for city in (generate_city(city_config(1, 8)),
+                 generate_city(city_config(2, 2)),
+                 generate_city(city_config(3, 9, seed=5))):
         assert list(city._wide) == [len(city) - 2, len(city) - 1]
 
 
 def test_subnormal_direction_component_equals_oracle():
     # 1 / 1e-320 overflows to +inf: the walk must treat the ray as
     # parallel to that axis, without a RuntimeWarning
-    city = generate_city(2, 2)
+    city = generate_city(city_config(2, 2))
     origins = np.array([[0.05, 0.05, 0.5], [0.0, 0.0, 0.5],
                         [0.05, 0.05, 0.5]])
     dirs = np.array([[1e-320, 0.0, -1.0], [0.0, -1e-320, -1.0],
@@ -359,7 +364,7 @@ def test_subnormal_direction_component_equals_oracle():
         warnings.simplefilter("error", RuntimeWarning)
         _assert_matches_oracle(city, origins, dirs, 0.0)
     # a roof, the ground, the same roof
-    fid = city.intersect_batch(origins, dirs)[1]
+    fid = city.intersect_batch(origins, dirs, 0.0)[1]
     assert fid[0] == fid[2] and 0 <= fid[0] < len(city) - 2
     assert fid[1] in (len(city) - 2, len(city) - 1)
 
@@ -419,12 +424,12 @@ def _launch_grid_case(draw):
     spacing_m = draw(st.one_of(st.sampled_from([0.5, 60.0]),
                                st.floats(0.5, 60.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    city = generate_city(
+    city = generate_city(city_config(
         draw(st.integers(1, 2)), draw(st.integers(1, 2)),
-        block_w_m=spacing_m * draw(st.integers(2, 8)),
-        street_w_m=spacing_m * draw(st.integers(1, 4)),
-        h_min_m=spacing_m, h_max_m=spacing_m * 12.0,
-        seed=draw(st.integers(0, 2**31 - 1)))
+        scene_block_w_m=spacing_m * draw(st.integers(2, 8)),
+        scene_street_w_m=spacing_m * draw(st.integers(1, 4)),
+        scene_h_min_m=spacing_m, scene_h_max_m=spacing_m * 12.0,
+        seed=draw(st.integers(0, 2**31 - 1))))
     elevation = draw(st.one_of(
         st.sampled_from([90.0, 90.0 - 1e-6, 90.0 - 1e-9, 0.5]),
         st.floats(0.5, 90.0)))
@@ -482,20 +487,20 @@ def test_grid_path_equals_oracle_in_small_batches(budget, case):
 def test_raster_batches_hold_whole_rays(budget):
     # The nearest-hit step keeps one minimum per ray, so all of a ray's
     # candidates must come in one batch.
-    city = generate_city(3, 2, seed=6)
+    city = generate_city(city_config(3, 2, seed=6))
     plane = _launch_plane(city, 35.0, 110.0, 6.0)
     nu, nv = plane.grid_shape()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scene_module, "_PAIR_BATCH", budget)
-        batches = list(city._raster(plane, nu * nv))
+        batches = list(city._raster(plane, nu * nv, None))
     rays = np.concatenate([np.unique(ray) for ray, _ in batches])
     assert len(rays) == len(np.unique(rays))
     if budget == 1:
         assert all(len(np.unique(ray // nv)) == 1 for ray, _ in batches)
     # the same candidate pairs, in whatever batches
     pairs = np.concatenate([ray * len(city) + face for ray, face in batches])
-    ref = np.concatenate([ray * len(city) + face
-                          for ray, face in city._raster(plane, nu * nv)])
+    ref = np.concatenate([ray * len(city) + face for ray, face
+                          in city._raster(plane, nu * nv, None)])
     assert np.array_equal(np.sort(pairs), np.sort(ref))
     assert len(batches) > 1
 
@@ -515,7 +520,7 @@ def _doubled(scene, seed):
 def test_coincident_faces_go_to_the_lower_id(source, rng):
     # Twin faces give every ray the same distance to both, so the scatter
     # minimum over face ids decides.
-    scene, twin = _doubled(generate_city(3, 3, seed=4), 9)
+    scene, twin = _doubled(generate_city(city_config(3, 3, seed=4)), 9)
     if source == "walk":
         n = 4000
         origins = rng.uniform(-0.2, 0.2, (n, 3))
@@ -535,16 +540,17 @@ def test_coincident_faces_go_to_the_lower_id(source, rng):
 
 
 def test_grid_path_rejects_other_rays():
-    city = generate_city(1, 1)
+    city = generate_city(city_config(1, 1))
     plane = _launch_plane(city, 60.0, 30.0, 8.0)
     origins = plane.launch_points()[1:]
     dirs = np.broadcast_to(plane.direction, origins.shape)
     with pytest.raises(ValueError, match="launch grid"):
-        city.intersect_batch(origins, dirs, grid=plane)
+        city.intersect_batch(origins, dirs, 0.0, grid=plane)
 
 
 def test_watertight_box_entry_exit_parity(rng):
-    city = generate_city(1, 1, height_law="constant", h_const_m=50.0)
+    city = generate_city(city_config(1, 1, scene_height_law="constant",
+                                     scene_h_const_m=50.0))
     # strip the ground so only the box remains
     box = Scene(city.triangles[:12])
     n = 10_000
@@ -568,7 +574,7 @@ def test_watertight_box_entry_exit_parity(rng):
 
 
 def test_text_round_trip():
-    city = generate_city(2, 3, seed=5)
+    city = generate_city(city_config(2, 3, seed=5))
     text = scene_to_text(city)
     back = scene_from_text(text)
     assert np.array_equal(back.triangles, city.triangles)
@@ -607,7 +613,7 @@ def test_text_import_names_line_of_bad_material_id():
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(one_line_mutant(scene_to_text(generate_city(1, 1, seed=3)),
+@given(one_line_mutant(scene_to_text(generate_city(city_config(1, 1, seed=3))),
                        "0123456789.,-+eE_ #x"))
 def test_mutated_scene_file_builds_or_names_its_line(mutant):
     # A damaged line is refused by its number, and nothing else happens:
@@ -647,7 +653,7 @@ def test_scene_keeps_its_own_arrays(rng):
     # Changing the caller's array after construction must change
     # nothing in the scene: its faces, the tree and the face data stay
     # those it was built from, and its own array is read-only.
-    city = generate_city(2, 2, seed=5)
+    city = generate_city(city_config(2, 2, seed=5))
     tris = city.triangles.copy()
     scene = Scene(tris)
     tris += 0.25
@@ -662,7 +668,7 @@ def test_scene_keeps_its_own_arrays(rng):
 
 
 def test_distinct_normals_up_to_sign():
-    city = generate_city(3, 2, seed=1)
+    city = generate_city(city_config(3, 2, seed=1))
     axes = city.distinct_normals
     assert city.distinct_normals is axes
     assert not axes.flags.writeable
@@ -691,4 +697,5 @@ def test_shape_factors():
     assert not scene.shape_factors.flags.writeable
     assert np.allclose(ground_plane(100.0).shape_factors, math.sqrt(2.0),
                        rtol=1e-15)
-    assert (generate_city(3, 3, seed=4).shape_factors >= 1.0).all()
+    city = generate_city(city_config(3, 3, seed=4))
+    assert (city.shape_factors >= 1.0).all()

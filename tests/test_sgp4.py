@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import (WGS72_RE, circular_mean_motion, make_circular_tle,
-                      synthetic_tle)
+                      synthetic_tle, utc)
 from leochan.sgp4 import (DecayedOrbit, DeepSpaceUnsupported, sgp4_init,
                           sgp4_propagate)
 from leochan.states import Frame
 from leochan.tle import parse_tle
-from leochan.timebase import utc
 
 # Public element sets used for cross-validation (checksums verified).
 PUBLIC_TLES = {
@@ -132,7 +131,7 @@ def test_near_circular_position_velocity_nearly_perpendicular():
 
 
 def test_determinism_bit_identical():
-    tle = parse_tle(*PUBLIC_TLES["COSMOS-1408"])
+    tle = parse_tle(*PUBLIC_TLES["COSMOS-1408"], name="")
     a = sgp4_propagate(sgp4_init(tle), 123.456)
     b = sgp4_propagate(sgp4_init(tle), 123.456)
     assert np.array_equal(a.position, b.position)

@@ -99,14 +99,14 @@ class TestConfig:
     def test_bad_float_value_names_key(self, entry):
         key, value = entry
         with pytest.raises(ConfigError, match=key):
-            parse_config_text(f"{key} = {value!r}\n")
+            parse_config_text(f"{key} = {value!r}\n", Path())
 
     @pytest.mark.parametrize("key", ["scene_grid_nx", "scene_grid_ny"])
     @pytest.mark.parametrize("value", ["0", "-3", "1700"])
     def test_bad_city_grid_names_key(self, key, value):
         # 1700 blocks by the other key's default 6: over 10,000
         with pytest.raises(ConfigError, match=key):
-            parse_config_text(f"{key} = {value}\n")
+            parse_config_text(f"{key} = {value}\n", Path())
 
     @pytest.mark.parametrize("text,key", [
         ("scene_file = city.txt\nscene_h_const_m = -1\n", "scene_h_const_m"),
@@ -117,27 +117,27 @@ class TestConfig:
     def test_city_key_checked_whatever_scene_file_and_law(self, text, key):
         # a city key that the run does not read is still refused
         with pytest.raises(ConfigError, match=f"^{key} "):
-            parse_config_text(text)
+            parse_config_text(text, Path())
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("volume_db = 11\n")
+            parse_config_text("volume_db = 11\n", Path())
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("fc_mhz = 1\nfc_mhz = 2\n")
+            parse_config_text("fc_mhz = 1\nfc_mhz = 2\n", Path())
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("fc_mhz = not-a-number\n")
+            parse_config_text("fc_mhz = not-a-number\n", Path())
 
     def test_missing_tle_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("fc_mhz = 2000\n")
+            parse_config_text("fc_mhz = 2000\n", Path())
 
     def test_missing_tle_file_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("tle_path = /no/such/file.tle\n")
+            parse_config_text("tle_path = /no/such/file.tle\n", Path())
 
     def test_comments_and_defaults(self, light_config):
         cfg = parse_config(light_config)
@@ -151,7 +151,7 @@ class TestConfig:
         defaults = SimConfig(tle_path=str(DEMO_TLE))
         text = "".join(f"{f.name} = {getattr(defaults, f.name)}\n"
                        for f in fields(SimConfig))
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(text, Path())
         for f in fields(SimConfig):
             got, want = getattr(cfg, f.name), getattr(defaults, f.name)
             assert type(got) is type(want), f.name
@@ -206,7 +206,7 @@ class TestRunPassSimulation:
 
 class TestEmitOutputs:
     def test_files_and_headers(self, light_report, tmp_path):
-        files = emit_outputs(light_report, tmp_path)
+        files = emit_outputs(light_report, tmp_path, steps_only=False)
         names = [f.name for f in files]
         assert names == ["pass_summary.csv", "timeseries.csv", "paths.csv",
                          "delay_spread_cdf.csv"]
@@ -218,7 +218,7 @@ class TestEmitOutputs:
         assert all(len(r.split(",")) == 7 for r in rows)
 
     def test_cdf_monotone_and_complete(self, light_report, tmp_path):
-        emit_outputs(light_report, tmp_path)
+        emit_outputs(light_report, tmp_path, steps_only=False)
         rows = [line.split(",") for line in
                 (tmp_path / "delay_spread_cdf.csv")
                 .read_text().splitlines()[1:]]
@@ -232,7 +232,7 @@ class TestEmitOutputs:
         assert len(rows) == n_with_paths
 
     def test_per_path_table_reaggregates(self, light_report, tmp_path):
-        emit_outputs(light_report, tmp_path)
+        emit_outputs(light_report, tmp_path, steps_only=False)
         per_t: dict[str, list[float]] = {}
         for line in (tmp_path / "paths.csv").read_text().splitlines()[1:]:
             parts = line.split(",")
@@ -247,7 +247,7 @@ class TestEmitOutputs:
 
     def test_empty_snapshot_list_headers_only(self, light_report, tmp_path):
         empty = PassReport(window=light_report.window, snapshots=())
-        emit_outputs(empty, tmp_path)
+        emit_outputs(empty, tmp_path, steps_only=False)
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
         assert (tmp_path / "paths.csv").read_text().count("\n") == 1
         assert (tmp_path / "delay_spread_cdf.csv").read_text().count("\n") == 1

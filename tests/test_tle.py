@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import format_tle, synthetic_tle
+from conftest import format_tle, synthetic_tle, utc
 from leochan.passes import Ephemeris
 from leochan.sgp4 import PropagationError
 from leochan.tle import (ChecksumMismatch, LineLengthError, MalformedField,
                          Tle, TleError, parse_tle, read_tle_file,
                          tle_checksum)
-from leochan.timebase import utc
 
 DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
 
@@ -74,7 +73,7 @@ def test_perturbed_last_digit_raises_checksum():
     line1, line2 = ISS_2020
     bad = line2[:67] + ("0" if line2[67] != "0" else "1") + line2[68]
     with pytest.raises(ChecksumMismatch):
-        parse_tle(line1, bad)
+        parse_tle(line1, bad, name="")
 
 
 def test_implied_decimal_eccentricity():
@@ -82,13 +81,13 @@ def test_implied_decimal_eccentricity():
     line2 = COSMOS_1408[1]
     patched = line2[:26] + "0001234" + line2[33:68]
     patched += str(tle_checksum(patched))
-    tle = parse_tle(COSMOS_1408[0], patched)
+    tle = parse_tle(COSMOS_1408[0], patched, name="")
     assert tle.eccentricity == pytest.approx(0.0001234, abs=1e-15)
 
 
 def test_wrong_length_raises():
     with pytest.raises(LineLengthError):
-        parse_tle(ISS_2020[0][:-1], ISS_2020[1])
+        parse_tle(ISS_2020[0][:-1], ISS_2020[1], name="")
 
 
 def test_non_numeric_field_raises_malformed():
@@ -96,7 +95,7 @@ def test_non_numeric_field_raises_malformed():
     bad = line2[:8] + "xx.yyyy " + line2[16:68]
     bad += str(tle_checksum(bad))
     with pytest.raises(MalformedField):
-        parse_tle(line1, bad)
+        parse_tle(line1, bad, name="")
 
 
 def test_wrong_line_number_raises():
@@ -104,12 +103,12 @@ def test_wrong_line_number_raises():
     swapped = "3" + line1[1:68]
     swapped += str(tle_checksum(swapped))
     with pytest.raises(MalformedField):
-        parse_tle(swapped, line2)
+        parse_tle(swapped, line2, name="")
 
 
 def test_satnum_mismatch_raises():
     with pytest.raises(MalformedField):
-        parse_tle(ISS_2020[0], COSMOS_1408[1])
+        parse_tle(ISS_2020[0], COSMOS_1408[1], name="")
 
 
 def test_roundtrip_parse_format_parse_is_field_equal():
@@ -136,11 +135,11 @@ def test_roundtrip_random_synthetic(rng):
 
 
 def test_epoch_year_pivot():
-    base = parse_tle(*ISS_2020)
+    base = parse_tle(*ISS_2020, name="")
     for yy, year in ((57, 1957), (99, 1999), (0, 2000), (56, 2056)):
         line1 = ISS_2020[0][:18] + f"{yy:02d}" + ISS_2020[0][20:68]
         line1 += str(tle_checksum(line1))
-        assert parse_tle(line1, ISS_2020[1]).epoch_year == year
+        assert parse_tle(line1, ISS_2020[1], name="").epoch_year == year
     assert base.epoch_year == 2020
 
 
@@ -208,7 +207,7 @@ def test_read_tle_file_non_decimal_mean_motion_names_file_line(tmp_path,
 @pytest.mark.parametrize("field", ["15.49398617", "+15.4939862", "15.",
                                    "  .5", "15"])
 def test_decimal_fields_keep_their_column_forms(field):
-    tle = parse_tle(ISS_2020[0], _with_mean_motion(field))
+    tle = parse_tle(ISS_2020[0], _with_mean_motion(field), name="")
     assert tle.mean_motion_revs_per_day == float(field)
 
 

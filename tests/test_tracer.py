@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ground_plane
+from conftest import city_config, ground_plane, utc
 from oracle import nearest_hits, trace_every_ray
 from leochan import tracer as tracer_module
 from leochan.config import parse_config
 from leochan.scene import Scene, generate_city
 from leochan.simulate import prepare_pass
 from leochan.states import Frame, StateVector
-from leochan.timebase import utc
 from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
                             SatelliteBelowHorizon, _bound_slack, _grid_bands,
                             _reaches_after_one_bounce, _reflect,
@@ -48,7 +47,8 @@ def _flat_setup(elevation_deg, spacing_m, rx=None, pad_km=0.02,
 
 def test_plane_at_zenith_sits_above_scene_top():
     # scene top at 0.15 km, margin 0.05 -> plane plane at z = 0.2
-    city = generate_city(2, 2, height_law="constant", h_const_m=150.0)
+    city = generate_city(city_config(2, 2, scene_height_law="constant",
+                                     scene_h_const_m=150.0))
     sat = _sat_state([0.0, 0.0, 550.0])
     plane = build_launch_plane(sat, city, spacing_m=5.0)
     assert np.allclose(plane.direction, [0.0, 0.0, -1.0], atol=1e-12)
@@ -104,7 +104,8 @@ def test_below_horizon_raises():
 def test_satellite_too_close_for_plane_wave_raises():
     # the backstop to simulate's perigee check, for SGP4's short-period
     # terms: 100 times a 0.12 km scene's height is 12 km
-    city = generate_city(2, 2, height_law="constant", h_const_m=120.0)
+    city = generate_city(city_config(2, 2, scene_height_law="constant",
+                                     scene_h_const_m=120.0))
     need = plane_wave_min_distance(0.12)
     assert need == pytest.approx(12.0)
     build_launch_plane(_sat_state([0.0, 0.0, need * 1.001]), city, 4.0)
@@ -114,7 +115,7 @@ def test_satellite_too_close_for_plane_wave_raises():
 
 def test_low_elevation_extent_covers_scene_shadow():
     # oracle: every scene corner projects inside the plane rectangle
-    city = generate_city(3, 3, seed=1)
+    city = generate_city(city_config(3, 3, seed=1))
     el = math.radians(5.0)
     sat = 1500.0 * np.array([math.cos(el), 0.0, math.sin(el)])
     plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
@@ -181,8 +182,9 @@ def test_empty_scene_sees_only_the_sky(max_bounces):
 
 def test_occluded_receiver_yields_empty_result():
     # receiver inside a closed box, direct rays only
-    city = generate_city(1, 1, block_w_m=60.0, street_w_m=20.0,
-                         height_law="constant", h_const_m=40.0)
+    city = generate_city(city_config(
+        1, 1, scene_block_w_m=60.0, scene_street_w_m=20.0,
+        scene_height_law="constant", scene_h_const_m=40.0))
     rx = np.array([0.0, 0.0, 0.02])  # center of the lone building
     sat = _sat_state([200.0, 0.0, 500.0])
     plane = build_launch_plane(sat, city, spacing_m=3.0)
@@ -190,7 +192,7 @@ def test_occluded_receiver_yields_empty_result():
 
 
 def test_specularity_and_segment_validity():
-    city = generate_city(2, 2, seed=8)
+    city = generate_city(city_config(2, 2, seed=8))
     el = math.radians(35.0)
     sat = 600.0 * np.array([math.cos(el), math.sin(el) * 0.2, math.sin(el)])
     sat = 600.0 * sat / np.linalg.norm(sat)
@@ -226,7 +228,7 @@ def test_specularity_and_segment_validity():
 
 
 def test_deterministic_trace():
-    city = generate_city(3, 2, seed=4)
+    city = generate_city(city_config(3, 2, seed=4))
     sat = _sat_state([300.0, 100.0, 480.0])
     plane = build_launch_plane(sat, city, spacing_m=4.0)
     rx = np.array([0.0, 0.0, 0.0015])
@@ -255,7 +257,7 @@ def test_one_intersection_call_per_segment(monkeypatch):
         return result
 
     monkeypatch.setattr(Scene, "intersect_batch", counted)
-    city = generate_city(2, 2, seed=8)
+    city = generate_city(city_config(2, 2, seed=8))
     plane = build_launch_plane(_sat_state([250.0, -40.0, 490.0]), city,
                                spacing_m=4.0)
     rx = np.array([0.0, 0.0, 0.01])
@@ -297,8 +299,9 @@ def test_bound_dropping_every_ray_still_calls_once(monkeypatch):
         return result
 
     monkeypatch.setattr(Scene, "intersect_batch", counted)
-    city = generate_city(1, 1, block_w_m=60.0, street_w_m=60.0,
-                         height_law="constant", h_const_m=60.0)
+    city = generate_city(city_config(
+        1, 1, scene_block_w_m=60.0, scene_street_w_m=60.0,
+        scene_height_law="constant", scene_h_const_m=60.0))
     el, az = math.radians(40.0), math.radians(30.0)
     sat = 550.0 * np.array([math.cos(el) * math.cos(az),
                             math.cos(el) * math.sin(az), math.sin(el)])
@@ -330,7 +333,7 @@ def test_refining_spacing_keeps_coarse_paths():
 
 
 def test_paths_sorted_and_unit_vectors():
-    city = generate_city(2, 2, seed=8)
+    city = generate_city(city_config(2, 2, seed=8))
     sat = _sat_state([250.0, -40.0, 490.0])
     plane = build_launch_plane(sat, city, spacing_m=4.0)
     rx = np.array([0.0, 0.0, 0.0015])
@@ -489,7 +492,7 @@ def test_bound_degenerate_wedge_is_the_ray():
     # normal (0, 1, 0): for it d' = d, so the wedge is the ray itself,
     # and a receiver 5 km along y, within the capture radius of the
     # plane of d and that normal but far from every ray, keeps none.
-    city = generate_city(1, 1, seed=3)
+    city = generate_city(city_config(1, 1, seed=3))
     el = math.radians(40.0)
     sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
     plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
@@ -506,7 +509,7 @@ def test_grid_bound_degenerate_wedge_is_the_ray():
     # The same lone block and receiver on the launch grid: with no
     # receiver window, the bands keep none of the launch rays that hit,
     # as the bound on their reflections keeps none.
-    city = generate_city(1, 1, seed=3)
+    city = generate_city(city_config(1, 1, seed=3))
     el = math.radians(40.0)
     sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
     plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
@@ -550,7 +553,7 @@ def _reflected_ray_case(max_bounces, bounces, frac):
     two walls that face different ways, the ray heads straight back
     towards the satellite, out of the one-bounce wedge of its second
     segment: only segments with one bounce left may be bounded."""
-    city = generate_city(2, 2, seed=8)
+    city = generate_city(city_config(2, 2, seed=8))
     plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
                                spacing_m=4.0)
     _, origins, dirs = _march(plane, city, bounces)
@@ -584,7 +587,7 @@ def _zenith_case(offset_deg, az_deg, max_bounces):
     of 1e-3 and below, or 0), and ground reflections within 0.1 degrees
     of the vertical, where the one-bounce bound keeps every ray.  The
     receiver stands in the middle street."""
-    city = generate_city(2, 2, seed=8)
+    city = generate_city(city_config(2, 2, seed=8))
     if offset_deg == 0.0:
         sat = np.append(city.bounds.mean(axis=0)[:2], 600.0)
     else:
@@ -600,7 +603,7 @@ def _band_edge_case(frac):
     reflected ray, off the plane of its first reflected ray and its
     second face's normal n2.  That puts the first hit on the edge of the
     launch grid's band for n2, up to the bound's rounding slack."""
-    city = generate_city(2, 2, seed=8)
+    city = generate_city(city_config(2, 2, seed=8))
     plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
                                spacing_m=4.0)
     _, origins, dirs = _march(plane, city, 1)
@@ -623,7 +626,7 @@ def _turned_city_case():
     """A 9x9 city turned by 30 degrees: its walls' normals, each rounded
     from its own vertices, make more distinct rows than
     ``_BOUND_MAX_NORMALS``, so no bound runs."""
-    city = _turned(generate_city(9, 9, seed=1), 30.0)
+    city = _turned(generate_city(city_config(9, 9, seed=1)), 30.0)
     assert len(city.distinct_normals) > _BOUND_MAX_NORMALS
     plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
                                spacing_m=20.0)
@@ -635,12 +638,12 @@ def _turned_city_case():
 def _rotated_city(draw, spacing_m):
     """A generated city turned about the vertical by a drawn angle: its
     walls face no axis."""
-    city = generate_city(
+    city = generate_city(city_config(
         draw(st.integers(1, 2)), draw(st.integers(1, 2)),
-        block_w_m=spacing_m * draw(st.integers(2, 8)),
-        street_w_m=spacing_m * draw(st.integers(1, 3)),
-        h_min_m=spacing_m, h_max_m=spacing_m * 8.0,
-        seed=draw(st.integers(0, 2**31 - 1)))
+        scene_block_w_m=spacing_m * draw(st.integers(2, 8)),
+        scene_street_w_m=spacing_m * draw(st.integers(1, 3)),
+        scene_h_min_m=spacing_m, scene_h_max_m=spacing_m * 8.0,
+        seed=draw(st.integers(0, 2**31 - 1))))
     return _turned(city, draw(st.floats(1.0, 89.0)))
 
 
@@ -681,12 +684,12 @@ def _trace_case(draw):
             draw, spacing_m,
             np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     else:
-        scene = generate_city(
+        scene = generate_city(city_config(
             draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-            block_w_m=spacing_m * draw(st.integers(2, 10)),
-            street_w_m=spacing_m * draw(st.integers(1, 4)),
-            h_min_m=spacing_m, h_max_m=spacing_m * 8.0,
-            seed=draw(st.integers(0, 2**31 - 1)))
+            scene_block_w_m=spacing_m * draw(st.integers(2, 10)),
+            scene_street_w_m=spacing_m * draw(st.integers(1, 4)),
+            scene_h_min_m=spacing_m, scene_h_max_m=spacing_m * 8.0,
+            seed=draw(st.integers(0, 2**31 - 1))))
     el = math.radians(draw(st.one_of(st.sampled_from([5.0, 45.0, 90.0]),
                                      st.floats(5.0, 90.0))))
     az = math.radians(draw(st.one_of(
