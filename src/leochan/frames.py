@@ -5,8 +5,10 @@ equinoxes rotation (TEME to true-of-date), IAU 1980 nutation truncated to
 its four largest terms (error below 0.003 deg in longitude, well under
 scene scale), and the precession polynomials to J2000.  The Earth-fixed
 side rotates by apparent sidereal time; polar motion is ignored (< 15 m).
-Both sides use the precession-nutation product P N, which
-``EarthOrientation.tod_to_j2000`` computes once per instant and shares.
+Both sides use the precession-nutation product P N.
+``EarthOrientation.matrices`` builds the instant's eight elementary
+rotations as one array, once, and from them P N, the TEME -> J2000
+matrix and the Earth's spin, which both sides share.
 
 The LOCAL frame is the scene frame: two rotations (about z then y) map
 the Earth-center-to-site direction onto +z, and a translation puts the
@@ -38,26 +40,10 @@ WGS84_A_KM = 6378.137
 WGS84_F = 1.0 / 298.257223563
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 
-# Largest IAU 1980 nutation terms: multiples of the Delaunay arguments
-# (l, l', F, D, Om) and sin/cos coefficients in 1e-4 arcsec (constant and
-# per-Julian-century parts).
-NUTATION_TERMS = (
-    ((0, 0, 0, 0, 1), -171996.0, -174.2, 92025.0, 8.9),
-    ((0, 0, 2, -2, 2), -13187.0, -1.6, 5736.0, -3.1),
-    ((0, 0, 2, 0, 2), -2274.0, -0.2, 977.0, -0.5),
-    ((0, 0, 0, 0, 2), 2062.0, 0.2, -895.0, 0.5),
-)
-
-
-# Rotations are built from one flat 9-tuple and multiplied with
-# ``ndarray.dot``.  ``@`` reaches the same BLAS routine on the same
-# operands, so the bits agree, but at 3x3 its dispatch, like the parse
-# of a nested list, costs more than the arithmetic.
-def rot1(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array((1.0, 0.0, 0.0, 0.0, c, s, 0.0, -s, c)).reshape(3, 3)
-
-
+# Rotations are built from flat tuples of cosines and sines and
+# multiplied with ``ndarray.dot``.  ``@`` reaches the same BLAS routine
+# on the same operands, so the bits agree, but at 3x3 its dispatch, like
+# the parse of a nested list, costs more than the arithmetic.
 def rot2(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array((c, 0.0, -s, 0.0, 1.0, 0.0, s, 0.0, c)).reshape(3, 3)
@@ -68,75 +54,105 @@ def rot3(a: float) -> np.ndarray:
     return np.array((c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
-def _delaunay_arguments(ttt: float) -> tuple[float, ...]:
-    """Fundamental lunisolar arguments (IAU 1980), radians."""
-    def wrap_deg(x):
-        return math.fmod(x, 360.0) * DEG2RAD
-
-    l = wrap_deg(134.96298139 + (1325.0 * 360.0 + 198.8673981) * ttt
-                 + 0.0086972 * ttt * ttt + 1.78e-5 * ttt ** 3)
-    lp = wrap_deg(357.52772333 + (99.0 * 360.0 + 359.0503400) * ttt
-                  - 0.0001603 * ttt * ttt - 3.3e-6 * ttt ** 3)
-    f = wrap_deg(93.27191028 + (1342.0 * 360.0 + 82.0175381) * ttt
-                 - 0.0036825 * ttt * ttt + 3.1e-6 * ttt ** 3)
-    d = wrap_deg(297.85036306 + (1236.0 * 360.0 + 307.1114800) * ttt
-                 - 0.0019142 * ttt * ttt + 5.3e-6 * ttt ** 3)
-    om = wrap_deg(125.04452222 - (5.0 * 360.0 + 134.1362608) * ttt
-                  + 0.0020708 * ttt * ttt + 2.2e-6 * ttt ** 3)
-    return l, lp, f, d, om
-
-
 @dataclass(frozen=True)
 class EarthOrientation:
-    """Orientation angles at one instant (all radians), and the
-    precession-nutation product that both halves of the chain share,
-    computed once per instant."""
+    """Orientation angles at one instant (all radians), and the rotations
+    that both halves of the chain share, computed once per instant."""
 
     gmst: float
     precession_angles: tuple[float, float, float]  # (zeta, z, theta)
     nutation: tuple[float, float]                  # (dpsi, deps)
     mean_obliquity: float
 
-    @property
-    def equation_of_equinoxes(self) -> float:
-        dpsi, _ = self.nutation
-        return dpsi * math.cos(self.mean_obliquity)
-
-    @property
-    def gast(self) -> float:
-        return self.gmst + self.equation_of_equinoxes
-
     @cached_property
-    def tod_to_j2000(self) -> np.ndarray:
-        """True-of-date -> J2000 rotation P N, read-only."""
-        m = precession_matrix(self).dot(nutation_matrix(self))
-        m.flags.writeable = False
-        return m
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(TEME -> J2000, true-of-date -> J2000 P N, the Earth's spin
+        R3(GAST)), read-only.
+
+        One array holds the eight elementary rotations: P = R3(zeta)
+        R2(-theta) R3(z), N = R1(-eps) R3(dpsi) R1(eps + deps), then
+        R3(-eqeq) and R3(GAST), with eqeq = dpsi cos(eps) the equation
+        of the equinoxes.  The products multiply the same operands in
+        the same order as separately built matrices would, so the bits
+        are theirs (``tests/oracle.py`` keeps that form)."""
+        zeta, z, theta = self.precession_angles
+        dpsi, deps = self.nutation
+        eps = self.mean_obliquity
+        eqeq = dpsi * math.cos(eps)
+        cos, sin = math.cos, math.sin
+        c0, s0 = cos(zeta), sin(zeta)
+        c1, s1 = cos(-theta), sin(-theta)
+        c2, s2 = cos(z), sin(z)
+        c3, s3 = cos(-eps), sin(-eps)
+        c4, s4 = cos(dpsi), sin(dpsi)
+        c5, s5 = cos(eps + deps), sin(eps + deps)
+        c6, s6 = cos(-eqeq), sin(-eqeq)
+        c7, s7 = cos(self.gmst + eqeq), sin(self.gmst + eqeq)
+        r = np.array((
+            c0, s0, 0.0, -s0, c0, 0.0, 0.0, 0.0, 1.0,
+            c1, 0.0, -s1, 0.0, 1.0, 0.0, s1, 0.0, c1,
+            c2, s2, 0.0, -s2, c2, 0.0, 0.0, 0.0, 1.0,
+            1.0, 0.0, 0.0, 0.0, c3, s3, 0.0, -s3, c3,
+            c4, s4, 0.0, -s4, c4, 0.0, 0.0, 0.0, 1.0,
+            1.0, 0.0, 0.0, 0.0, c5, s5, 0.0, -s5, c5,
+            c6, s6, 0.0, -s6, c6, 0.0, 0.0, 0.0, 1.0,
+            c7, s7, 0.0, -s7, c7, 0.0, 0.0, 0.0, 1.0,
+        )).reshape(8, 3, 3)
+        r.flags.writeable = False
+        pn = r[0].dot(r[1]).dot(r[2]).dot(r[3].dot(r[4]).dot(r[5]))
+        pn.flags.writeable = False
+        to_eci = pn.dot(r[6])
+        to_eci.flags.writeable = False
+        return to_eci, pn, r[7]
 
 
 def earth_orientation(t: datetime) -> EarthOrientation:
-    """Compute Earth orientation angles for a UTC instant."""
+    """Compute Earth orientation angles for a UTC instant.
+
+    Nutation keeps the four largest IAU 1980 terms (Seidelmann, "1980
+    IAU Theory of Nutation", Celestial Mechanics 27, 1982), with
+    coefficients in 1e-4 arcsec.  They take multiples of the Delaunay
+    arguments F, D and Omega only, so l and l' are not computed.  Every
+    sum runs in the order of the table's generator sums that
+    ``tests/oracle.py`` keeps, and multiplies left to right as there
+    (``c * ttt * ttt`` is ``(c * ttt) * ttt``), so the bits are theirs.
+    """
     ttt = julian_centuries_tt(t)
+    ttt3 = ttt ** 3
 
     zeta = (2306.2181 * ttt + 0.30188 * ttt * ttt
-            + 0.017998 * ttt ** 3) * ARCSEC2RAD
+            + 0.017998 * ttt3) * ARCSEC2RAD
     theta = (2004.3109 * ttt - 0.42665 * ttt * ttt
-             - 0.041833 * ttt ** 3) * ARCSEC2RAD
+             - 0.041833 * ttt3) * ARCSEC2RAD
     z = (2306.2181 * ttt + 1.09468 * ttt * ttt
-         + 0.018203 * ttt ** 3) * ARCSEC2RAD
+         + 0.018203 * ttt3) * ARCSEC2RAD
 
     eps_bar = (84381.448 - 46.8150 * ttt - 0.00059 * ttt * ttt
-               + 0.001813 * ttt ** 3) * ARCSEC2RAD
+               + 0.001813 * ttt3) * ARCSEC2RAD
 
-    args = _delaunay_arguments(ttt)
-    dpsi = 0.0
-    deps = 0.0
-    for mult, s_const, s_t, c_const, c_t in NUTATION_TERMS:
-        ang = sum(m * a for m, a in zip(mult, args))
-        dpsi += (s_const + s_t * ttt) * math.sin(ang)
-        deps += (c_const + c_t * ttt) * math.cos(ang)
-    dpsi *= 1e-4 * ARCSEC2RAD
-    deps *= 1e-4 * ARCSEC2RAD
+    # Delaunay arguments, degrees wrapped to one turn, then radians
+    fmod = math.fmod
+    f = fmod(93.27191028 + (1342.0 * 360.0 + 82.0175381) * ttt
+             - 0.0036825 * ttt * ttt + 3.1e-6 * ttt3, 360.0) * DEG2RAD
+    d = fmod(297.85036306 + (1236.0 * 360.0 + 307.1114800) * ttt
+             - 0.0019142 * ttt * ttt + 5.3e-6 * ttt3, 360.0) * DEG2RAD
+    om = fmod(125.04452222 - (5.0 * 360.0 + 134.1362608) * ttt
+              + 0.0020708 * ttt * ttt + 2.2e-6 * ttt3, 360.0) * DEG2RAD
+
+    # arguments Om, 2F - 2D + 2Om, 2F + 2Om and 2Om
+    a1 = om
+    a2 = 2.0 * f - 2.0 * d + 2.0 * om
+    a3 = 2.0 * f + 2.0 * om
+    a4 = 2.0 * om
+    sin, cos = math.sin, math.cos
+    dpsi = ((-171996.0 - 174.2 * ttt) * sin(a1)
+            + (-13187.0 - 1.6 * ttt) * sin(a2)
+            + (-2274.0 - 0.2 * ttt) * sin(a3)
+            + (2062.0 + 0.2 * ttt) * sin(a4)) * (1e-4 * ARCSEC2RAD)
+    deps = ((92025.0 + 8.9 * ttt) * cos(a1)
+            + (5736.0 - 3.1 * ttt) * cos(a2)
+            + (977.0 - 0.5 * ttt) * cos(a3)
+            + (-895.0 + 0.5 * ttt) * cos(a4)) * (1e-4 * ARCSEC2RAD)
 
     return EarthOrientation(
         gmst=gmst_rad(t),
@@ -146,21 +162,9 @@ def earth_orientation(t: datetime) -> EarthOrientation:
     )
 
 
-def precession_matrix(eo: EarthOrientation) -> np.ndarray:
-    """Mean-of-date -> J2000 rotation."""
-    zeta, z, theta = eo.precession_angles
-    return rot3(zeta).dot(rot2(-theta)).dot(rot3(z))
-
-
-def nutation_matrix(eo: EarthOrientation) -> np.ndarray:
-    """True-of-date -> mean-of-date rotation."""
-    dpsi, deps = eo.nutation
-    eps_bar = eo.mean_obliquity
-    return rot1(-eps_bar).dot(rot3(dpsi)).dot(rot1(eps_bar + deps))
-
-
 def teme_to_eci_matrix(eo: EarthOrientation) -> np.ndarray:
-    return eo.tod_to_j2000.dot(rot3(-eo.equation_of_equinoxes))
+    """TEME -> J2000 rotation P N R3(-eqeq), read-only."""
+    return eo.matrices[0]
 
 
 def teme_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
@@ -175,8 +179,8 @@ def eci_to_ecef(state: StateVector, eo: EarthOrientation) -> StateVector:
     """J2000 -> Earth-fixed: precession, nutation, then apparent sidereal
     rotation; velocity picks up the -omega x r frame-rate term."""
     state.require(Frame.ECI)
-    to_tod = eo.tod_to_j2000.T
-    spin = rot3(eo.gast)
+    _, pn, spin = eo.matrices
+    to_tod = pn.T
     r_ecef = spin.dot(to_tod.dot(state.position))
     # omega x r for omega = (0, 0, w), with the arithmetic of np.cross:
     # per component a multiply, then a subtract, the zero terms kept

@@ -38,18 +38,23 @@ distance across it.  Both fixes are those of Vinkler, Bittner & Havran
 ("Extended Morton Codes for High Performance Bounding Volume Hierarchy
 Construction", HPG 2017).  The sorted faces are cut into leaves of
 ``_LEAF_SIZE`` consecutive faces.  Each leaf box is padded by
-``_BOX_PAD``, and each level above is the pairwise min/max of the level
-below, up to one root: node i of a level has children 2i and 2i + 1.
-Where a level has an odd number of nodes, its last parent's right child
-is a NaN box, which fails every slab test, so the traversal needs no
-mask; parents are built with ``np.fmin``/``np.fmax``, which skip the
-NaN.  Each chunk of
+``_BOX_PAD``, and each level above is the min/max of groups of
+``_TREE_WIDTH`` = 4 nodes of the level below, up to one root: node i of
+a level has children 4i to 4i + 3.  Where a level's node count is not a
+multiple of four, its last parent's missing children are NaN boxes,
+which fail every slab test, so the traversal needs no mask; parents are
+built with ``np.fmin``/``np.fmax``, which skip the NaN.  A wider node
+halves the levels, and so the walk's numpy calls per chunk, for more
+slab tests per level.  Each chunk of
 ``_RAY_CHUNK`` consecutive rays is tested against the padded wide-face
 boxes, and walks the tree breadth-first over (ray, node) pairs, as a
 wavefront (Laine, Karras & Aila, "Megakernels Considered Harmful", HPG
-2013): one level at a time, both children of every surviving pair get
-the slab test.  The wide faces whose box a ray meets and the faces of
-the leaves it reaches are its candidates.  There is no scene-box cull
+2013): one level at a time, all four children of every surviving pair
+get the slab test.  A ray reaches exactly the leaves whose own box it
+meets, at any width: rounded slab bounds are monotone in the box, so a
+ray that meets a leaf's box meets every ancestor's.  The wide faces
+whose box a ray meets and the faces of the leaves it reaches are its
+candidates.  There is no scene-box cull
 ahead of the walk: a ray that misses the padded scene box misses every
 box inside it, so the tree's first level and the wide-face test drop it,
 and Moller-Trumbore decides every hit anyway.  The tracer walks its
@@ -105,6 +110,8 @@ _BOX_PAD = 1e-9
 # bounds the size of the (ray, node) and (ray, face) pair arrays).
 _LEAF_SIZE = 2
 _RAY_CHUNK = 1024
+# Children per BVH node.
+_TREE_WIDTH = 4
 # Candidate pairs per batch of the launch-grid raster, which is cut only
 # between grid rows, so a batch can hold more.
 _PAIR_BATCH = 4096
@@ -265,8 +272,8 @@ class Scene:
         padded boxes, x, y, z each.  Leaf k holds the faces
         ``_leaf_faces[k]``, -1 marking an empty slot.  ``_levels`` lists,
         from the root down, (lo, hi) per level, where row j of lo and hi,
-        shape (parents, 6), holds the boxes of node j's two children, x,
-        y, z each; a missing right child is a NaN box."""
+        shape (parents, 3 * _TREE_WIDTH), holds the boxes of node j's
+        children, x, y, z each; a missing child is a NaN box."""
         self._levels = []
         if len(self.triangles) == 0:
             return
@@ -304,16 +311,16 @@ class Scene:
             leaf_hi = np.maximum(leaf_hi, hi[:, k])
         lo, hi = leaf_lo - _BOX_PAD, leaf_hi + _BOX_PAD
         while len(lo) > 1:
-            # an odd level's last node gets a NaN box as its right
-            # child: it fails every slab test, and fmin/fmax skip it
-            if len(lo) % 2:
-                lo = np.concatenate([lo, np.full((1, 3), np.nan)])
-                hi = np.concatenate([hi, np.full((1, 3), np.nan)])
-            lo = lo.reshape(-1, 6)
-            hi = hi.reshape(-1, 6)
-            self._levels.append((lo, hi))
-            lo = np.fmin(lo[:, :3], lo[:, 3:])
-            hi = np.fmax(hi[:, :3], hi[:, 3:])
+            # a level's last parent gets NaN boxes as its missing
+            # children: they fail every slab test, and fmin/fmax skip them
+            n_pad = -len(lo) % _TREE_WIDTH
+            if n_pad:
+                lo = np.concatenate([lo, np.full((n_pad, 3), np.nan)])
+                hi = np.concatenate([hi, np.full((n_pad, 3), np.nan)])
+            self._levels.append((lo.reshape(-1, 3 * _TREE_WIDTH),
+                                 hi.reshape(-1, 3 * _TREE_WIDTH)))
+            lo = np.fmin.reduce(lo.reshape(-1, _TREE_WIDTH, 3), axis=1)
+            hi = np.fmax.reduce(hi.reshape(-1, _TREE_WIDTH, 3), axis=1)
         self._levels.reverse()
 
     def __len__(self) -> int:
@@ -422,8 +429,8 @@ class Scene:
             # parallel to an axis or not, decided once for the chunk, not
             # on every level
             inv_dirs1, axis_parallel = _inverse(directions[a:a + _RAY_CHUNK])
-            # each ray once per wide face, and twice against both
-            # children of a node, x, y, z each
+            # each ray once per wide face, and once per child of a
+            # node, x, y, z each
             if n_wide:
                 wide_ray, wide_slot = _slab(
                     np.concatenate([origins1] * n_wide, axis=1),
@@ -434,15 +441,15 @@ class Scene:
                 wide_ray = wide_slot = np.empty(0, dtype=np.intp)
             ray = np.arange(len(origins1))
             node = np.zeros(len(origins1), dtype=np.intp)
-            origins2 = np.concatenate([origins1, origins1], axis=1)
-            inv_dirs2 = np.concatenate([inv_dirs1, inv_dirs1], axis=1)
+            rep_origins = np.concatenate([origins1] * _TREE_WIDTH, axis=1)
+            rep_inv_dirs = np.concatenate([inv_dirs1] * _TREE_WIDTH, axis=1)
             for lo, hi in self._levels:
-                pair, side = _slab(origins2.take(ray, axis=0),
-                                   inv_dirs2.take(ray, axis=0),
+                pair, side = _slab(rep_origins.take(ray, axis=0),
+                                   rep_inv_dirs.take(ray, axis=0),
                                    lo.take(node, axis=0),
                                    hi.take(node, axis=0), t_min,
                                    axis_parallel).nonzero()
-                ray, node = ray[pair], 2 * node[pair] + side
+                ray, node = ray[pair], _TREE_WIDTH * node[pair] + side
             faces = self._leaf_faces[node]
             pair, slot = (faces >= 0).nonzero()
             yield (a + np.concatenate([ray[pair], wide_ray]),

@@ -124,14 +124,36 @@ def _check_plane_wave(config: SimConfig, city: scene_mod.Scene,
     perigee = (ephem.state.ao * (1.0 - ephem.state.ecco) * RE
                - float(np.linalg.norm(local_frame.origin_ecef)))
     if perigee < need:
-        source = (f"scene_file {config.scene_file}" if config.scene_file
-                  else "scene_h_max_m" if config.scene_height_law == "uniform"
-                  else "scene_h_const_m")
+        source = _scene_source(
+            config, "scene_h_max_m" if config.scene_height_law == "uniform"
+            else "scene_h_const_m")
         raise ConfigError(
             f"{source}: a scene {height:.6g} km tall needs the satellite "
             f"at least {need:.6g} km away for the plane-wave launch, but "
             f"element set {ephem.tle.satnum} has its mean perigee "
             f"{perigee:.6g} km above the site")
+
+
+def _scene_source(config: SimConfig, city_keys: str) -> str:
+    """The config's scene, for a message: its file, or else the keys of
+    the generated city that the message is about."""
+    return (f"scene_file {config.scene_file}" if config.scene_file
+            else city_keys)
+
+
+def _check_launch_grid(config: SimConfig, city: scene_mod.Scene) -> None:
+    """Refuse, before any propagation, a launch grid that could exceed
+    ``tracer.MAX_LAUNCH_RAYS`` rays from some direction."""
+    rays = tracer.launch_grid_bound(city, config.spacing_m)
+    if rays > tracer.MAX_LAUNCH_RAYS:
+        source = _scene_source(config, "the generated city (scene_grid_nx, "
+                               "scene_grid_ny, scene_block_w_m, "
+                               "scene_street_w_m)")
+        raise ConfigError(
+            f"spacing_m = {config.spacing_m:g} over {source}: the launch "
+            f"grid can reach {rays:.3g} rays, more than the "
+            f"{tracer.MAX_LAUNCH_RAYS} a run allows; raise spacing_m or "
+            f"shrink the scene")
 
 
 def prepare_pass(config: SimConfig) -> tuple[
@@ -142,13 +164,15 @@ def prepare_pass(config: SimConfig) -> tuple[
     The ephemeris, scene, local frame (whose origin is the site) and
     receiver are built once here; they and the frozen config are only
     read by the call, so it may run on several threads at once.  A scene
-    too tall for the element set's perigee fails before the pass search.
+    too tall for the element set's perigee, or whose launch grid could
+    be too large, fails before the pass search.
     """
     tle = first_element_set(config.tle_path)
     city = _build_scene(config)
     ephem = Ephemeris(tle)
     local_frame = frames.build_local_frame(config.site_geodetic)
     _check_plane_wave(config, city, ephem, local_frame)
+    _check_launch_grid(config, city)
     window = passes.find_pass(tle, config.site_geodetic,
                               theta_min=math.radians(config.theta_min_deg),
                               ephemeris=ephem)
@@ -170,8 +194,8 @@ def run_pass_simulation(config: SimConfig) -> PassReport:
              for k in range(n_steps + 1)]
 
     # One worker runs inline: a one-thread pool raised the demo's peak RSS
-    # from about 294 to 312 MB in 3 of 3 runs, likely because the worker
-    # thread gets its own malloc arena.
+    # from 40.5 to 41.2-41.4 MB in 3 of 3 runs (2 vCPU Xeon, numpy
+    # 2.4.6), likely because the worker thread gets its own malloc arena.
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             result = tuple(pool.map(job, times))

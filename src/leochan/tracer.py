@@ -76,6 +76,13 @@ PLANE_WAVE_MIN_RATIO = 100.0
 _SELF_HIT_EPS = 1e-7
 PLANE_MARGIN_KM = 0.05
 
+# Launch rays a run may need.  At ``trace``'s peak a launch ray holds
+# 51 bytes at two bounces and 275 at three, where the one-bounce bound
+# is off (tracemalloc on flat ground, every ray hitting it), so the cap
+# stands for 0.43 to 2.3 GB.  It admits C06's scene at 0.5 m:
+# ``launch_grid_bound`` gives it 8.12M rays, and its grid has 3.14M.
+MAX_LAUNCH_RAYS = 2 ** 23
+
 # The one-bounce bound runs only on scenes with at most this many
 # distinct normals (up to sign), as its cost grows with their number.
 # On the demo pass's bounced rays over cities of turned blocks, the
@@ -170,6 +177,33 @@ def _cross3(a, b) -> np.ndarray:
                      a0 * b1 - a1 * b0])
 
 
+def _default_pad_km(scene_height_km: float, spacing_km: float) -> float:
+    """``build_launch_plane``'s default pad, which covers bounce spread:
+    the scene height plus ten spacings."""
+    return scene_height_km + 10.0 * spacing_km
+
+
+def launch_grid_bound(scene: Scene, spacing_m: float) -> int:
+    """At least the ray count of every launch grid that
+    ``build_launch_plane`` places over ``scene`` with its default pad,
+    from any direction.
+
+    The plane's origin is the foot of the scene box's bottom-centre
+    target, so a corner's foot lies no farther from it than the corner
+    from the target, at most R, the farthest corner's distance.  So
+    half_u and half_v are at most R + pad, and nu and nv at most
+    floor(2 (R + pad) / spacing) + 1; one row more covers rounding.
+    """
+    bmin, bmax = scene.bounds
+    half = 0.5 * (bmax - bmin)
+    height = float(bmax[2] - bmin[2])
+    spacing_km = spacing_m / M_PER_KM
+    reach = (math.hypot(half[0], half[1], height)
+             + _default_pad_km(height, spacing_km))
+    side = math.floor(2.0 * reach / spacing_km) + 2
+    return side * side
+
+
 def build_launch_plane(sat_local: StateVector, scene: Scene,
                        spacing_m: float,
                        extent_pad_km: float | None = None) -> LaunchPlane:
@@ -220,7 +254,7 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
 
     spacing_km = spacing_m / M_PER_KM
     if extent_pad_km is None:
-        extent_pad_km = scene_height + 10.0 * spacing_km
+        extent_pad_km = _default_pad_km(scene_height, spacing_km)
     feet = corners - np.outer(corners @ direction - c, direction)
     u_coords = (feet - origin) @ e1
     v_coords = (feet - origin) @ e2

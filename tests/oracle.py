@@ -41,10 +41,13 @@ trips and for placing sites: ``eci_to_teme``, ``ecef_to_eci``,
 ``local_to_global`` (with ``local_point_to_global``) and
 ``ecef_to_geodetic``.  ``ecef_reference`` is the forward chain as first
 written, the reference for the bytes of ``Ephemeris.eci_at`` and
-``ecef_at``: it builds its own rotations from nested lists, multiplies
-with ``@``, builds the precession-nutation product once per half of the
-chain and takes the Earth-rate term from ``np.cross``.
-``teme_to_eci_reference`` is its TEME -> J2000 matrix.
+``ecef_at``.  It owns all of its arithmetic: the orientation angles of
+``earth_orientation_reference`` (every Delaunay argument, and the
+nutation series as generator sums over ``NUTATION_TERMS``), its own
+rotations from nested lists, multiplied with ``@``, P and N built
+separately, the precession-nutation product once per half of the chain,
+and the Earth-rate term from ``np.cross``.  ``teme_to_eci_reference`` is
+its TEME -> J2000 matrix.
 """
 
 import math
@@ -53,17 +56,16 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from leochan.frames import (DEG2RAD, EARTH_ROTATION_RATE, WGS84_A_KM,
-                            WGS84_E2, WGS84_F, EarthOrientation, LocalFrame,
-                            earth_orientation, geodetic_to_ecef,
-                            nutation_matrix, precession_matrix, rot3,
-                            teme_to_eci_matrix)
+from leochan.frames import (ARCSEC2RAD, DEG2RAD, EARTH_ROTATION_RATE,
+                            WGS84_A_KM, WGS84_E2, WGS84_F, EarthOrientation,
+                            LocalFrame, geodetic_to_ecef, teme_to_eci_matrix)
 from leochan.link import SPEED_OF_LIGHT_KM_S
 from leochan.passes import (Ephemeris, NoPassFound, PassWindow,
                             _bisect_crossing, _golden_max, elevation,
                             gamma_at_culmination)
 from leochan.scene import _DET_EPS, M_PER_KM
 from leochan.states import Frame, StateVector
+from leochan.timebase import gmst_rad, julian_centuries_tt
 from leochan.tracer import _SELF_HIT_EPS, _path_records, _reflect
 
 
@@ -326,6 +328,79 @@ def find_pass_every_step(tle, site_geodetic, theta_min=0.0, step_s=30.0,
     )
 
 
+# Largest IAU 1980 nutation terms: multiples of the Delaunay arguments
+# (l, l', F, D, Om) and sin/cos coefficients in 1e-4 arcsec (constant and
+# per-Julian-century parts).
+NUTATION_TERMS = (
+    ((0, 0, 0, 0, 1), -171996.0, -174.2, 92025.0, 8.9),
+    ((0, 0, 2, -2, 2), -13187.0, -1.6, 5736.0, -3.1),
+    ((0, 0, 2, 0, 2), -2274.0, -0.2, 977.0, -0.5),
+    ((0, 0, 0, 0, 2), 2062.0, 0.2, -895.0, 0.5),
+)
+
+
+def _delaunay_arguments(ttt: float) -> tuple[float, ...]:
+    """Fundamental lunisolar arguments (IAU 1980), radians."""
+    def wrap_deg(x):
+        return math.fmod(x, 360.0) * DEG2RAD
+
+    l = wrap_deg(134.96298139 + (1325.0 * 360.0 + 198.8673981) * ttt
+                 + 0.0086972 * ttt * ttt + 1.78e-5 * ttt ** 3)
+    lp = wrap_deg(357.52772333 + (99.0 * 360.0 + 359.0503400) * ttt
+                  - 0.0001603 * ttt * ttt - 3.3e-6 * ttt ** 3)
+    f = wrap_deg(93.27191028 + (1342.0 * 360.0 + 82.0175381) * ttt
+                 - 0.0036825 * ttt * ttt + 3.1e-6 * ttt ** 3)
+    d = wrap_deg(297.85036306 + (1236.0 * 360.0 + 307.1114800) * ttt
+                 - 0.0019142 * ttt * ttt + 5.3e-6 * ttt ** 3)
+    om = wrap_deg(125.04452222 - (5.0 * 360.0 + 134.1362608) * ttt
+                  + 0.0020708 * ttt * ttt + 2.2e-6 * ttt ** 3)
+    return l, lp, f, d, om
+
+
+def earth_orientation_reference(t: datetime) -> EarthOrientation:
+    """``frames.earth_orientation`` as first written: every Delaunay
+    argument, each with its own powers of ``ttt``, and the nutation
+    series as generator sums over ``NUTATION_TERMS``."""
+    ttt = julian_centuries_tt(t)
+
+    zeta = (2306.2181 * ttt + 0.30188 * ttt * ttt
+            + 0.017998 * ttt ** 3) * ARCSEC2RAD
+    theta = (2004.3109 * ttt - 0.42665 * ttt * ttt
+             - 0.041833 * ttt ** 3) * ARCSEC2RAD
+    z = (2306.2181 * ttt + 1.09468 * ttt * ttt
+         + 0.018203 * ttt ** 3) * ARCSEC2RAD
+
+    eps_bar = (84381.448 - 46.8150 * ttt - 0.00059 * ttt * ttt
+               + 0.001813 * ttt ** 3) * ARCSEC2RAD
+
+    args = _delaunay_arguments(ttt)
+    dpsi = 0.0
+    deps = 0.0
+    for mult, s_const, s_t, c_const, c_t in NUTATION_TERMS:
+        ang = sum(m * a for m, a in zip(mult, args))
+        dpsi += (s_const + s_t * ttt) * math.sin(ang)
+        deps += (c_const + c_t * ttt) * math.cos(ang)
+    dpsi *= 1e-4 * ARCSEC2RAD
+    deps *= 1e-4 * ARCSEC2RAD
+
+    return EarthOrientation(
+        gmst=gmst_rad(t),
+        precession_angles=(zeta, z, theta),
+        nutation=(dpsi, deps),
+        mean_obliquity=eps_bar,
+    )
+
+
+def equation_of_equinoxes(eo: EarthOrientation) -> float:
+    dpsi, _ = eo.nutation
+    return dpsi * math.cos(eo.mean_obliquity)
+
+
+def gast(eo: EarthOrientation) -> float:
+    """Greenwich apparent sidereal time, radians."""
+    return eo.gmst + equation_of_equinoxes(eo)
+
+
 def _rot1_reference(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
@@ -336,40 +411,49 @@ def _rot2_reference(a: float) -> np.ndarray:
     return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
-def _rot3_reference(a: float) -> np.ndarray:
+def rot3_reference(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _tod_to_j2000_reference(eo: EarthOrientation) -> np.ndarray:
-    """P N, from nested-list rotations multiplied with ``@``."""
+def precession_reference(eo: EarthOrientation) -> np.ndarray:
+    """Mean-of-date -> J2000 rotation P."""
     zeta, z, theta = eo.precession_angles
+    return rot3_reference(zeta) @ _rot2_reference(-theta) @ rot3_reference(z)
+
+
+def nutation_reference(eo: EarthOrientation) -> np.ndarray:
+    """True-of-date -> mean-of-date rotation N."""
     dpsi, deps = eo.nutation
     eps_bar = eo.mean_obliquity
-    p = _rot3_reference(zeta) @ _rot2_reference(-theta) @ _rot3_reference(z)
-    n = (_rot1_reference(-eps_bar) @ _rot3_reference(dpsi)
-         @ _rot1_reference(eps_bar + deps))
-    return p @ n
+    return (_rot1_reference(-eps_bar) @ rot3_reference(dpsi)
+            @ _rot1_reference(eps_bar + deps))
+
+
+def tod_to_j2000_reference(eo: EarthOrientation) -> np.ndarray:
+    """P N, from nested-list rotations multiplied with ``@``."""
+    return precession_reference(eo) @ nutation_reference(eo)
 
 
 def teme_to_eci_reference(eo: EarthOrientation) -> np.ndarray:
     """The TEME -> J2000 matrix P N R3(-equation of the equinoxes)."""
-    return (_tod_to_j2000_reference(eo)
-            @ _rot3_reference(-eo.equation_of_equinoxes))
+    return (tod_to_j2000_reference(eo)
+            @ rot3_reference(-equation_of_equinoxes(eo)))
 
 
 def ecef_reference(ephem: Ephemeris,
                    t: datetime) -> tuple[StateVector, StateVector]:
     """The ECI and ECEF states of ``ephem`` at ``t``, by the forward chain
-    as first written: nested-list rotations, ``@``, P N built in each
-    half and omega x r from ``np.cross``."""
-    eo = earth_orientation(t)
+    as first written: the orientation of ``earth_orientation_reference``,
+    nested-list rotations, ``@``, P N built in each half and omega x r
+    from ``np.cross``."""
+    eo = earth_orientation_reference(t)
     teme = ephem.teme_at(t)
     to_eci = teme_to_eci_reference(eo)
     eci = StateVector(Frame.ECI, teme.t, to_eci @ teme.position,
                       to_eci @ teme.velocity)
-    to_tod = _tod_to_j2000_reference(eo).T
-    spin = _rot3_reference(eo.gast)
+    to_tod = tod_to_j2000_reference(eo).T
+    spin = rot3_reference(gast(eo))
     r_ecef = spin @ (to_tod @ eci.position)
     omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
     v_ecef = spin @ (to_tod @ eci.velocity) - np.cross(omega, r_ecef)
@@ -389,8 +473,8 @@ def ecef_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
     state.require(Frame.ECEF)
     omega = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
     v_inertial_pef = state.velocity + np.cross(omega, state.position)
-    unspin = rot3(-eo.gast)
-    to_eci = precession_matrix(eo) @ nutation_matrix(eo)
+    unspin = rot3_reference(-gast(eo))
+    to_eci = tod_to_j2000_reference(eo)
     return StateVector(Frame.ECI, state.t,
                        to_eci @ (unspin @ state.position),
                        to_eci @ (unspin @ v_inertial_pef))

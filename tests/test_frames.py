@@ -8,15 +8,17 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import orbit_tle, utc
-from oracle import (ecef_reference, ecef_to_eci, ecef_to_geodetic,
-                    eci_to_teme, local_to_global, teme_to_eci_reference)
+from oracle import (earth_orientation_reference, ecef_reference,
+                    ecef_to_eci, ecef_to_geodetic, eci_to_teme, gast,
+                    local_to_global, rot3_reference, teme_to_eci_reference,
+                    tod_to_j2000_reference)
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
                             build_local_frame, earth_orientation, eci_to_ecef,
-                            geodetic_to_ecef, global_to_local,
-                            nutation_matrix, precession_matrix, rot2, rot3,
+                            geodetic_to_ecef, global_to_local, rot2, rot3,
                             teme_to_eci, teme_to_eci_matrix)
 from leochan.passes import Ephemeris, _elevation, elevation
 from leochan.states import Frame, FrameMismatch, StateVector
+from leochan.timebase import TT_MINUS_UTC_S
 from leochan.tle import read_tle_file
 
 DEMO_TLE = Path(__file__).resolve().parent.parent / "demo" / "demo.tle"
@@ -108,8 +110,7 @@ def test_frame_mismatch_raises():
 def test_rotation_matrices_orthonormal():
     for when in (utc(2020, 1, 1), utc(2022, 7, 19, 9), utc(2026, 12, 31)):
         eo = earth_orientation(when)
-        for m in (precession_matrix(eo), nutation_matrix(eo),
-                  teme_to_eci_matrix(eo)):
+        for m in eo.matrices:
             assert np.abs(m @ m.T - np.eye(3)).max() < 1e-12
             assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
@@ -145,7 +146,8 @@ def test_chain_associativity():
 
 
 def _ecef_matrix(eo):
-    return rot3(eo.gast) @ (precession_matrix(eo) @ nutation_matrix(eo)).T
+    _, pn, spin = eo.matrices
+    return spin @ pn.T
 
 
 @st.composite
@@ -167,9 +169,10 @@ _THIRTY_DAYS_US = 30 * 86400 * 10 ** 6
        st.lists(st.integers(-_THIRTY_DAYS_US, _THIRTY_DAYS_US),
                 min_size=1, max_size=4))
 def test_frame_chain_bytes_match_reference(tle, offsets_us):
-    # Sharing P N between the halves of the chain, writing omega x r
-    # out, building the rotations from flat tuples and multiplying with
-    # ndarray.dot must not change a bit of any state.
+    # Writing the nutation series out, sharing P N between the halves
+    # of the chain, writing omega x r out, building the rotations as one
+    # stack of cosines and sines and multiplying with ndarray.dot must
+    # not change a bit of any state.
     ephem = Ephemeris(tle)
     for offset_us in offsets_us:
         t = tle.epoch + timedelta(microseconds=offset_us)
@@ -182,6 +185,47 @@ def test_frame_chain_bytes_match_reference(tle, offsets_us):
         eo = earth_orientation(t)
         assert (teme_to_eci_matrix(eo).tobytes()
                 == teme_to_eci_reference(eo).tobytes())
+
+
+_FROM_1990 = utc(1990, 1, 1)
+_DAYS_TO_2060 = (utc(2060, 1, 1) - _FROM_1990).days
+_SECOND_US = 10 ** 6
+
+
+@st.composite
+def _instant(draw):
+    """A UTC instant from 1990 to 2060: anywhere, or within a second of
+    a UTC midnight or of a TT midnight, where the day of ``jd_pair``
+    turns over."""
+    near = draw(st.sampled_from([None, "UTC", "TT"]))
+    if near is None:
+        return _FROM_1990 + timedelta(microseconds=draw(
+            st.integers(0, _DAYS_TO_2060 * 86400 * _SECOND_US)))
+    midnight = _FROM_1990 + timedelta(days=draw(
+        st.integers(1, _DAYS_TO_2060 - 1)))
+    if near == "TT":
+        midnight -= timedelta(seconds=TT_MINUS_UTC_S)
+    return midnight + timedelta(microseconds=draw(
+        st.integers(-_SECOND_US, _SECOND_US)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(_instant())
+def test_earth_orientation_bytes_match_reference(t):
+    # The nutation series written out term by term, only the Delaunay
+    # arguments it takes, and one stack of rotations per instant must
+    # give every angle and matrix of the arithmetic as first written.
+    eo = earth_orientation(t)
+    ref = earth_orientation_reference(t)
+    assert (np.array([eo.gmst, *eo.precession_angles, *eo.nutation,
+                      eo.mean_obliquity]).tobytes()
+            == np.array([ref.gmst, *ref.precession_angles, *ref.nutation,
+                         ref.mean_obliquity]).tobytes())
+    to_eci, pn, spin = eo.matrices
+    assert teme_to_eci_matrix(eo) is to_eci
+    assert to_eci.tobytes() == teme_to_eci_reference(ref).tobytes()
+    assert pn.tobytes() == tod_to_j2000_reference(ref).tobytes()
+    assert spin.tobytes() == rot3_reference(gast(ref)).tobytes()
 
 
 _ENTRY = st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False)

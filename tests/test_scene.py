@@ -259,17 +259,17 @@ def _without_ground(city):
 @st.composite
 def _tree_scene_and_rays(draw):
     # Cities of 1x1 to 4x4 blocks, with or without their ground; a bare
-    # ground plane, whose two faces are both wide; or soups one to
-    # _LEAF_SIZE + 1 small faces past 2^k full leaves, with zero to two
-    # wide faces.  In a soup's tree some level has an odd node count,
-    # and the last node's right child is a NaN box.
+    # ground plane, whose two faces are both wide; or soups of 4q + r
+    # leaves (r = 1 to 3), the last one full or not, with zero to two
+    # wide faces.  So the leaves' parents lack 3, 2 or 1 children, and
+    # the last parent's missing children are NaN boxes.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["city", "bare city", "ground", "soup"]))
     if kind == "ground":
         scene = ground_plane(draw(st.floats(1.0, 2000.0)))
     elif kind == "soup":
-        n = (2 ** draw(st.integers(1, 6)) * _LEAF_SIZE
-             + draw(st.integers(1, _LEAF_SIZE + 1)))
+        leaves = 4 * draw(st.integers(1, 16)) + draw(st.integers(1, 3))
+        n = leaves * _LEAF_SIZE - draw(st.integers(0, _LEAF_SIZE - 1))
         scene = _soup(rng, n, draw(st.integers(0, 2)))
     else:
         scene = generate_city(city_config(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import one_line_mutant
-from leochan import passes
+from leochan import passes, tracer
 from leochan.cli import main
 from leochan.config import (ConfigError, SimConfig, parse_config,
                             parse_config_text)
@@ -361,6 +361,36 @@ class TestCli:
                        "scene_height_law = constant\nscene_h_const_m = 8000\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "scene_h_const_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "trace-once"])
+    def test_launch_grid_too_large_exit_two_before_pass_search(
+            self, tmp_path, capsys, monkeypatch, no_pass_search, command):
+        # One triangle with 100 km legs: at 8 m its launch grid would hold
+        # about 1.6e8 rays, and 3.75 GB of launch points alone.  Nothing
+        # may place, let alone fill, that grid.
+        def no_plane(*args, **kwargs):
+            raise AssertionError("launch plane built")
+
+        monkeypatch.setattr(tracer, "build_launch_plane", no_plane)
+        scene_file = tmp_path / "wide.scene"
+        scene_file.write_text("0,0,0, 100,0,0, 0,100,0, 0\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "trace-once":
+            argv += ["--at-minute", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "spacing_m = 8" in err and err.count(str(scene_file)) == 1
+
+    def test_city_launch_grid_too_large_names_city_keys(
+            self, tmp_path, capsys, no_pass_search):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_grid_nx = 20\n"
+                       "scene_grid_ny = 20\nscene_block_w_m = 5000\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "spacing_m" in err and "scene_block_w_m" in err
 
     def test_missing_pass_exit_three(self, tmp_path):
         cfg = tmp_path / "polar.cfg"

@@ -13,11 +13,12 @@ from leochan.config import parse_config
 from leochan.scene import Scene, generate_city
 from leochan.simulate import prepare_pass
 from leochan.states import Frame, StateVector
-from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS, LaunchPlane,
+from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS,
+                            MAX_LAUNCH_RAYS, LaunchPlane,
                             SatelliteBelowHorizon, _bound_slack, _grid_bands,
                             _reaches_after_one_bounce, _reflect,
                             build_launch_plane, dump_paths,
-                            plane_wave_min_distance, trace)
+                            launch_grid_bound, plane_wave_min_distance, trace)
 
 T0 = utc(2023, 1, 1)
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "sim.cfg"
@@ -111,6 +112,33 @@ def test_satellite_too_close_for_plane_wave_raises():
     build_launch_plane(_sat_state([0.0, 0.0, need * 1.001]), city, 4.0)
     with pytest.raises(ValueError, match="plane-wave"):
         build_launch_plane(_sat_state([0.0, 0.0, need * 0.999]), city, 4.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       st.lists(st.floats(1e-3, 2.0), min_size=3, max_size=3),
+       st.floats(0.5, 90.0), st.floats(0.0, 360.0), st.floats(0.5, 60.0))
+def test_launch_grid_bound_covers_every_direction(corner, size, el_deg,
+                                                  az_deg, spacing_m):
+    # a box's two diagonal triangles give the scene that box
+    lo = np.array(corner)
+    hi = lo + np.array(size)
+    scene = Scene([[lo, (hi[0], lo[1], lo[2]), (lo[0], hi[1], hi[2])],
+                   [hi, (lo[0], hi[1], hi[2]), (hi[0], lo[1], lo[2])]])
+    el, az = math.radians(el_deg), math.radians(az_deg)
+    sat = 800.0 * np.array([math.cos(el) * math.cos(az),
+                            math.cos(el) * math.sin(az), math.sin(el)])
+    try:
+        plane = build_launch_plane(_sat_state(sat), scene, spacing_m)
+    except SatelliteBelowHorizon:
+        return
+    nu, nv = plane.grid_shape()
+    side = math.isqrt(launch_grid_bound(scene, spacing_m))
+    assert nu <= side and nv <= side
+
+
+def test_launch_grid_cap_admits_c06_half_metre_scene():
+    assert launch_grid_bound(ground_plane(1000.0), 0.5) <= MAX_LAUNCH_RAYS
 
 
 def test_low_elevation_extent_covers_scene_shadow():
