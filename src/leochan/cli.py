@@ -43,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dump-paths", action="store_true",
                        help="also write the tracer debug dump")
     p_sim.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for the time steps")
+                       help="processes for the time steps: this one and "
+                            "N - 1 forked workers (Linux; elsewhere this "
+                            "one alone); the output is identical at any N")
 
     p_pass = sub.add_parser("pass", help="print the next visibility window")
     p_pass.add_argument("--tle", required=True)

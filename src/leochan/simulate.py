@@ -2,16 +2,21 @@
 
 One snapshot per time step inside the visibility window: propagate,
 transform into the scene frame, trace the planar wavefront, score the
-captured paths, attach per-path Doppler.  Steps are independent, so they
-can run on a thread pool, whose ``map`` returns them in time order,
-keeping the output byte-identical at any worker count.
+captured paths, attach per-path Doppler.  Steps are independent, so on
+Linux ``--jobs N`` splits them into N round-robin shares: the caller
+computes one and forked worker processes the others, and the snapshots
+are merged back into time order.  Floats pickle exactly, so the output
+is byte-identical at any worker count, and on any other platform, where
+the caller computes every step.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import pickle
+import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -78,7 +83,9 @@ def simulate_snapshot(t: datetime, ephem: Ephemeris,
         return _empty_snapshot(t, elevation)
     local = frames.global_to_local(ecef, local_frame)
     try:
-        plane = tracer.build_launch_plane(local, city, config.spacing_m)
+        plane = tracer.build_launch_plane(local, city, config.spacing_m,
+                                          receiver,
+                                          config.effective_rx_radius_m)
     except SatelliteBelowHorizon:
         return _empty_snapshot(t, elevation)
     paths = tracer.trace(plane, city, receiver,
@@ -141,19 +148,23 @@ def _scene_source(config: SimConfig, city_keys: str) -> str:
             else city_keys)
 
 
-def _check_launch_grid(config: SimConfig, city: scene_mod.Scene) -> None:
-    """Refuse, before any propagation, a launch grid that could exceed
-    ``tracer.MAX_LAUNCH_RAYS`` rays from some direction."""
-    rays = tracer.launch_grid_bound(city, config.spacing_m)
+def _check_launch_grid(config: SimConfig, city: scene_mod.Scene,
+                       receiver: np.ndarray) -> None:
+    """Refuse, before any propagation, a launch grid over the scene and
+    the receiver that could exceed ``tracer.MAX_LAUNCH_RAYS`` rays from
+    some direction."""
+    rays = tracer.launch_grid_bound(city, config.spacing_m, receiver,
+                                    config.effective_rx_radius_m)
     if rays > tracer.MAX_LAUNCH_RAYS:
         source = _scene_source(config, "the generated city (scene_grid_nx, "
                                "scene_grid_ny, scene_block_w_m, "
                                "scene_street_w_m)")
         raise ConfigError(
-            f"spacing_m = {config.spacing_m:g} over {source}: the launch "
-            f"grid can reach {rays:.3g} rays, more than the "
-            f"{tracer.MAX_LAUNCH_RAYS} a run allows; raise spacing_m or "
-            f"shrink the scene")
+            f"spacing_m = {config.spacing_m:g} over {source} and the "
+            f"receiver (rx_x_m, rx_y_m, rx_z_m): the launch grid can reach "
+            f"{rays:.3g} rays, more than the {tracer.MAX_LAUNCH_RAYS} a run "
+            f"allows; raise spacing_m, or shrink the scene or bring the "
+            f"receiver into it")
 
 
 def prepare_pass(config: SimConfig) -> tuple[
@@ -163,7 +174,7 @@ def prepare_pass(config: SimConfig) -> tuple[
 
     The ephemeris, scene, local frame (whose origin is the site) and
     receiver are built once here; they and the frozen config are only
-    read by the call, so it may run on several threads at once.  A scene
+    read by the call, so forked workers inherit it whole.  A scene
     too tall for the element set's perigee, or whose launch grid could
     be too large, fails before the pass search.
     """
@@ -171,12 +182,12 @@ def prepare_pass(config: SimConfig) -> tuple[
     city = _build_scene(config)
     ephem = Ephemeris(tle)
     local_frame = frames.build_local_frame(config.site_geodetic)
+    receiver = np.array([config.rx_x_m, config.rx_y_m, config.rx_z_m]) / 1e3
     _check_plane_wave(config, city, ephem, local_frame)
-    _check_launch_grid(config, city)
+    _check_launch_grid(config, city, receiver)
     window = passes.find_pass(tle, config.site_geodetic,
                               theta_min=math.radians(config.theta_min_deg),
                               ephemeris=ephem)
-    receiver = np.array([config.rx_x_m, config.rx_y_m, config.rx_z_m]) / 1e3
 
     def snapshot(t: datetime) -> ChannelSnapshot:
         return simulate_snapshot(t, ephem, local_frame, city, receiver,
@@ -193,16 +204,106 @@ def run_pass_simulation(config: SimConfig) -> PassReport:
     times = [window.t_start + timedelta(seconds=config.time_step_s * k)
              for k in range(n_steps + 1)]
 
-    # One worker runs inline: a one-thread pool raised the demo's peak RSS
-    # from 40.5 to 41.2-41.4 MB in 3 of 3 runs (2 vCPU Xeon, numpy
-    # 2.4.6), likely because the worker thread gets its own malloc arena.
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            result = tuple(pool.map(job, times))
+    # Workers are forked, to inherit ``job`` and all it reads; elsewhere,
+    # or with one share, the caller computes every step itself.
+    shares = min(config.jobs, len(times)) if sys.platform == "linux" else 1
+    if shares > 1:
+        result = _run_forked(job, times, shares)
     else:
         result = tuple(job(t) for t in times)
 
     return PassReport(window=window, snapshots=result)
+
+
+def _run_forked(job: Callable[[datetime], ChannelSnapshot],
+                times: list[datetime],
+                shares: int) -> tuple[ChannelSnapshot, ...]:
+    """``job`` at every instant, in time order, from ``shares``
+    round-robin shares, ``times[k::shares]``: the caller computes share
+    0, and one forked worker each of the others, which it sends back
+    through a pipe.
+
+    A failure is that of the earliest instant that raises, as at one
+    job: every share stops before the instants past the first failure
+    known so far (shared through an anonymous mapping), so each instant
+    before it is computed and the earliest is reported.  A worker that
+    exits without replying, where no instant raised, is a runtime error
+    of the time steps.  If the caller is interrupted, every worker is
+    terminated; every worker is joined before this returns or raises.
+    """
+    import multiprocessing  # only here, so a one-job run does not load it
+
+    fork = multiprocessing.get_context("fork")
+    # the index of the first failing instant known so far
+    stop = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    stop[0] = len(times)
+
+    def run_share(k):
+        """The snapshots of share k up to its first failure, and that
+        failure as (instant index, exception), or None."""
+        done = []
+        for i in range(k, len(times), shares):
+            if i > stop[0]:
+                break
+            try:
+                done.append(job(times[i]))
+            except Exception as exc:
+                stop[0] = min(stop[0], i)
+                return done, (i, exc)
+        return done, None
+
+    def work(k, conn):
+        done, failure = run_share(k)
+        if failure is not None:
+            failure = failure[0], _picklable(failure[1])
+        conn.send((done, failure))
+
+    workers = []
+    try:
+        for k in range(1, shares):
+            receive, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=work, args=(k, send), daemon=True)
+            proc.start()
+            # so that the pipe reports EOF if the worker dies
+            send.close()
+            workers.append((proc, receive))
+        replies = [run_share(0)]
+        for _, receive in workers:
+            try:
+                replies.append(receive.recv())
+            except EOFError:
+                replies.append(None)
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receive in workers:
+            proc.join()
+            receive.close()
+
+    failures = [r[1] for r in replies if r is not None and r[1] is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    for (proc, _), reply in zip(workers, replies[1:]):
+        if reply is None:
+            raise RuntimeError(
+                f"time steps: worker process {proc.pid} exited with code "
+                f"{proc.exitcode} before returning its snapshots")
+    snapshots = [None] * len(times)
+    for k, (done, _) in enumerate(replies):
+        snapshots[k::shares] = done
+    return tuple(snapshots)
+
+
+def _picklable(exc: Exception) -> Exception:
+    """``exc``, or where it does not survive pickling, a RuntimeError
+    with its message, so that the caller still reports it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(str(exc))
+    return exc
 
 
 def _utc_str(t: datetime) -> str:

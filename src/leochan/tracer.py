@@ -2,7 +2,8 @@
 
 The satellite is far enough (500+ km) that the incident field over a
 sub-kilometer scene is a plane wave: a grid of parallel rays is launched
-from a plane just above the scene, every surface hit reflects specularly,
+from a plane just above the scene, which also covers a receiver outside
+the scene, every surface hit reflects specularly,
 and a ray is collected when one of its segments passes within a capture
 radius of the receiver point.  The ray path length splits into a constant
 satellite-to-plane leg plus the traced near-ground leg.
@@ -183,29 +184,35 @@ def _default_pad_km(scene_height_km: float, spacing_km: float) -> float:
     return scene_height_km + 10.0 * spacing_km
 
 
-def launch_grid_bound(scene: Scene, spacing_m: float) -> int:
+def launch_grid_bound(scene: Scene, spacing_m: float, receiver,
+                      rx_radius_m: float) -> int:
     """At least the ray count of every launch grid that
-    ``build_launch_plane`` places over ``scene`` with its default pad,
-    from any direction.
+    ``build_launch_plane`` places over ``scene`` and ``receiver`` with
+    its default pad, from any direction.
 
     The plane's origin is the foot of the scene box's bottom-centre
-    target, so a corner's foot lies no farther from it than the corner
-    from the target, at most R, the farthest corner's distance.  So
-    half_u and half_v are at most R + pad, and nu and nv at most
-    floor(2 (R + pad) / spacing) + 1; one row more covers rounding.
+    target, so a point's foot lies no farther from it than the point
+    from the target: at most R from the scene box's farthest corner,
+    and D from the receiver.  So half_u and half_v are at most the
+    larger of R + pad and D plus the capture radius, and nu and nv at
+    most floor(2 half / spacing) + 1; one row more covers rounding.
     """
     bmin, bmax = scene.bounds
     half = 0.5 * (bmax - bmin)
     height = float(bmax[2] - bmin[2])
     spacing_km = spacing_m / M_PER_KM
-    reach = (math.hypot(half[0], half[1], height)
-             + _default_pad_km(height, spacing_km))
+    target = np.array([(bmin[0] + bmax[0]) / 2.0,
+                       (bmin[1] + bmax[1]) / 2.0, bmin[2]])
+    rx_reach = float(np.linalg.norm(np.asarray(receiver) - target))
+    reach = max(math.hypot(half[0], half[1], height)
+                + _default_pad_km(height, spacing_km),
+                rx_reach + rx_radius_m / M_PER_KM)
     side = math.floor(2.0 * reach / spacing_km) + 2
     return side * side
 
 
 def build_launch_plane(sat_local: StateVector, scene: Scene,
-                       spacing_m: float,
+                       spacing_m: float, receiver, rx_radius_m: float,
                        extent_pad_km: float | None = None) -> LaunchPlane:
     """Place the launch plane for one satellite position.
 
@@ -213,9 +220,15 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
     offset ``PLANE_MARGIN_KM`` above the closest scene corner, and sized
     to the scene footprint projected along the ray direction plus a pad
     that covers bounce spread (default: scene height plus ten spacings).
+    A receiver outside the scene box still sees the sky: where it lies
+    before that plane, the plane moves back to the same offset before
+    the receiver, and where its foot plus the capture radius
+    ``rx_radius_m`` lies outside the padded grid, the grid widens to
+    cover it.  Neither happens for a receiver in the scene box.
     """
     sat_local.require(Frame.LOCAL)
     sat = np.asarray(sat_local.position, dtype=float)
+    rx = np.asarray(receiver, dtype=float)
 
     bmin, bmax = scene.bounds
     target = np.array([(bmin[0] + bmax[0]) / 2.0,
@@ -234,9 +247,13 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
                         for x in (bmin[0], bmax[0])
                         for y in (bmin[1], bmax[1])
                         for z in (bmin[2], bmax[2])])
-    # Plane: direction . x = c, just before the nearest corner.
+    # Plane: direction . x = c, just before the nearest corner, or the
+    # receiver where it lies before that.
     proj = corners @ direction
     c = float(proj.min()) - PLANE_MARGIN_KM
+    rx_proj = float(direction @ rx)
+    if rx_proj <= c:
+        c = rx_proj - PLANE_MARGIN_KM
     d_atmosphere = c - float(direction @ sat)
     if d_atmosphere <= 0.0:
         raise SatelliteBelowHorizon("satellite is below the launch plane")
@@ -260,6 +277,9 @@ def build_launch_plane(sat_local: StateVector, scene: Scene,
     v_coords = (feet - origin) @ e2
     half_u = max(abs(u_coords.min()), abs(u_coords.max())) + extent_pad_km
     half_v = max(abs(v_coords.min()), abs(v_coords.max())) + extent_pad_km
+    rx_radius = rx_radius_m / M_PER_KM
+    half_u = max(half_u, abs(float((rx - origin) @ e1)) + rx_radius)
+    half_v = max(half_v, abs(float((rx - origin) @ e2)) + rx_radius)
 
     return LaunchPlane(direction=direction, origin=origin, e1=e1, e2=e2,
                        half_u=float(half_u), half_v=float(half_v),

@@ -145,8 +145,8 @@ def test_criterion_06_flat_ground_image_source():
     rx = np.array([0.0, -0.02, 0.0015])
 
     def run(spacing_m):
-        plane = build_launch_plane(sat_state, scene, spacing_m,
-                                   extent_pad_km=0.005)
+        plane = build_launch_plane(sat_state, scene, spacing_m, rx,
+                                   1.5 * spacing_m, extent_pad_km=0.005)
         paths = trace(plane, scene, rx, rx_radius_m=1.5 * spacing_m,
                       max_bounces=2)
         d, p0 = plane.direction, plane.origin
@@ -240,7 +240,7 @@ def test_criterion_10_per_path_doppler_spread(equatorial_pass):
         local = global_to_local(ephem.ecef_at(t), local_frame)
         if elevation(site_ecef, ephem.ecef_at(t).position) <= 0:
             continue
-        plane = build_launch_plane(local, city, spacing_m=8.0)
+        plane = build_launch_plane(local, city, 8.0, rx, 12.0)
         paths = trace(plane, city, rx, rx_radius_m=12.0, max_bounces=2)
         if len(paths) >= 2 and paths[0].bounce_count == 0:
             best = (t, local, paths)

@@ -5,6 +5,8 @@ test suite and not only the benchmark.  So does a change in the work
 the benchmark's tracer counts on them (calls per layer, rays in and hits
 per bounce segment)."""
 
+import multiprocessing
+
 from conftest import load_perfbench
 
 
@@ -31,18 +33,29 @@ def test_demo_pass_matches_golden(tmp_path):
     assert failed == 0
 
 
-def test_dense_city_matches_golden(tmp_path):
-    # the only workload that traces a third bounce; output bytes do not
-    # depend on the worker count
+def _dense_city_failures(tmp_path, nproc):
     workloads = load_perfbench("workloads")
-    wl = workloads.dense_city(0, nproc=1)
+    wl = workloads.dense_city(0, nproc=nproc)
     workloads.write_inputs(wl, tmp_path)
     _, out = workloads.run_once(wl, tmp_path)
     golden = workloads.load_golden(wl)
     assert golden is not None
     attempted, failed = workloads.failed_ops(out, golden, len(golden.ops))
     assert attempted == len(golden.ops)
-    assert failed == 0
+    return failed
+
+
+def test_dense_city_matches_golden(tmp_path):
+    # the only workload that traces a third bounce; output bytes do not
+    # depend on the worker count
+    assert _dense_city_failures(tmp_path, nproc=1) == 0
+
+
+def test_dense_city_matches_golden_at_two_jobs(tmp_path):
+    # the benchmark's own run on a 2-CPU host: the caller computes half
+    # the instants and one forked worker the other half
+    assert _dense_city_failures(tmp_path, nproc=2) == 0
+    assert multiprocessing.active_children() == []
 
 
 def _traced_metrics(build, work):

@@ -382,9 +382,10 @@ def _launch_plane(scene, elevation_deg, azimuth_deg, spacing_m):
         sat = foot + 600.0 * np.array([math.cos(el) * math.cos(az),
                                        math.cos(el) * math.sin(az),
                                        math.sin(el)])
+    # a receiver at the foot leaves the plane over the scene alone
     return build_launch_plane(
         StateVector(Frame.LOCAL, utc(2023, 1, 1), sat, np.zeros(3)), scene,
-        spacing_m)
+        spacing_m, foot, 0.0)
 
 
 def _snapped_mesh(draw, plane, rng):

@@ -1,17 +1,22 @@
 import math
+import multiprocessing
+import os
 import re
+import signal
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import one_line_mutant
-from leochan import passes, tracer
+from conftest import city_config, one_line_mutant
+from leochan import frames, passes, simulate, tracer
 from leochan.cli import main
 from leochan.config import (ConfigError, SimConfig, parse_config,
                             parse_config_text)
 from leochan.link import total_power_dbm
+from leochan.scene import scene_from_text
 from leochan.simulate import PassReport, emit_outputs, run_pass_simulation
 from leochan.tle import tle_checksum
 
@@ -392,6 +397,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "spacing_m" in err and "scene_block_w_m" in err
 
+    def test_receiver_far_outside_scene_exit_two_before_pass_search(
+            self, tmp_path, capsys, no_pass_search):
+        # One 1 km triangle about 1,400 km from the receiver: once exit 0
+        # with no path at any step, as the launch grid covered the
+        # triangle only; a grid that reaches the receiver is too large.
+        scene_file = tmp_path / "far.scene"
+        scene_file.write_text("1000,1000,0, 1001,1000,0, 1000,1001,0, 0\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"tle_path = {DEMO_TLE}\nscene_file = {scene_file}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "spacing_m = 8" in err and "rx_x_m" in err
+        assert err.count(str(scene_file)) == 1
+
     def test_missing_pass_exit_three(self, tmp_path):
         cfg = tmp_path / "polar.cfg"
         cfg.write_text(f"tle_path = {DEMO_TLE}\nsite_lat_deg = 80.0\n"
@@ -547,15 +566,200 @@ class TestDeterminism:
                 (outs[1] / fname).read_bytes()
 
     def test_parallel_equals_serial(self, light_config, tmp_path):
+        # 11 instants: at 3 jobs the shares hold 4, 4 and 3
         serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
         assert main(["simulate", "--config", str(light_config),
                      "--out", str(serial), "--jobs", "1"]) == 0
-        assert main(["simulate", "--config", str(light_config),
-                     "--out", str(parallel), "--jobs", "4"]) == 0
-        for fname in ("timeseries.csv", "paths.csv"):
-            assert (serial / fname).read_bytes() == \
-                (parallel / fname).read_bytes()
+        for jobs in ("2", "3", "4"):
+            parallel = tmp_path / f"jobs{jobs}"
+            assert main(["simulate", "--config", str(light_config),
+                         "--out", str(parallel), "--jobs", jobs]) == 0
+            for fname in ("pass_summary.csv", "timeseries.csv", "paths.csv",
+                          "delay_spread_cdf.csv"):
+                assert (serial / fname).read_bytes() == \
+                    (parallel / fname).read_bytes(), (jobs, fname)
+        assert multiprocessing.active_children() == []
+
+
+# A wall 100 m wide and 60 m tall, as a one-triangle scene file.
+_WALL = "0.1,-0.05,0, 0.1,0.05,0, 0.1,0,0.06, 0\n"
+# The launch-grid cap for the test below, scaled down from
+# tracer.MAX_LAUNCH_RAYS so that each example stays small: at 8 m it
+# admits receivers up to about 2 km from the scene.
+_TEST_CAP = 2 ** 18
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6), st.floats(0.0, 0.1),
+       st.sampled_from([0, 1]), st.floats(0.05, 0.95))
+def test_receiver_anywhere_within_the_cap_sees_the_sky(equatorial_pass, x,
+                                                       y, z, bounces, at):
+    # Wherever the receiver is, inside the scene box or not, and before
+    # or beyond the launch plane the scene alone would get, it gets the
+    # line-of-sight path unless the wall shadows it.  Once only a
+    # receiver over the scene's footprint saw anything.
+    city = scene_from_text(_WALL)
+    config = city_config(1, 1, spacing_m=8.0, max_bounces=bounces)
+    rx = np.array([x, y, z])
+    radius_m = config.effective_rx_radius_m
+    assume(tracer.launch_grid_bound(city, config.spacing_m, rx, radius_m)
+           <= _TEST_CAP)
+    ephem, window = equatorial_pass["ephem"], equatorial_pass["window"]
+    local_frame = frames.build_local_frame(equatorial_pass["site"])
+    t = window.t_start + at * (window.t_end - window.t_start)
+    sat = frames.global_to_local(ephem.ecef_at(t), local_frame).position
+    # off the wall's shadow by the capture radius: no ray toward the
+    # satellite from the receiver, or from 16 points around it at the
+    # capture radius, meets the wall
+    bmin, bmax = city.bounds
+    d = np.array([(bmin[0] + bmax[0]) / 2.0, (bmin[1] + bmax[1]) / 2.0,
+                  bmin[2]]) - sat
+    d /= np.linalg.norm(d)
+    e1 = np.cross(d, [0.0, 0.0, 1.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    a = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)[:, None]
+    ring = np.vstack([rx, rx + radius_m / 1e3 * (np.cos(a) * e1
+                                                  + np.sin(a) * e2)])
+    hits = city.intersect_batch(ring, np.tile(-d, (len(ring), 1)), 0.0)[1]
+    assume((hits < 0).all())
+    snap = simulate.simulate_snapshot(t, ephem, local_frame, city, rx,
+                                      config)
+    assert [p.record.bounce_count for p in snap.paths][:1] == [0]
+
+
+class TestForkedJobs:
+    """``--jobs N`` splits the instants into N round-robin shares: the
+    caller computes share 0 and a forked worker each other share.  A
+    failure must exit as it does at one job, and no run may leave a
+    process behind.  The light pass has 11 instants, so instant i is the
+    caller's at 2 jobs when i is even, and at 3 jobs when 3 divides it."""
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        """Fail, not hang, when a run waits on a worker for good: the
+        alarm interrupts the wait (forked workers inherit no alarm)."""
+        def expire(signum, frame):
+            raise TimeoutError("the run took over 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture()
+    def on_snapshot(self, light_report, monkeypatch):
+        """Install ``act(i)``, called before the snapshot of instant i
+        in the caller and in the workers, which inherit the patch."""
+        real = simulate.simulate_snapshot
+        t_start = light_report.window.t_start
+        assert len(light_report.snapshots) == 11
+
+        def install(act):
+            def patched(t, *args):
+                act(round((t - t_start).total_seconds() / 60.0))
+                return real(t, *args)
+
+            monkeypatch.setattr(simulate, "simulate_snapshot", patched)
+        return install
+
+    @staticmethod
+    def _run(light_config, tmp_path, capsys, jobs):
+        code = main(["simulate", "--config", str(light_config),
+                     "--out", str(tmp_path / f"out{jobs}"),
+                     "--jobs", str(jobs)])
+        return code, capsys.readouterr().err
+
+    # (3,) and (4,): one failure, in a worker's share at one job count
+    # and in the caller's at the other; then two failures, the earlier
+    # in a worker's share, and the earlier in the caller's at 2 jobs
+    @pytest.mark.parametrize("failing", [(3,), (4,), (1, 2), (4, 5)])
+    def test_failure_exits_as_at_one_job(self, light_config, tmp_path,
+                                         capsys, on_snapshot, failing):
+        def act(i):
+            if i in failing:
+                raise RuntimeError(f"instant {i} failed")
+
+        on_snapshot(act)
+        want = (4, f"simulation error: instant {min(failing)} failed\n")
+        for jobs in (1, 2, 3):
+            assert self._run(light_config, tmp_path, capsys, jobs) == want
+            assert multiprocessing.active_children() == []
+
+    def test_unpicklable_failure_keeps_its_message(
+            self, light_config, tmp_path, capsys, on_snapshot):
+        class TwoPartError(Exception):
+            def __init__(self, what, where):
+                super().__init__(f"{what} at instant {where}")
+
+        def act(i):
+            if i == 3:
+                raise TwoPartError("no path", i)
+
+        on_snapshot(act)
+        want = (4, "simulation error: no path at instant 3\n")
+        for jobs in (1, 2):
+            assert self._run(light_config, tmp_path, capsys, jobs) == want
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_killed_worker_exits_four_naming_time_steps(
+            self, light_config, tmp_path, capsys, on_snapshot, jobs):
+        # instant 5 is a worker's third or second at 2 or 3 jobs
+        caller = os.getpid()
+
+        def act(i):
+            if i == 5 and os.getpid() != caller:
+                os._exit(3)
+
+        on_snapshot(act)
+        code, err = self._run(light_config, tmp_path, capsys, jobs)
+        assert code == 4
+        assert err.startswith("simulation error: time steps: worker process")
+        assert "exited with code 3" in err
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_caller_terminates_workers(
+            self, light_config, tmp_path, capsys, on_snapshot):
+        caller = os.getpid()
+
+        def act(i):
+            # the caller's second instant at 3 jobs
+            if i == 3 and os.getpid() == caller:
+                raise KeyboardInterrupt
+
+        on_snapshot(act)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(light_config, tmp_path, capsys, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_above_instants_start_one_worker_per_other_instant(
+            self, light_config, tmp_path, capsys, monkeypatch):
+        # No process starts: each worker reads as one that exited
+        # without replying, which also shows that this cannot hang.
+        started = []
+
+        class NotStarted:
+            pid = exitcode = None
+
+            def __init__(self, target, args, daemon):
+                pass
+
+            def start(self):
+                started.append(self)
+
+            def join(self):
+                pass
+
+            def terminate(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+                            NotStarted)
+        code, err = self._run(light_config, tmp_path, capsys, 1000)
+        assert len(started) == 10
+        assert code == 4 and "time steps" in err
 
 
 def test_cli_dump_paths_writes_debug_file(light_config, tmp_path):

@@ -34,15 +34,21 @@ def _sat_state(position):
                        np.zeros(3))
 
 
+def _over_scene(scene):
+    """Receiver arguments that leave the launch plane over ``scene``
+    alone: the scene box's centre, with no capture radius."""
+    return scene.bounds.mean(axis=0), 0.0
+
+
 def _flat_setup(elevation_deg, spacing_m, rx=None, pad_km=0.02,
                 width_m=1000.0):
     scene = ground_plane(width_m)
     el = math.radians(elevation_deg)
     sat = 550.0 * np.array([math.cos(el), 0.0, math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), scene, spacing_m,
-                               extent_pad_km=pad_km)
     if rx is None:
         rx = np.array([0.0, -0.02, 0.0015])  # off the ground diagonal
+    plane = build_launch_plane(_sat_state(sat), scene, spacing_m, rx,
+                               1.5 * spacing_m, extent_pad_km=pad_km)
     return scene, plane, np.asarray(rx)
 
 
@@ -51,7 +57,7 @@ def test_plane_at_zenith_sits_above_scene_top():
     city = generate_city(city_config(2, 2, scene_height_law="constant",
                                      scene_h_const_m=150.0))
     sat = _sat_state([0.0, 0.0, 550.0])
-    plane = build_launch_plane(sat, city, spacing_m=5.0)
+    plane = build_launch_plane(sat, city, 5.0, *_over_scene(city))
     assert np.allclose(plane.direction, [0.0, 0.0, -1.0], atol=1e-12)
     assert plane.origin[2] == pytest.approx(0.2, abs=1e-9)
     assert plane.d_atmosphere == pytest.approx(550.0 - 0.2, abs=1e-9)
@@ -61,9 +67,9 @@ def test_atmosphere_plus_los_equals_slant_range():
     scene = ground_plane(600.0)
     el = math.radians(40.0)
     sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), scene, spacing_m=2.0)
     # receiver exactly at the aim point (scene footprint center, ground)
     rx = np.zeros(3)
+    plane = build_launch_plane(_sat_state(sat), scene, 2.0, rx, 3.0)
     los_leg = float(plane.direction @ (rx - plane.origin))
     slant = float(np.linalg.norm(sat - rx))
     assert plane.d_atmosphere + los_leg == pytest.approx(slant, abs=1e-6)
@@ -99,7 +105,8 @@ def test_launch_points_equal_per_point_sums(half_v_scale):
 def test_below_horizon_raises():
     scene = ground_plane(500.0)
     with pytest.raises(SatelliteBelowHorizon):
-        build_launch_plane(_sat_state([550.0, 0.0, -1.0]), scene, 2.0)
+        build_launch_plane(_sat_state([550.0, 0.0, -1.0]), scene, 2.0,
+                           *_over_scene(scene))
 
 
 def test_satellite_too_close_for_plane_wave_raises():
@@ -109,18 +116,24 @@ def test_satellite_too_close_for_plane_wave_raises():
                                      scene_h_const_m=120.0))
     need = plane_wave_min_distance(0.12)
     assert need == pytest.approx(12.0)
-    build_launch_plane(_sat_state([0.0, 0.0, need * 1.001]), city, 4.0)
+    build_launch_plane(_sat_state([0.0, 0.0, need * 1.001]), city, 4.0,
+                       *_over_scene(city))
     with pytest.raises(ValueError, match="plane-wave"):
-        build_launch_plane(_sat_state([0.0, 0.0, need * 0.999]), city, 4.0)
+        build_launch_plane(_sat_state([0.0, 0.0, need * 0.999]), city, 4.0,
+                           *_over_scene(city))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
        st.lists(st.floats(1e-3, 2.0), min_size=3, max_size=3),
-       st.floats(0.5, 90.0), st.floats(0.0, 360.0), st.floats(0.5, 60.0))
+       st.floats(0.5, 90.0), st.floats(0.0, 360.0), st.floats(0.5, 60.0),
+       st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+       st.floats(0.0, 3.0))
 def test_launch_grid_bound_covers_every_direction(corner, size, el_deg,
-                                                  az_deg, spacing_m):
-    # a box's two diagonal triangles give the scene that box
+                                                  az_deg, spacing_m, rx,
+                                                  radius):
+    # a box's two diagonal triangles give the scene that box; the
+    # receiver lies in it or up to about 5 km outside
     lo = np.array(corner)
     hi = lo + np.array(size)
     scene = Scene([[lo, (hi[0], lo[1], lo[2]), (lo[0], hi[1], hi[2])],
@@ -128,17 +141,20 @@ def test_launch_grid_bound_covers_every_direction(corner, size, el_deg,
     el, az = math.radians(el_deg), math.radians(az_deg)
     sat = 800.0 * np.array([math.cos(el) * math.cos(az),
                             math.cos(el) * math.sin(az), math.sin(el)])
+    rx_radius_m = radius * spacing_m
     try:
-        plane = build_launch_plane(_sat_state(sat), scene, spacing_m)
+        plane = build_launch_plane(_sat_state(sat), scene, spacing_m, rx,
+                                   rx_radius_m)
     except SatelliteBelowHorizon:
         return
     nu, nv = plane.grid_shape()
-    side = math.isqrt(launch_grid_bound(scene, spacing_m))
+    side = math.isqrt(launch_grid_bound(scene, spacing_m, rx, rx_radius_m))
     assert nu <= side and nv <= side
 
 
 def test_launch_grid_cap_admits_c06_half_metre_scene():
-    assert launch_grid_bound(ground_plane(1000.0), 0.5) <= MAX_LAUNCH_RAYS
+    assert launch_grid_bound(ground_plane(1000.0), 0.5,
+                             [0.0, -0.02, 0.0015], 0.75) <= MAX_LAUNCH_RAYS
 
 
 def test_low_elevation_extent_covers_scene_shadow():
@@ -146,7 +162,8 @@ def test_low_elevation_extent_covers_scene_shadow():
     city = generate_city(city_config(3, 3, seed=1))
     el = math.radians(5.0)
     sat = 1500.0 * np.array([math.cos(el), 0.0, math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    plane = build_launch_plane(_sat_state(sat), city, 4.0,
+                               *_over_scene(city))
     tilt = math.degrees(math.acos(abs(plane.direction[2])))
     assert tilt == pytest.approx(85.0, abs=0.5)
     bmin, bmax = city.bounds
@@ -215,7 +232,7 @@ def test_occluded_receiver_yields_empty_result():
         scene_height_law="constant", scene_h_const_m=40.0))
     rx = np.array([0.0, 0.0, 0.02])  # center of the lone building
     sat = _sat_state([200.0, 0.0, 500.0])
-    plane = build_launch_plane(sat, city, spacing_m=3.0)
+    plane = build_launch_plane(sat, city, 3.0, rx, 4.5)
     assert trace(plane, city, rx, rx_radius_m=4.5, max_bounces=0) == []
 
 
@@ -224,8 +241,8 @@ def test_specularity_and_segment_validity():
     el = math.radians(35.0)
     sat = 600.0 * np.array([math.cos(el), math.sin(el) * 0.2, math.sin(el)])
     sat = 600.0 * sat / np.linalg.norm(sat)
-    plane = build_launch_plane(_sat_state(sat), city, spacing_m=3.0)
     rx = np.array([0.0, 0.0, 0.0015])
+    plane = build_launch_plane(_sat_state(sat), city, 3.0, rx, 4.5)
     paths = trace(plane, city, rx, rx_radius_m=4.5, max_bounces=2)
     assert paths, "expected at least one path in the test scene"
     launch_points = plane.launch_points()
@@ -258,8 +275,8 @@ def test_specularity_and_segment_validity():
 def test_deterministic_trace():
     city = generate_city(city_config(3, 2, seed=4))
     sat = _sat_state([300.0, 100.0, 480.0])
-    plane = build_launch_plane(sat, city, spacing_m=4.0)
     rx = np.array([0.0, 0.0, 0.0015])
+    plane = build_launch_plane(sat, city, 4.0, rx, 6.0)
     a = trace(plane, city, rx, rx_radius_m=6.0, max_bounces=2)
     b = trace(plane, city, rx, rx_radius_m=6.0, max_bounces=2)
     assert len(a) == len(b)
@@ -286,9 +303,9 @@ def test_one_intersection_call_per_segment(monkeypatch):
 
     monkeypatch.setattr(Scene, "intersect_batch", counted)
     city = generate_city(city_config(2, 2, seed=8))
-    plane = build_launch_plane(_sat_state([250.0, -40.0, 490.0]), city,
-                               spacing_m=4.0)
     rx = np.array([0.0, 0.0, 0.01])
+    plane = build_launch_plane(_sat_state([250.0, -40.0, 490.0]), city,
+                               4.0, rx, 6.0)
     paths = trace(plane, city, rx, rx_radius_m=6.0, max_bounces=2)
     assert 2 in [p.bounce_count for p in paths]
     assert len(calls) == 3
@@ -333,7 +350,10 @@ def test_bound_dropping_every_ray_still_calls_once(monkeypatch):
     el, az = math.radians(40.0), math.radians(30.0)
     sat = 550.0 * np.array([math.cos(el) * math.cos(az),
                             math.cos(el) * math.sin(az), math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    # a plane over the block alone, which does not reach the receiver
+    # 5 km off: the bound is under test, not the sky
+    plane = build_launch_plane(_sat_state(sat), city, 4.0,
+                               *_over_scene(city))
     m = len(plane.launch_points())
     rx = np.array([0.0, 5.0, 0.01])
     assert trace(plane, city, rx, rx_radius_m=6.0, max_bounces=3) == []
@@ -363,8 +383,8 @@ def test_refining_spacing_keeps_coarse_paths():
 def test_paths_sorted_and_unit_vectors():
     city = generate_city(city_config(2, 2, seed=8))
     sat = _sat_state([250.0, -40.0, 490.0])
-    plane = build_launch_plane(sat, city, spacing_m=4.0)
     rx = np.array([0.0, 0.0, 0.0015])
+    plane = build_launch_plane(sat, city, 4.0, rx, 6.0)
     paths = trace(plane, city, rx, rx_radius_m=6.0, max_bounces=2)
     keys = [(p.bounce_count, p.d_near_ground) for p in paths]
     assert keys == sorted(keys)
@@ -399,7 +419,7 @@ def _overhead_midway_case(spacing_m, i, axis):
     rounds, so the receiver window needs its extra step."""
     scene = ground_plane(spacing_m * 20)
     plane = build_launch_plane(_sat_state([0.0, 0.0, 600.0]), scene,
-                               spacing_m)
+                               spacing_m, *_over_scene(scene))
     points = plane.launch_points()
     nv = plane.grid_shape()[1]
     a = i * nv + i
@@ -523,7 +543,9 @@ def test_bound_degenerate_wedge_is_the_ray():
     city = generate_city(city_config(1, 1, seed=3))
     el = math.radians(40.0)
     sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    # a plane over the block alone, as in the test above
+    plane = build_launch_plane(_sat_state(sat), city, 4.0,
+                               *_over_scene(city))
     rx, rx_radius = np.array([0.0, 5.0, 0.0015]), 0.006
     _, p, out = _march(plane, city, 1)
     assert len(p) > 0 and (out[:, 1] == 0.0).all()
@@ -540,7 +562,9 @@ def test_grid_bound_degenerate_wedge_is_the_ray():
     city = generate_city(city_config(1, 1, seed=3))
     el = math.radians(40.0)
     sat = 600.0 * np.array([math.cos(el), 0.0, math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
+    # a plane over the block alone, as in the test above
+    plane = build_launch_plane(_sat_state(sat), city, 4.0,
+                               *_over_scene(city))
     rx, rx_radius = np.array([0.0, 5.0, 0.0015]), 0.006
     origins = plane.launch_points()
     dirs = np.broadcast_to(plane.direction, origins.shape)
@@ -583,7 +607,7 @@ def _reflected_ray_case(max_bounces, bounces, frac):
     segment: only segments with one bounce left may be bounded."""
     city = generate_city(city_config(2, 2, seed=8))
     plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
-                               spacing_m=4.0)
+                               4.0, *_over_scene(city))
     _, origins, dirs = _march(plane, city, bounces)
     t = city.intersect_batch(origins, dirs, _SELF_HIT_EPS)[0]
     # a ray that leaves the scene runs 40 m before the receiver
@@ -622,8 +646,9 @@ def _zenith_case(offset_deg, az_deg, max_bounces):
         el, az = math.radians(90.0 - offset_deg), math.radians(az_deg)
         sat = 600.0 * np.array([math.cos(el) * math.cos(az),
                                 math.cos(el) * math.sin(az), math.sin(el)])
-    plane = build_launch_plane(_sat_state(sat), city, spacing_m=4.0)
-    return plane, city, np.array([0.0, 0.0015, 0.0015]), 6.0, max_bounces
+    rx = np.array([0.0, 0.0015, 0.0015])
+    plane = build_launch_plane(_sat_state(sat), city, 4.0, rx, 6.0)
+    return plane, city, rx, 6.0, max_bounces
 
 
 def _band_edge_case(frac):
@@ -633,7 +658,7 @@ def _band_edge_case(frac):
     launch grid's band for n2, up to the bound's rounding slack."""
     city = generate_city(city_config(2, 2, seed=8))
     plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
-                               spacing_m=4.0)
+                               4.0, *_over_scene(city))
     _, origins, dirs = _march(plane, city, 1)
     t, fid = city.intersect_batch(origins, dirs, _SELF_HIT_EPS)
     hit = np.flatnonzero(fid >= 0)
@@ -656,10 +681,10 @@ def _turned_city_case():
     ``_BOUND_MAX_NORMALS``, so no bound runs."""
     city = _turned(generate_city(city_config(9, 9, seed=1)), 30.0)
     assert len(city.distinct_normals) > _BOUND_MAX_NORMALS
-    plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
-                               spacing_m=20.0)
     # at a street crossing, which sees the sky and one reflection
     rx = _turn(30.0) @ np.array([0.05, 0.05, 0.0015])
+    plane = build_launch_plane(_sat_state([300.0, 200.0, 400.0]), city,
+                               20.0, rx, 30.0)
     return plane, city, rx, 30.0, 2
 
 
@@ -728,7 +753,9 @@ def _trace_case(draw):
     if el == math.radians(90.0):
         # exactly overhead the scene's centre, as the plane aims
         sat = np.append(scene.bounds.mean(axis=0)[:2], 600.0)
-    plane = build_launch_plane(_sat_state(sat), scene, spacing_m)
+    # over the scene alone: some receivers below lie outside it
+    plane = build_launch_plane(_sat_state(sat), scene, spacing_m,
+                               *_over_scene(scene))
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["face", "above", "outside", "on_ray",
