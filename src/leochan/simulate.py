@@ -3,20 +3,22 @@
 One snapshot per time step inside the visibility window: propagate,
 transform into the scene frame, trace the planar wavefront, score the
 captured paths, attach per-path Doppler.  Steps are independent, so on
-Linux ``--jobs N`` splits them into N round-robin shares: the caller
-computes one and forked worker processes the others, and the snapshots
-are merged back into time order.  Floats pickle exactly, so the output
-is byte-identical at any worker count, and on any other platform, where
-the caller computes every step.
+Linux ``--jobs N`` computes them in the caller and N - 1 forked worker
+processes, each taking the next step whenever it is free, and the
+snapshots are merged back into time order.  Floats pickle exactly, so
+the output is byte-identical at any worker count, and on any other
+platform, where the caller computes every step.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
 import pickle
 import sys
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -205,10 +207,10 @@ def run_pass_simulation(config: SimConfig) -> PassReport:
              for k in range(n_steps + 1)]
 
     # Workers are forked, to inherit ``job`` and all it reads; elsewhere,
-    # or with one share, the caller computes every step itself.
-    shares = min(config.jobs, len(times)) if sys.platform == "linux" else 1
-    if shares > 1:
-        result = _run_forked(job, times, shares)
+    # or with one process, the caller computes every step itself.
+    procs = min(config.jobs, len(times)) if sys.platform == "linux" else 1
+    if procs > 1:
+        result = _run_forked(job, times, procs)
     else:
         result = tuple(job(t) for t in times)
 
@@ -217,57 +219,75 @@ def run_pass_simulation(config: SimConfig) -> PassReport:
 
 def _run_forked(job: Callable[[datetime], ChannelSnapshot],
                 times: list[datetime],
-                shares: int) -> tuple[ChannelSnapshot, ...]:
-    """``job`` at every instant, in time order, from ``shares``
-    round-robin shares, ``times[k::shares]``: the caller computes share
-    0, and one forked worker each of the others, which it sends back
-    through a pipe.
+                procs: int) -> tuple[ChannelSnapshot, ...]:
+    """``job`` at every instant, in time order, from the caller and
+    ``procs - 1`` forked workers, which send theirs back through a pipe.
 
-    A failure is that of the earliest instant that raises, as at one
-    job: every share stops before the instants past the first failure
-    known so far (shared through an anonymous mapping), so each instant
-    before it is computed and the earliest is reported.  A worker that
-    exits without replying, where no instant raised, is a runtime error
-    of the time steps.  If the caller is interrupted, every worker is
-    terminated; every worker is joined before this returns or raises.
+    Whenever a process is free it claims the next unclaimed instant, so
+    the caller computes until none is left, and a process that gets
+    less CPU takes fewer instants.  A failure is that of the earliest
+    instant that raises, as at one job: no instant past the first
+    failure known so far is claimed, and every instant before it was
+    claimed first, so each is computed and the earliest is reported.  A
+    worker that exits without replying, where no instant raised, is a
+    runtime error of the time steps.  If the caller is interrupted,
+    every worker is terminated; every worker is joined before this
+    returns or raises.
     """
+    import fcntl
     import multiprocessing  # only here, so a one-job run does not load it
 
     fork = multiprocessing.get_context("fork")
-    # the index of the first failing instant known so far
-    stop = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-    stop[0] = len(times)
+    # the next unclaimed instant and the first failing instant known so
+    # far, in a shared file: the kernel drops a process's record lock on
+    # it when the process dies, so a killed worker cannot hold it
+    fd = os.memfd_create("leochan-instants")
+    os.ftruncate(fd, 16)
+    state = np.frombuffer(mmap.mmap(fd, 16), dtype=np.int64)
+    state[:] = 0, len(times)
 
-    def run_share(k):
-        """The snapshots of share k up to its first failure, and that
-        failure as (instant index, exception), or None."""
+    @contextmanager
+    def locked():
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+
+    def run_share():
+        """(instant index, snapshot) of each instant this process
+        claimed, up to its first failure, and that failure as (instant
+        index, exception), or None."""
         done = []
-        for i in range(k, len(times), shares):
-            if i > stop[0]:
-                break
+        while True:
+            with locked():
+                i = int(state[0])
+                if i >= state[1]:
+                    return done, None
+                state[0] = i + 1
             try:
-                done.append(job(times[i]))
+                done.append((i, job(times[i])))
             except Exception as exc:
-                stop[0] = min(stop[0], i)
+                with locked():
+                    state[1] = min(state[1], i)
                 return done, (i, exc)
-        return done, None
 
-    def work(k, conn):
-        done, failure = run_share(k)
+    def work(conn):
+        done, failure = run_share()
         if failure is not None:
             failure = failure[0], _picklable(failure[1])
         conn.send((done, failure))
 
     workers = []
     try:
-        for k in range(1, shares):
+        for _ in range(1, procs):
             receive, send = fork.Pipe(duplex=False)
-            proc = fork.Process(target=work, args=(k, send), daemon=True)
+            proc = fork.Process(target=work, args=(send,), daemon=True)
             proc.start()
             # so that the pipe reports EOF if the worker dies
             send.close()
             workers.append((proc, receive))
-        replies = [run_share(0)]
+        replies = [run_share()]
         for _, receive in workers:
             try:
                 replies.append(receive.recv())
@@ -281,6 +301,7 @@ def _run_forked(job: Callable[[datetime], ChannelSnapshot],
         for proc, receive in workers:
             proc.join()
             receive.close()
+        os.close(fd)
 
     failures = [r[1] for r in replies if r is not None and r[1] is not None]
     if failures:
@@ -291,8 +312,9 @@ def _run_forked(job: Callable[[datetime], ChannelSnapshot],
                 f"time steps: worker process {proc.pid} exited with code "
                 f"{proc.exitcode} before returning its snapshots")
     snapshots = [None] * len(times)
-    for k, (done, _) in enumerate(replies):
-        snapshots[k::shares] = done
+    for done, _ in replies:
+        for i, snapshot in done:
+            snapshots[i] = snapshot
     return tuple(snapshots)
 
 

@@ -566,7 +566,7 @@ class TestDeterminism:
                 (outs[1] / fname).read_bytes()
 
     def test_parallel_equals_serial(self, light_config, tmp_path):
-        # 11 instants: at 3 jobs the shares hold 4, 4 and 3
+        # 11 instants over 2, 3 and 4 processes
         serial = tmp_path / "serial"
         assert main(["simulate", "--config", str(light_config),
                      "--out", str(serial), "--jobs", "1"]) == 0
@@ -629,11 +629,10 @@ def test_receiver_anywhere_within_the_cap_sees_the_sky(equatorial_pass, x,
 
 
 class TestForkedJobs:
-    """``--jobs N`` splits the instants into N round-robin shares: the
-    caller computes share 0 and a forked worker each other share.  A
+    """``--jobs N`` runs the caller and N - 1 forked workers, each of
+    which claims the next unclaimed instant whenever it is free.  A
     failure must exit as it does at one job, and no run may leave a
-    process behind.  The light pass has 11 instants, so instant i is the
-    caller's at 2 jobs when i is even, and at 3 jobs when 3 divides it."""
+    process behind.  The light pass has 11 instants."""
 
     @pytest.fixture(autouse=True)
     def time_bound(self):
@@ -664,6 +663,42 @@ class TestForkedJobs:
             monkeypatch.setattr(simulate, "simulate_snapshot", patched)
         return install
 
+    @pytest.fixture()
+    def at_first_instants(self, on_snapshot):
+        """Install ``in_worker(i)`` and ``in_caller(i)``, called at the
+        first instant i that each worker and the caller compute, for one
+        run.  There the caller and a worker first wait for each other,
+        so both compute one instant at least whatever the scheduling:
+        each holds its claim while it waits, and nothing has failed yet.
+        Returns ``install`` and the dict of the instants that the caller
+        and the first worker to arrive reached first."""
+        caller = os.getpid()
+        started_r, started_w = os.pipe()
+        go_r, go_w = os.pipe()
+        first = {}
+
+        def install(in_worker=lambda i: None, in_caller=lambda i: None):
+            started = set()
+
+            def act(i):
+                if os.getpid() in started:
+                    return
+                started.add(os.getpid())
+                if os.getpid() == caller:
+                    first["worker"] = os.read(started_r, 1)[0]
+                    first["caller"] = i
+                    os.write(go_w, bytes(16))  # one for every worker
+                    in_caller(i)
+                else:
+                    os.write(started_w, bytes([i]))
+                    os.read(go_r, 1)
+                    in_worker(i)
+
+            on_snapshot(act)
+        yield install, first
+        for fd in (started_r, started_w, go_r, go_w):
+            os.close(fd)
+
     @staticmethod
     def _run(light_config, tmp_path, capsys, jobs):
         code = main(["simulate", "--config", str(light_config),
@@ -671,9 +706,8 @@ class TestForkedJobs:
                      "--jobs", str(jobs)])
         return code, capsys.readouterr().err
 
-    # (3,) and (4,): one failure, in a worker's share at one job count
-    # and in the caller's at the other; then two failures, the earlier
-    # in a worker's share, and the earlier in the caller's at 2 jobs
+    # one failure, then two; whichever process claims a failing instant
+    # computes it
     @pytest.mark.parametrize("failing", [(3,), (4,), (1, 2), (4, 5)])
     def test_failure_exits_as_at_one_job(self, light_config, tmp_path,
                                          capsys, on_snapshot, failing):
@@ -687,33 +721,43 @@ class TestForkedJobs:
             assert self._run(light_config, tmp_path, capsys, jobs) == want
             assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failure_in_one_process_exits_four_naming_its_instant(
+            self, light_config, tmp_path, capsys, at_first_instants, where):
+        # every instant the other process claims before it succeeds
+        install, first = at_first_instants
+
+        def fail(i):
+            raise RuntimeError(f"instant {i} failed")
+
+        install(**{f"in_{where}": fail})
+        code, err = self._run(light_config, tmp_path, capsys, 2)
+        assert (code, err) == (
+            4, f"simulation error: instant {first[where]} failed\n")
+        assert multiprocessing.active_children() == []
+
     def test_unpicklable_failure_keeps_its_message(
-            self, light_config, tmp_path, capsys, on_snapshot):
+            self, light_config, tmp_path, capsys, at_first_instants):
         class TwoPartError(Exception):
             def __init__(self, what, where):
                 super().__init__(f"{what} at instant {where}")
 
-        def act(i):
-            if i == 3:
-                raise TwoPartError("no path", i)
+        install, first = at_first_instants
 
-        on_snapshot(act)
-        want = (4, "simulation error: no path at instant 3\n")
-        for jobs in (1, 2):
-            assert self._run(light_config, tmp_path, capsys, jobs) == want
+        def fail(i):
+            raise TwoPartError("no path", i)
+
+        install(in_worker=fail)
+        code, err = self._run(light_config, tmp_path, capsys, 2)
+        assert (code, err) == (
+            4, f"simulation error: no path at instant {first['worker']}\n")
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_killed_worker_exits_four_naming_time_steps(
-            self, light_config, tmp_path, capsys, on_snapshot, jobs):
-        # instant 5 is a worker's third or second at 2 or 3 jobs
-        caller = os.getpid()
-
-        def act(i):
-            if i == 5 and os.getpid() != caller:
-                os._exit(3)
-
-        on_snapshot(act)
+            self, light_config, tmp_path, capsys, at_first_instants, jobs):
+        install, _ = at_first_instants
+        install(in_worker=lambda i: os._exit(3))
         code, err = self._run(light_config, tmp_path, capsys, jobs)
         assert code == 4
         assert err.startswith("simulation error: time steps: worker process")
@@ -721,17 +765,60 @@ class TestForkedJobs:
         assert multiprocessing.active_children() == []
 
     def test_interrupted_caller_terminates_workers(
-            self, light_config, tmp_path, capsys, on_snapshot):
-        caller = os.getpid()
+            self, light_config, tmp_path, capsys, at_first_instants):
+        install, _ = at_first_instants
 
-        def act(i):
-            # the caller's second instant at 3 jobs
-            if i == 3 and os.getpid() == caller:
-                raise KeyboardInterrupt
+        def interrupt(i):
+            raise KeyboardInterrupt
 
-        on_snapshot(act)
+        install(in_caller=interrupt)
         with pytest.raises(KeyboardInterrupt):
             self._run(light_config, tmp_path, capsys, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_each_instant_is_computed_once(self, light_config, tmp_path,
+                                           capsys, on_snapshot):
+        # more processes than this host has CPUs, over several runs: a
+        # lost update of the claimed count would compute an instant twice
+        read_end, write_end = os.pipe()
+        on_snapshot(lambda i: os.write(write_end, bytes([i])))
+        try:
+            for _ in range(5):
+                assert self._run(light_config, tmp_path, capsys, 4)[0] == 0
+                computed = os.read(read_end, 4096)
+                assert sorted(computed) == list(range(11))
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert multiprocessing.active_children() == []
+
+    def test_stalled_worker_leaves_the_other_instants_to_the_caller(
+            self, light_config, tmp_path, capsys, on_snapshot):
+        # The worker's first instant waits until the caller has computed
+        # ten, which it can only do by claiming every other instant.
+        caller = os.getpid()
+        started_r, started_w = os.pipe()
+        go_r, go_w = os.pipe()
+        in_caller = []
+
+        def act(i):
+            if os.getpid() != caller:
+                os.write(started_w, bytes([i]))
+                os.read(go_r, 1)
+                return
+            if not in_caller:  # so that the worker claims one instant
+                os.read(started_r, 1)
+            in_caller.append(i)
+            if len(in_caller) == 10:
+                os.write(go_w, b"x")
+
+        on_snapshot(act)
+        try:
+            assert self._run(light_config, tmp_path, capsys, 2) == (0, "")
+        finally:
+            for fd in (started_r, started_w, go_r, go_w):
+                os.close(fd)
+        assert len(set(in_caller)) == 10
         assert multiprocessing.active_children() == []
 
     def test_jobs_above_instants_start_one_worker_per_other_instant(
