@@ -46,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="processes for the time steps: this one and "
                             "N - 1 forked workers (Linux; elsewhere this "
                             "one alone); the output is identical at any N")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_pass = sub.add_parser("pass", help="print the next visibility window")
     p_pass.add_argument("--tle", required=True)
@@ -54,12 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pass.add_argument("--min-elev", type=float, default=0.0)
     p_pass.add_argument("--step", type=float, default=SCAN_STEP_S,
                         help="scan step, seconds")
+    p_pass.set_defaults(run=_cmd_pass)
 
     p_once = sub.add_parser("trace-once",
                             help="trace a single instant of the pass")
     p_once.add_argument("--config", required=True)
     p_once.add_argument("--at-minute", type=float, required=True,
                         help="minutes after the window start")
+    p_once.set_defaults(run=_cmd_trace_once)
     return parser
 
 
@@ -130,16 +133,9 @@ def _cmd_trace_once(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "pass":
-            return _cmd_pass(args)
-        if args.command == "trace-once":
-            return _cmd_trace_once(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -149,7 +145,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # simulation failure with context
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

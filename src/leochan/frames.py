@@ -162,15 +162,10 @@ def earth_orientation(t: datetime) -> EarthOrientation:
     )
 
 
-def teme_to_eci_matrix(eo: EarthOrientation) -> np.ndarray:
-    """TEME -> J2000 rotation P N R3(-eqeq), read-only."""
-    return eo.matrices[0]
-
-
 def teme_to_eci(state: StateVector, eo: EarthOrientation) -> StateVector:
     """Rotate a TEME state onto the J2000 mean equator and equinox."""
     state.require(Frame.TEME)
-    m = teme_to_eci_matrix(eo)
+    m = eo.matrices[0]
     return StateVector(Frame.ECI, state.t, m.dot(state.position),
                        m.dot(state.velocity))
 

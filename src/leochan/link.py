@@ -85,16 +85,16 @@ def rain_attenuation_db(rain_rate_mm_h: float, k: float, alpha: float,
     return k * rain_rate_mm_h ** alpha * path
 
 
-def fresnel_power_reflectance(incidence_angle: float, material: Material,
-                              fc_mhz: float, polarization: str) -> float:
-    """|Gamma|^2 at a material interface.
+def fresnel_power_reflectance(incidence_angle: float, fc_mhz: float,
+                              polarization: str) -> float:
+    """|Gamma|^2 at a ``CONCRETE`` surface.
 
     Incidence is measured from the surface normal.  The medium enters as
     the complex relative permittivity  eps_r - j 60 lambda sigma.
     """
     wavelength_m = SPEED_OF_LIGHT_KM_S * 1e3 / (fc_mhz * 1e6)
-    eps = complex(material.relative_permittivity,
-                  -60.0 * wavelength_m * material.conductivity)
+    eps = complex(CONCRETE.relative_permittivity,
+                  -60.0 * wavelength_m * CONCRETE.conductivity)
     cos_i = math.cos(incidence_angle)
     sin2_i = math.sin(incidence_angle) ** 2
     root = cmath.sqrt(eps - sin2_i)
@@ -105,11 +105,12 @@ def fresnel_power_reflectance(incidence_angle: float, material: Material,
     return abs(gamma) ** 2
 
 
-def reflection_loss_db(incidence_angle: float, material: Material,
-                       fc_mhz: float, polarization: str) -> float:
-    """Power lost at one specular reflection, dB (>= 0)."""
-    reflectance = fresnel_power_reflectance(incidence_angle, material,
-                                            fc_mhz, polarization)
+def reflection_loss_db(incidence_angle: float, fc_mhz: float,
+                       polarization: str) -> float:
+    """Power lost at one specular reflection off ``CONCRETE``, dB
+    (>= 0)."""
+    reflectance = fresnel_power_reflectance(incidence_angle, fc_mhz,
+                                            polarization)
     return -10.0 * math.log10(reflectance)
 
 
@@ -130,7 +131,7 @@ def path_power_dbm(path: PathRecord, config: SimConfig,
             elevation_rad,
             rain_path_constant(config.rain_path_mode, config.site_lat_deg))
     for interaction in path.interactions:
-        power -= reflection_loss_db(interaction.incidence_angle, CONCRETE,
+        power -= reflection_loss_db(interaction.incidence_angle,
                                     config.fc_mhz, config.polarization)
     return power
 

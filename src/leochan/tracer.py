@@ -52,6 +52,12 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
   along it.  On the demo pass this leaves hits for 4,910 of the 69,385
   launch rays that hit.
 
+The live rays are one ``_Rays`` record, whose arrays ``take`` re-indexes
+together and ``_bounce`` reflects, adding one history column.  Each
+segment that captures rays hands them to ``_path_records`` as one
+batch, in launch order; it keeps per face sequence the ray that passes closest to
+the receiver, the earlier launch on a tie.
+
 ``tests/oracle.py::trace_every_ray`` intersects and tests every ray on
 every segment, and gives the same records to the bit.
 
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -547,6 +554,37 @@ def _grid_bands(plane: LaunchPlane, scene: Scene, rx: np.ndarray,
     return keep
 
 
+class _Rays(NamedTuple):
+    """A batch of the march's rays, one row each: its start and
+    direction, its launch index, the length traced before its start,
+    and per bounce so far, the face it hit, the hit point and the
+    incidence angle."""
+
+    origin: np.ndarray       # (n, 3) km
+    direction: np.ndarray    # (n, 3) unit
+    launch: np.ndarray       # (n,)
+    length: np.ndarray       # (n,) km
+    faces: np.ndarray        # (n, bounces)
+    points: np.ndarray       # (n, bounces, 3) km
+    angles: np.ndarray       # (n, bounces) rad
+
+    def take(self, idx) -> _Rays:
+        return _Rays(*(a[idx] for a in self))
+
+
+def _bounce(rays: _Rays, idx: np.ndarray, t: np.ndarray, fid: np.ndarray,
+            points: np.ndarray, dn: np.ndarray, out: np.ndarray) -> _Rays:
+    """The rays ``idx`` of ``rays`` after one reflection: ray i went
+    ``t[i]`` to its hit on face ``fid[i]``, and in order of ``idx``,
+    the rays hit at ``points``, where d.n was ``dn``, and leave from
+    there along ``out``."""
+    return _Rays(points, out, rays.launch[idx], rays.length[idx] + t[idx],
+                 np.concatenate([rays.faces[idx], fid[idx, None]], 1),
+                 np.concatenate([rays.points[idx], points[:, None]], 1),
+                 np.concatenate([rays.angles[idx], np.arccos(
+                     np.clip(-dn, -1.0, 1.0))[:, None]], 1))
+
+
 def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
           max_bounces: int) -> list[PathRecord]:
     """March the launch grid through the scene and collect receiver hits.
@@ -567,36 +605,35 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     ``Scene.intersect_batch`` call, even when none of its rays can be
     captured and even with zero rows, when the one-bounce bound drops
     them all; so the k-th call of a trace is segment k.  Only a full
-    launch grid is passed as ``grid``.  Paths with identical reflection-face
-    sequences are deduplicated, keeping the ray that passes closest to
-    the receiver; the result is sorted by (bounce count, path length)
-    and is fully deterministic.
+    launch grid is passed as ``grid``.  The live rays are one
+    ``_Rays``, and each segment that captures rays adds one batch of
+    them, in launch order.  Paths with identical reflection-face sequences
+    are deduplicated, keeping the ray that passes closest to the
+    receiver, the earlier launch on a tie; the result is sorted by
+    (bounce count, path length) and is fully deterministic.
     """
     rx = np.asarray(receiver, dtype=float)
     rx_radius = rx_radius_m / M_PER_KM
 
-    origins = plane.launch_points()
-    m = len(origins)
-    # one direction for every launch ray, held once (a zero-stride view)
-    dirs = np.broadcast_to(plane.direction, (m, 3))
-    launch_idx = np.arange(m)
-    # near: the rows to test for capture, the receiver window on segment
-    # 0 and then every live ray (as a slice, which copies no rows).  Per
-    # live ray, its traced length and one history column per bounce;
-    # segment 0 has none, so they start as a zero-stride length and
-    # empty columns, which hold no memory.
+    m = math.prod(plane.grid_shape())
+    # Segment 0's rays share one direction, held once (a zero-stride
+    # view), and have no traced length or history yet: a zero-stride
+    # length and empty columns, which hold no memory.
+    rays = _Rays(plane.launch_points(),
+                 np.broadcast_to(plane.direction, (m, 3)),
+                 np.arange(m), np.broadcast_to(0.0, (m,)),
+                 np.empty((m, 0), dtype=int), np.empty((m, 0, 3)),
+                 np.empty((m, 0)))
+    # near: the rays to test for capture, the receiver window on segment
+    # 0 and then every live ray
     near = _receiver_window(plane, rx, rx_radius)
-    acc_len = np.broadcast_to(0.0, (m,))
-    hist_fid = np.empty((m, 0), dtype=int)
-    hist_pts = np.empty((m, 0, 3))
-    hist_ang = np.empty((m, 0))
     # The one-bounce bound picks the rays of the segment with one bounce
     # left where the segment before reflects them.  At one or two
     # bounces its bands on the launch grid also pick the launch rays
     # that segment 0 intersects, besides the receiver window.
     bounded = (max_bounces > 0
                and len(scene.distinct_normals) <= _BOUND_MAX_NORMALS)
-    keep = None
+    grid, keep = plane, None
     if bounded:
         axes = scene.distinct_normals
         slack = _bound_slack(rx, rx_radius, scene.bounds)
@@ -605,36 +642,29 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         window[near] = True
         keep = _grid_bands(plane, scene, rx, slack, axes, window)
 
-    captured: list[tuple] = []
+    batches: list[tuple[_Rays, np.ndarray, np.ndarray]] = []
 
     for segment in range(max_bounces + 1):
-        o, d = origins[near], dirs[near]
+        o, d = rays.origin[near], rays.direction[near]
         s_star = np.einsum("ij,ij->i", rx[None, :] - o, d)
-        foot = o + s_star[:, None] * d
-        miss = np.linalg.norm(rx[None, :] - foot, axis=1)
+        miss = np.linalg.norm(rx[None, :] - (o + s_star[:, None] * d), axis=1)
         close = (s_star > 0.0) & (miss <= rx_radius)
-        near = near[close] if segment == 0 else np.flatnonzero(close)
-        s_star, miss = s_star[close], miss[close]
+        near, s_star, miss = near[close], s_star[close], miss[close]
+        # the close rays; this also frees the copies of every live ray
+        # before the intersection
+        o, d = rays.origin[near], rays.direction[near]
 
         if segment == max_bounces:
             # the hit only decides whether the receiver is seen first
-            t_near = scene.intersect_batch(o[close], d[close],
-                                           _SELF_HIT_EPS)[0]
+            t_near = scene.intersect_batch(o, d, _SELF_HIT_EPS)[0]
         else:
-            # segment 0's rays are the launch grid's; later ones scatter
-            t_hit, fid_hit = (
-                scene.intersect_batch(origins, dirs, _SELF_HIT_EPS,
-                                      grid=plane, keep=keep)
-                if segment == 0 else
-                scene.intersect_batch(origins, dirs, _SELF_HIT_EPS))
+            t_hit, fid_hit = scene.intersect_batch(
+                rays.origin, rays.direction, _SELF_HIT_EPS, grid=grid,
+                keep=keep)
             t_near = t_hit[near]
         seen = s_star <= t_near
-
-        for i, s, q in zip(near[seen], s_star[seen], miss[seen]):
-            captured.append((int(launch_idx[i]), segment,
-                             hist_fid[i].copy(), hist_pts[i].copy(),
-                             hist_ang[i].copy(), float(acc_len[i] + s),
-                             float(q)))
+        if seen.any():
+            batches.append((rays.take(near[seen]), s_star[seen], miss[seen]))
 
         if segment == max_bounces:
             break
@@ -644,60 +674,54 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        inc = dirs[idx]
-        hit_pts = origins[idx] + t_hit[idx, None] * inc
-        _, dn, new_dirs = _reflect(inc, scene.normals[fid_hit[idx]])
+        d = rays.direction[idx]
+        hit_pts = rays.origin[idx] + t_hit[idx, None] * d
+        # d becomes the reflection, which frees the incident copy
+        _, dn, d = _reflect(d, scene.normals[fid_hit[idx]])
         if bounded and segment + 2 == max_bounces:
             # the next segment has one bounce left: only the rays that
             # can still be captured go on
-            go = _reaches_after_one_bounce(hit_pts, new_dirs, rx, slack,
-                                           axes)
-            idx, hit_pts, new_dirs, dn = (idx[go], hit_pts[go],
-                                          new_dirs[go], dn[go])
+            go = _reaches_after_one_bounce(hit_pts, d, rx, slack, axes)
+            idx, hit_pts, d, dn = idx[go], hit_pts[go], d[go], dn[go]
+        rays = _bounce(rays, idx, t_hit, fid_hit, hit_pts, dn, d)
+        near = np.arange(len(idx))
+        # later segments' rays scatter
+        grid = keep = None
 
-        acc_len = acc_len[idx] + t_hit[idx]
-        hist_fid = np.concatenate([hist_fid[idx], fid_hit[idx, None]], 1)
-        hist_pts = np.concatenate([hist_pts[idx], hit_pts[:, None]], 1)
-        hist_ang = np.concatenate(
-            [hist_ang[idx], np.arccos(np.clip(-dn, -1.0, 1.0))[:, None]], 1)
-        origins = hit_pts
-        dirs = new_dirs
-        launch_idx = launch_idx[idx]
-        near = slice(None)
-
-    return _path_records(captured, plane, rx)
+    return _path_records(batches, plane, rx)
 
 
-def _path_records(captured: list[tuple], plane: LaunchPlane,
-                  rx: np.ndarray) -> list[PathRecord]:
+def _path_records(batches: list[tuple[_Rays, np.ndarray, np.ndarray]],
+                  plane: LaunchPlane, rx: np.ndarray) -> list[PathRecord]:
     """Deduplicated, sorted ``PathRecord``s from captured rays.
 
-    Each capture is (launch index, bounces, face ids, points, incidence
-    angles, near-ground length, miss distance).  The merge is
-    deterministic: launch order first, then per-face-sequence dedup
-    keeping the closest pass, then a (bounces, length) sort.
+    Each batch holds the rays captured on one segment, in launch order,
+    as (rays, s, miss): per ray, the distance along its last segment to
+    its closest approach to the receiver, and that miss distance.  Per
+    face sequence the closest pass is kept, the earlier launch on a tie:
+    sequences of different lengths never meet, and those of one length
+    come from one batch.  Records are sorted by (bounces, length).
     """
-    captured = sorted(captured, key=lambda rec: rec[0])
     best: dict[tuple, tuple] = {}
-    for rec in captured:
-        key = tuple(int(f) for f in rec[2])
-        prev = best.get(key)
-        if prev is None or rec[6] < prev[6]:
-            best[key] = rec
+    for rays, s_star, miss in batches:
+        for k, key in enumerate(map(tuple, rays.faces.tolist())):
+            prev = best.get(key)
+            if prev is None or miss[k] < prev[0]:
+                best[key] = (miss[k], rays, k, s_star[k])
 
     records = []
-    for rec in best.values():
-        launch_index, bounces, fids, pts, angs, d_near, miss_d = rec
+    for miss_d, rays, k, s in best.values():
+        pts = rays.points[k]
         interactions = tuple(
-            Interaction(point=pts[k], face_id=int(fids[k]),
-                        incidence_angle=float(angs[k]))
-            for k in range(bounces))
-        aod = (pts[0] if bounces else rx) - plane.sat_position
+            Interaction(point=p, face_id=int(f), incidence_angle=float(a))
+            for p, f, a in zip(pts, rays.faces[k], rays.angles[k]))
+        aod = (pts[0] if interactions else rx) - plane.sat_position
         aod = aod / np.linalg.norm(aod)
         records.append(PathRecord(
-            launch_index=launch_index, interactions=interactions,
-            d_near_ground=d_near, d_atmosphere=plane.d_atmosphere, aod=aod,
-            bounce_count=bounces, miss_distance=miss_d))
+            launch_index=int(rays.launch[k]), interactions=interactions,
+            d_near_ground=float(rays.length[k] + s),
+            d_atmosphere=plane.d_atmosphere, aod=aod,
+            bounce_count=len(interactions), miss_distance=float(miss_d)))
     records.sort(key=lambda p: (p.bounce_count, p.d_near_ground))
     return records
 

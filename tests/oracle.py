@@ -58,7 +58,7 @@ import numpy as np
 
 from leochan.frames import (ARCSEC2RAD, DEG2RAD, EARTH_ROTATION_RATE,
                             WGS84_A_KM, WGS84_E2, WGS84_F, EarthOrientation,
-                            LocalFrame, geodetic_to_ecef, teme_to_eci_matrix)
+                            LocalFrame, geodetic_to_ecef)
 from leochan.link import SPEED_OF_LIGHT_KM_S
 from leochan.passes import (Ephemeris, NoPassFound, PassWindow,
                             _bisect_crossing, _golden_max, elevation,
@@ -66,7 +66,7 @@ from leochan.passes import (Ephemeris, NoPassFound, PassWindow,
 from leochan.scene import _DET_EPS, M_PER_KM
 from leochan.states import Frame, StateVector
 from leochan.timebase import gmst_rad, julian_centuries_tt
-from leochan.tracer import _SELF_HIT_EPS, _path_records, _reflect
+from leochan.tracer import _SELF_HIT_EPS, _path_records, _Rays, _reflect
 
 
 def nearest_hits(scene, origins, directions, t_min=0.0, t_max=np.inf):
@@ -114,8 +114,9 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
 
     No receiver window and no capture-first last segment: each segment
     intersects all its rays, with the launch grid's raster on segment 0,
-    and keeps full-grid history arrays.  The captures go through the
-    tracer's own dedup and record step, ``tracer._path_records``, and
+    and keeps full-grid history arrays.  Each segment's captures are
+    wrapped in one ``tracer._Rays`` batch and go through the tracer's
+    own dedup and record step, ``tracer._path_records``, and
     each hit reflects through its one reflection step,
     ``tracer._reflect``: the reference is for what the march skips, not
     for the law of reflection, which ``nearest_hits``' oriented normals
@@ -141,12 +142,11 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
         foot = origins + s_star[:, None] * dirs
         miss = np.linalg.norm(rx[None, :] - foot, axis=1)
         can_capture = (s_star > 0.0) & (s_star <= t_hit) & (miss <= rx_radius)
-        for i in np.flatnonzero(can_capture):
-            captured.append((
-                int(launch_idx[i]), segment,
-                hist_fid[i, :segment].copy(), hist_pts[i, :segment].copy(),
-                hist_ang[i, :segment].copy(),
-                float(acc_len[i] + s_star[i]), float(miss[i])))
+        i = np.flatnonzero(can_capture)
+        captured.append((
+            _Rays(origins[i], dirs[i], launch_idx[i], acc_len[i],
+                  hist_fid[i, :segment], hist_pts[i, :segment],
+                  hist_ang[i, :segment]), s_star[i], miss[i]))
         alive = ~can_capture & (fid_hit >= 0)
         if segment == max_bounces or not alive.any():
             break
@@ -463,7 +463,7 @@ def ecef_reference(ephem: Ephemeris,
 def eci_to_teme(state: StateVector, eo: EarthOrientation) -> StateVector:
     """Inverse of ``frames.teme_to_eci``."""
     state.require(Frame.ECI)
-    m = teme_to_eci_matrix(eo).T
+    m = eo.matrices[0].T
     return StateVector(Frame.TEME, state.t, m @ state.position,
                        m @ state.velocity)
 

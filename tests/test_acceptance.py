@@ -18,8 +18,7 @@ from oracle import (doppler_closed_form, ecef_to_eci, ecef_to_geodetic,
                     local_point_to_global, local_to_global, nearest_hits)
 from leochan.cli import main
 from leochan.frames import (build_local_frame, earth_orientation,
-                            eci_to_ecef, geodetic_to_ecef, global_to_local,
-                            teme_to_eci_matrix)
+                            eci_to_ecef, geodetic_to_ecef, global_to_local)
 from leochan.link import (RAIN_PATH_CONSTANT, fspl_db, rain_attenuation_db,
                           rms_delay_spread_ns)
 from leochan.passes import (Ephemeris, elevation, find_pass,
@@ -342,7 +341,7 @@ def test_criterion_12_frame_round_trips():
                                 rng2.uniform(-180, 180), 0.0))
         worst_ortho = max(worst_ortho, float(
             np.abs(lf.rotation @ lf.rotation.T - np.eye(3)).max()))
-    m = teme_to_eci_matrix(eo)
+    m = eo.matrices[0]
     worst_ortho = max(worst_ortho,
                       float(np.abs(m @ m.T - np.eye(3)).max()))
     ok = worst_ecef < 1e-9 and worst_local < 1e-9 and worst_ortho < 1e-12

@@ -15,7 +15,7 @@ from oracle import (earth_orientation_reference, ecef_reference,
 from leochan.frames import (EARTH_ROTATION_RATE, EarthOrientation,
                             build_local_frame, earth_orientation, eci_to_ecef,
                             geodetic_to_ecef, global_to_local, rot2, rot3,
-                            teme_to_eci, teme_to_eci_matrix)
+                            teme_to_eci)
 from leochan.passes import Ephemeris, _elevation, elevation
 from leochan.states import Frame, FrameMismatch, StateVector
 from leochan.timebase import TT_MINUS_UTC_S
@@ -140,7 +140,7 @@ def test_chain_associativity():
     seq_local = global_to_local(seq, frame)
     # composed matrices applied in one shot
     composed = frame.rotation @ (_ecef_matrix(eo)
-                                 @ (teme_to_eci_matrix(eo) @ r)
+                                 @ (eo.matrices[0] @ r)
                                  - frame.origin_ecef)
     assert np.linalg.norm(seq_local.position - composed) < 1e-10
 
@@ -183,7 +183,7 @@ def test_frame_chain_bytes_match_reference(tle, offsets_us):
             assert got.position.tobytes() == ref.position.tobytes()
             assert got.velocity.tobytes() == ref.velocity.tobytes()
         eo = earth_orientation(t)
-        assert (teme_to_eci_matrix(eo).tobytes()
+        assert (eo.matrices[0].tobytes()
                 == teme_to_eci_reference(eo).tobytes())
 
 
@@ -222,7 +222,6 @@ def test_earth_orientation_bytes_match_reference(t):
             == np.array([ref.gmst, *ref.precession_angles, *ref.nutation,
                          ref.mean_obliquity]).tobytes())
     to_eci, pn, spin = eo.matrices
-    assert teme_to_eci_matrix(eo) is to_eci
     assert to_eci.tobytes() == teme_to_eci_reference(ref).tobytes()
     assert pn.tobytes() == tod_to_j2000_reference(ref).tobytes()
     assert spin.tobytes() == rot3_reference(gast(ref)).tobytes()

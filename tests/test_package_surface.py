@@ -18,7 +18,9 @@ does not use it: a key that no run reads fails here.
 And every parameter of a module-level function or a method (dunders
 again exempt) is used by the package's own calls, matched by short name
 as above: a call passes a parameter by keyword, by enough positional
-arguments after ``self``, or by ``*args``/``**kwargs``.  A default must
+arguments after ``self``, or by ``*args``/``**kwargs``; a function
+handed to a call as keyword ``k``, as ``set_defaults(run=f)`` hands
+``f``, counts every call named ``k`` as its own.  A default must
 be left out by at least one package call, and every parameter must be
 passed by at least one, except the few in ``PASSED_ONLY_BY_TESTS``.  So
 each default has one home: a value that only tests set is passed by
@@ -190,8 +192,10 @@ def _parameters():
 def _calls():
     """{short name: [(positional count, keyword names)]} of every call
     in package code; ``*args`` counts as every position and ``**kwargs``
-    as the keyword name None."""
+    as the keyword name None.  A name passed as ``k=name`` also gets the
+    calls named ``k``."""
     calls = defaultdict(list)
+    handed = defaultdict(set)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
@@ -203,6 +207,12 @@ def _calls():
             n = (math.inf if any(isinstance(a, ast.Starred)
                                  for a in node.args) else len(node.args))
             calls[name].append((n, {k.arg for k in node.keywords}))
+            for k in node.keywords:
+                if isinstance(k.value, ast.Name) and k.arg not in (
+                        None, k.value.id):
+                    handed[k.value.id].add(k.arg)
+    for name, keywords in handed.items():
+        calls[name] += [c for k in keywords for c in calls[k]]
     return calls
 
 

@@ -16,7 +16,8 @@ from leochan.states import Frame, StateVector
 from leochan.tracer import (_BOUND_MAX_NORMALS, _SELF_HIT_EPS,
                             MAX_LAUNCH_RAYS, LaunchPlane,
                             SatelliteBelowHorizon, _bound_slack, _grid_bands,
-                            _reaches_after_one_bounce, _reflect,
+                            _path_records, _Rays, _reaches_after_one_bounce,
+                            _reflect,
                             build_launch_plane, dump_paths,
                             launch_grid_bound, plane_wave_min_distance, trace)
 
@@ -223,6 +224,51 @@ def test_empty_scene_sees_only_the_sky(max_bounces):
     assert [p.bounce_count for p in paths] == [0]
     assert [(p.launch_index, p.d_near_ground) for p in paths] == [
         (p.launch_index, p.d_near_ground) for p in want]
+
+
+def _batch(launch, length, faces, points, angles):
+    n = len(launch)
+    return _Rays(np.zeros((n, 3)), np.zeros((n, 3)), np.array(launch),
+                 np.array(length), np.array(faces, dtype=int).reshape(n, -1),
+                 np.array(points).reshape(n, -1, 3),
+                 np.array(angles).reshape(n, -1))
+
+
+def test_path_records_keep_the_closest_pass_per_face_sequence():
+    # A 0-bounce and a 2-bounce batch, each in launch order: per face
+    # sequence the closest pass is kept, the earlier launch on a tie,
+    # and the records are sorted by (bounce count, length).
+    plane = LaunchPlane(direction=np.array([0.0, 0.0, -1.0]),
+                        origin=np.array([0.0, 0.0, 0.1]),
+                        e1=np.array([1.0, 0.0, 0.0]),
+                        e2=np.array([0.0, 1.0, 0.0]), half_u=0.01,
+                        half_v=0.01, spacing=0.002, d_atmosphere=500.0,
+                        sat_position=np.array([0.0, 0.0, 500.1]))
+    rx = np.array([0.001, 0.0, 0.0])
+    sky = (_batch([3, 5, 8], [0.0] * 3, [[]] * 3, [], []),
+           np.array([0.3, 0.2, 0.25]), np.array([2e-3, 1e-3, 1e-3]))
+    points = np.arange(24.0).reshape(4, 2, 3) / 100.0
+    two = (_batch([1, 2, 4, 6], [0.3, 0.2, 0.3, 0.2],
+                  [[7, 9], [4, 2], [7, 9], [4, 2]], points,
+                  [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]),
+           np.array([0.05, 0.01, 0.02, 0.03]),
+           np.array([3e-3, 1e-3, 1e-3, 1e-3]))
+    paths = _path_records([sky, two], plane, rx)
+
+    assert [(p.launch_index, p.bounce_count, _faces(p)) for p in paths] == [
+        (5, 0, ()), (2, 2, (4, 2)), (4, 2, (7, 9))]
+    assert [p.d_near_ground for p in paths] == [0.2, 0.2 + 0.01, 0.3 + 0.02]
+    assert [p.miss_distance for p in paths] == [1e-3] * 3
+    assert [[i.incidence_angle for i in p.interactions]
+            for p in paths] == [[], [0.3, 0.4], [0.5, 0.6]]
+    assert np.array_equal(
+        np.array([i.point for i in paths[1].interactions]), points[1])
+    assert np.array_equal(
+        np.array([i.point for i in paths[2].interactions]), points[2])
+    for p, toward in zip(paths, (rx, points[1, 0], points[2, 0])):
+        aod = toward - plane.sat_position
+        assert np.array_equal(p.aod, aod / np.linalg.norm(aod))
+        assert p.d_atmosphere == 500.0
 
 
 def test_occluded_receiver_yields_empty_result():
