@@ -80,8 +80,10 @@ about ``_PAIR_BATCH`` pairs.  A caller that needs the hits of only some
 launch rays passes ``keep``, which sees the spans and picks the rays
 (the tracer keeps those that can still reach the receiver).  Each span
 then lists only the kept rays it covers, so a kept ray still gets all
-its candidates and its exact nearest hit, and a ray that is not kept
-costs nothing and reports a miss.
+its candidates and its exact nearest hit.  A ray that is not kept costs
+nothing and is not reported: the call returns the kept rays' hits beside
+their launch indices, and computes only their launch points, so its
+arrays grow with the kept rays, not with the grid.
 """
 
 from __future__ import annotations
@@ -187,10 +189,11 @@ def _expand(start, count):
 
 
 def _rows(a, idx):
-    """``a[idx]`` for a (rows, 3) array.  ``np.take`` gathers contiguous
-    rows nearly three times faster than fancy indexing, but first copies
-    a strided source whole, such as the launch grid's zero-stride
-    directions."""
+    """``a[idx]`` along the first axis, for an integer array ``idx``.
+    ``np.take`` gathers the rows of a C-contiguous array several times
+    faster than fancy indexing (3.7 times for 3,000 rows of 3 floats),
+    but first copies a strided source whole, such as the launch grid's
+    zero-stride directions, which fancy indexing gathers as they are."""
     return np.take(a, idx, axis=0) if a.flags.c_contiguous else a[idx]
 
 
@@ -368,39 +371,50 @@ class Scene:
 
         ``grid`` is the launch plane the rays leave from, when they all
         do (any object with ``direction``, ``origin``, ``e1``, ``e2``,
-        ``half_u``, ``half_v``, ``spacing`` and ``grid_shape()``, such
-        as ``tracer.LaunchPlane``).  Its precondition: ``origins`` are
-        exactly that plane's ``launch_points()``, in their order, and
-        every direction is its ``direction``.  The candidate pairs then
+        ``half_u``, ``half_v``, ``spacing``, ``grid_shape()`` and
+        ``points(idx)``, such as ``tracer.LaunchPlane``).  ``origins`` and
+        ``directions`` then hold one row per launch ray, in launch order,
+        every direction the plane's ``direction``.  The candidate pairs
         come from the span raster instead of the tree walk; the hits are
-        the same.
+        the same.  Without ``keep``, ``origins`` must be exactly the
+        plane's ``launch_points()``.
 
         ``keep``, with ``grid`` only, selects the rays to intersect.  It
         is called once with the raster's spans, as arrays of face ids,
         grid rows and first and last grid columns (the grid points
         (row, first..last) are the face's candidates), and returns a
-        bool per launch ray.  A kept ray gets its exact nearest hit; a
-        ray that is not kept reports a miss, whatever it would hit.
-        Without ``keep`` every ray is kept.
+        bool per launch ray.  The call then returns (t, face_id, kept):
+        ``kept`` holds the kept rays' launch indices in ascending order,
+        and t and face_id their exact nearest hits, one row each.  The
+        engine computes the kept rays' launch points from the plane
+        (``grid.points(kept)``, the rows of ``launch_points()`` to the
+        bit) and reads no value of ``origins`` or ``directions``, so
+        zero-stride views of one row each suffice: no array of the call
+        or of its result grows with the rays that are not kept.
         """
         origins = np.asarray(origins, dtype=float)
         directions = np.asarray(directions, dtype=float)
         m = len(origins)
-        t_out = np.full(m, np.inf)
-        if len(self.triangles) == 0 or m == 0:
-            return t_out, np.full(m, -1)
+        if keep is None and (len(self.triangles) == 0 or m == 0):
+            return np.full(m, np.inf), np.full(m, -1)
 
         if grid is None:
             candidates = self._walk(origins, directions, t_min)
         else:
-            candidates = self._raster(grid, m, keep)
+            kept, candidates = self._raster(grid, m, keep)
+            if kept is not None:
+                origins = grid.points(kept)
+                directions = np.broadcast_to(grid.direction, origins.shape)
+        t_out = np.full(len(origins), np.inf)
         # no face has this id: it marks a ray without a hit so far
-        fid_out = np.full(m, len(self.triangles))
+        fid_out = np.full(len(origins), len(self.triangles))
         for ray, face in candidates:
             self._nearest_hits(origins, directions, ray, face, t_min,
                                t_out, fid_out)
         fid_out[t_out == np.inf] = -1
-        return t_out, fid_out
+        if keep is None:
+            return t_out, fid_out
+        return t_out, fid_out, kept
 
     def _nearest_hits(self, origins, directions, ray, face, t_min, t_out,
                       fid_out):
@@ -456,13 +470,11 @@ class Scene:
                    np.concatenate([faces[pair, slot],
                                    self._wide[wide_slot]]))
 
-    def _raster(self, grid, m, keep):
-        """Candidate (ray, face) pairs of a launch grid's parallel rays,
-        for a batch of whole grid rows at a time: the grid points each
-        face's projection covers (see the module docstring).  Ray
-        i * nv + j leaves from grid point (i, j).  With a ``keep`` that
-        is not None, only the pairs of the rays it keeps (see
-        ``intersect_batch``)."""
+    def _spans(self, grid, m):
+        """The spans of a launch grid's parallel rays, as arrays of face
+        ids, grid rows and first and last grid columns: the grid points
+        (row, first..last) that each face's projection covers (see the
+        module docstring).  The per-edge temporaries end with the call."""
         nu, nv = grid.grid_shape()
         if m != nu * nv:
             raise ValueError(f"{m} rays for a {nu} x {nv} launch grid")
@@ -505,8 +517,19 @@ class Scene:
         c0 = np.maximum(np.ceil(j_lo - pad), 0.0)
         c1 = np.minimum(np.floor(j_hi + pad), nv - 1.0)
         spans = np.flatnonzero(c0 <= c1)
-        face, row = face[spans], row[spans]
-        c0, c1 = c0[spans].astype(np.intp), c1[spans].astype(np.intp)
+        return (face[spans], row[spans], c0[spans].astype(np.intp),
+                c1[spans].astype(np.intp))
+
+    def _raster(self, grid, m, keep):
+        """The rays a launch grid's call reports and their candidate
+        (ray, face) pairs, for a batch of whole grid rows at a time.  Ray
+        i * nv + j leaves from grid point (i, j).  Without ``keep``, every
+        ray is reported and the pairs name rays by launch index.  With
+        one, only the rays it keeps, as their ascending launch indices,
+        and the pairs name them by position in that list (see
+        ``intersect_batch``)."""
+        nv = grid.grid_shape()[1]
+        face, row, c0, c1 = self._spans(grid, m)
         # each span's candidates as a range of rays, start + 0..count-1
         start, count = row * nv + c0, c1 - c0 + 1
         kept = None
@@ -518,18 +541,23 @@ class Scene:
             spans = np.flatnonzero(end > start)
             face, row = face[spans], row[spans]
             start, count = start[spans], end[spans] - start[spans]
-        # batches of whole grid rows, as only row i's spans cover the
-        # rays of row i: a batch ends at the first row end at or past
-        # each multiple of _PAIR_BATCH pairs
-        spans = np.argsort(row)
-        face, row = face[spans], row[spans]
-        start, count = start[spans], count[spans]
-        row_start = np.flatnonzero(row[1:] != row[:-1]) + 1
-        done = np.cumsum(count)[row_start - 1] // _PAIR_BATCH
-        cuts = row_start[np.diff(done, prepend=0) > 0]
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(row)]):
-            piece, ray = _expand(start[a:b], count[a:b])
-            yield ray if kept is None else kept[ray], face[a:b][piece]
+        return kept, _row_batches(face, row, start, count)
+
+
+def _row_batches(face, row, start, count):
+    """(ray, face) pairs of spans, span k covering rays start[k] +
+    0..count[k]-1 of grid row row[k], in batches of whole grid rows, as
+    only row i's spans cover the rays of row i: a batch ends at the
+    first row end at or past each multiple of ``_PAIR_BATCH`` pairs."""
+    spans = np.argsort(row)
+    face, row = face[spans], row[spans]
+    start, count = start[spans], count[spans]
+    row_start = np.flatnonzero(row[1:] != row[:-1]) + 1
+    done = np.cumsum(count)[row_start - 1] // _PAIR_BATCH
+    cuts = row_start[np.diff(done, prepend=0) > 0]
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(row)]):
+        piece, ray = _expand(start[a:b], count[a:b])
+        yield ray, face[a:b][piece]
 
 
 # A box's corners 0-3 are its bottom ring and 4-7 its top ring, both

@@ -22,8 +22,15 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
 - Capture-first last segment.  On the last segment the next hit serves
   only the capture test, so the capture geometry runs first and only the
   rays that pass within the capture radius ahead of them are intersected.
-- Live-only history.  Segment 0 has no history; traced length and
+- Live-only rays.  Segment 0 has no history; traced length and
   interactions are kept only for the rays that hit a face and go on.
+  With the grid bound below, segment 0 holds launch points only for the
+  receiver window and then for the rays that the bands keep: its
+  intersection computes their points itself (``LaunchPlane.points``,
+  the rows of ``launch_points()`` to the bit) and reports their hits
+  alone, so no array of the march grows with the launch grid.  Without
+  it, at three bounces or with the bound off, segment 0 holds every
+  launch point.
 - One-bounce bound.  On a walked segment with one bounce left, a ray
   o + t d can reach a captured path only through the point of its hit
   and then along d' = d - 2 (d.n) n, the reflection about some face
@@ -45,15 +52,16 @@ sphere of Seidel & Rappaport, IEEE TVT 1994, decides capture):
   ``_reflect``, as every reflection of the march does, so the margin
   covers the rounding of the march's own arithmetic.  Segment 0 finds
   the nearest hit only of the rays in the receiver window or in the
-  bands of a face whose span covers them; every other launch ray
-  reports a miss.  With two bounces, segment 1's bound would drop its
+  bands of a face whose span covers them, and no other launch ray is
+  reported.  With two bounces, segment 1's bound would drop its
   reflection anyway; with one, segment 1 is the last, and a reflection
   that passes within the capture radius is kept by the bound's edge
   along it.  On the demo pass this leaves hits for 4,910 of the 69,385
   launch rays that hit.
 
 The live rays are one ``_Rays`` record, whose arrays ``take`` re-indexes
-together and ``_bounce`` reflects, adding one history column.  Each
+together and ``_bounce`` reflects, adding one history column; both
+gather rows with ``ndarray.take`` (``scene._rows``).  Each
 segment that captures rays hands them to ``_path_records`` as one
 batch, in launch order; it keeps per face sequence the ray that passes closest to
 the receiver, the earlier launch on a tie.
@@ -74,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import M_PER_KM, Scene, _cross, _expand
+from .scene import M_PER_KM, Scene, _cross, _expand, _rows
 from .states import Frame, StateVector
 
 # Minimum satellite-distance to scene-height ratio for the plane-wave
@@ -85,10 +93,13 @@ _SELF_HIT_EPS = 1e-7
 PLANE_MARGIN_KM = 0.05
 
 # Launch rays a run may need.  At ``trace``'s peak a launch ray holds
-# 51 bytes at two bounces and 275 at three, where the one-bounce bound
-# is off (tracemalloc on flat ground, every ray hitting it), so the cap
-# stands for 0.43 to 2.3 GB.  It admits C06's scene at 0.5 m:
-# ``launch_grid_bound`` gives it 8.12M rays, and its grid has 3.14M.
+# 2.7 bytes at one or two bounces, where memory follows the rays that
+# the grid bands keep, and 283 at three, where the one-bounce bound is
+# off (``tests/trace_memory.py``: tracemalloc on C06's flat ground at
+# 1 m, every ray hitting it), so the cap stands for 23 MB to 2.4 GB.
+# ``tests/test_trace_memory.py`` keeps them under 4 and 300 bytes.  The
+# cap admits C06's scene at 0.5 m: ``launch_grid_bound`` gives it 8.12M
+# rays, and its grid has 3.14M.
 MAX_LAUNCH_RAYS = 2 ** 23
 
 # The one-bounce bound runs only on scenes with at most this many
@@ -168,6 +179,18 @@ class LaunchPlane:
         for c in range(3):
             np.add(rows[:, c, None], cols[:, c], out=points[:, :, c])
         return points.reshape(-1, 3)
+
+    def points(self, idx: np.ndarray) -> np.ndarray:
+        """The launch points of rays ``idx``: rows ``idx`` of
+        ``launch_points()``, to the bit, by the same expression."""
+        i, j = np.divmod(idx, self.grid_shape()[1])
+        us = -self.half_u + self.spacing * i
+        vs = -self.half_v + self.spacing * j
+        points = np.empty((len(idx), 3))
+        for c in range(3):
+            np.add(self.origin[c] + us * self.e1[c], vs * self.e2[c],
+                   out=points[:, c])
+        return points
 
 
 def plane_wave_min_distance(scene_height_km: float) -> float:
@@ -569,7 +592,19 @@ class _Rays(NamedTuple):
     angles: np.ndarray       # (n, bounces) rad
 
     def take(self, idx) -> _Rays:
-        return _Rays(*(a[idx] for a in self))
+        return _Rays(*(_rows(a, idx) for a in self))
+
+
+def _launch_rays(plane: LaunchPlane, launch: np.ndarray,
+                 points: np.ndarray) -> _Rays:
+    """Launch rays ``launch``, leaving from ``points``.  They share one
+    direction, held once (a zero-stride view), and have no traced length
+    or history yet: a zero-stride length and empty columns, which hold
+    no memory."""
+    n = len(launch)
+    return _Rays(points, np.broadcast_to(plane.direction, (n, 3)), launch,
+                 np.broadcast_to(0.0, (n,)), np.empty((n, 0), dtype=int),
+                 np.empty((n, 0, 3)), np.empty((n, 0)))
 
 
 def _bounce(rays: _Rays, idx: np.ndarray, t: np.ndarray, fid: np.ndarray,
@@ -578,10 +613,13 @@ def _bounce(rays: _Rays, idx: np.ndarray, t: np.ndarray, fid: np.ndarray,
     ``t[i]`` to its hit on face ``fid[i]``, and in order of ``idx``,
     the rays hit at ``points``, where d.n was ``dn``, and leave from
     there along ``out``."""
-    return _Rays(points, out, rays.launch[idx], rays.length[idx] + t[idx],
-                 np.concatenate([rays.faces[idx], fid[idx, None]], 1),
-                 np.concatenate([rays.points[idx], points[:, None]], 1),
-                 np.concatenate([rays.angles[idx], np.arccos(
+    return _Rays(points, out, _rows(rays.launch, idx),
+                 _rows(rays.length, idx) + _rows(t, idx),
+                 np.concatenate([_rows(rays.faces, idx),
+                                 _rows(fid, idx)[:, None]], 1),
+                 np.concatenate([_rows(rays.points, idx),
+                                 points[:, None]], 1),
+                 np.concatenate([_rows(rays.angles, idx), np.arccos(
                      np.clip(-dn, -1.0, 1.0))[:, None]], 1))
 
 
@@ -604,8 +642,10 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     Every segment that some ray reaches makes exactly one
     ``Scene.intersect_batch`` call, even when none of its rays can be
     captured and even with zero rows, when the one-bounce bound drops
-    them all; so the k-th call of a trace is segment k.  Only a full
-    launch grid is passed as ``grid``.  The live rays are one
+    them all; so the k-th call of a trace is segment k.  Only segment 0
+    passes ``grid``, with one row per launch ray: zero-stride views
+    where the grid bands keep rays, as the engine then reads the kept
+    rays' points from the plane.  The live rays are one
     ``_Rays``, and each segment that captures rays adds one batch of
     them, in launch order.  Paths with identical reflection-face sequences
     are deduplicated, keeping the ray that passes closest to the
@@ -616,14 +656,6 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
     rx_radius = rx_radius_m / M_PER_KM
 
     m = math.prod(plane.grid_shape())
-    # Segment 0's rays share one direction, held once (a zero-stride
-    # view), and have no traced length or history yet: a zero-stride
-    # length and empty columns, which hold no memory.
-    rays = _Rays(plane.launch_points(),
-                 np.broadcast_to(plane.direction, (m, 3)),
-                 np.arange(m), np.broadcast_to(0.0, (m,)),
-                 np.empty((m, 0), dtype=int), np.empty((m, 0, 3)),
-                 np.empty((m, 0)))
     # near: the rays to test for capture, the receiver window on segment
     # 0 and then every live ray
     near = _receiver_window(plane, rx, rx_radius)
@@ -641,27 +673,43 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         window = np.zeros(m, dtype=bool)
         window[near] = True
         keep = _grid_bands(plane, scene, rx, slack, axes, window)
+        # segment 0 holds the window's rays until the call reports the
+        # kept ones, which include them
+        rays = _launch_rays(plane, near, plane.points(near))
+        near = np.arange(len(near))
+    else:
+        rays = _launch_rays(plane, np.arange(m), plane.launch_points())
 
     batches: list[tuple[_Rays, np.ndarray, np.ndarray]] = []
 
     for segment in range(max_bounces + 1):
-        o, d = rays.origin[near], rays.direction[near]
+        o, d = _rows(rays.origin, near), _rows(rays.direction, near)
         s_star = np.einsum("ij,ij->i", rx[None, :] - o, d)
         miss = np.linalg.norm(rx[None, :] - (o + s_star[:, None] * d), axis=1)
         close = (s_star > 0.0) & (miss <= rx_radius)
         near, s_star, miss = near[close], s_star[close], miss[close]
         # the close rays; this also frees the copies of every live ray
         # before the intersection
-        o, d = rays.origin[near], rays.direction[near]
+        o, d = _rows(rays.origin, near), _rows(rays.direction, near)
 
         if segment == max_bounces:
             # the hit only decides whether the receiver is seen first
             t_near = scene.intersect_batch(o, d, _SELF_HIT_EPS)[0]
-        else:
+        elif keep is None:
             t_hit, fid_hit = scene.intersect_batch(
-                rays.origin, rays.direction, _SELF_HIT_EPS, grid=grid,
-                keep=keep)
-            t_near = t_hit[near]
+                rays.origin, rays.direction, _SELF_HIT_EPS, grid=grid)
+            t_near = _rows(t_hit, near)
+        else:
+            # one zero-stride row per launch ray: the engine reads the
+            # kept rays' launch points from the plane
+            t_hit, fid_hit, kept = scene.intersect_batch(
+                np.broadcast_to(plane.origin, (m, 3)),
+                np.broadcast_to(plane.direction, (m, 3)), _SELF_HIT_EPS,
+                grid=grid, keep=keep)
+            # the window's rays are kept, and both lists ascend
+            near = np.searchsorted(kept, _rows(rays.launch, near))
+            rays = _launch_rays(plane, kept, plane.points(kept))
+            t_near = _rows(t_hit, near)
         seen = s_star <= t_near
         if seen.any():
             batches.append((rays.take(near[seen]), s_star[seen], miss[seen]))
@@ -674,10 +722,10 @@ def trace(plane: LaunchPlane, scene: Scene, receiver, rx_radius_m: float,
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        d = rays.direction[idx]
-        hit_pts = rays.origin[idx] + t_hit[idx, None] * d
+        d = _rows(rays.direction, idx)
+        hit_pts = _rows(rays.origin, idx) + _rows(t_hit, idx)[:, None] * d
         # d becomes the reflection, which frees the incident copy
-        _, dn, d = _reflect(d, scene.normals[fid_hit[idx]])
+        _, dn, d = _reflect(d, _rows(scene.normals, _rows(fid_hit, idx)))
         if bounded and segment + 2 == max_bounces:
             # the next segment has one bounce left: only the rays that
             # can still be captured go on

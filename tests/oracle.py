@@ -113,8 +113,9 @@ def trace_every_ray(plane, scene, receiver, rx_radius_m, max_bounces):
     intersected and tested for capture on every segment.
 
     No receiver window and no capture-first last segment: each segment
-    intersects all its rays, with the launch grid's raster on segment 0,
-    and keeps full-grid history arrays.  Each segment's captures are
+    intersects all its rays, with the launch grid's raster on segment 0
+    over every ``launch_points()`` row and no ``keep``, and keeps
+    full-grid history arrays.  Each segment's captures are
     wrapped in one ``tracer._Rays`` batch and go through the tracer's
     own dedup and record step, ``tracer._path_records``, and
     each hit reflects through its one reflection step,

@@ -493,7 +493,7 @@ def test_raster_batches_hold_whole_rays(budget):
     nu, nv = plane.grid_shape()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scene_module, "_PAIR_BATCH", budget)
-        batches = list(city._raster(plane, nu * nv, None))
+        batches = list(city._raster(plane, nu * nv, None)[1])
     rays = np.concatenate([np.unique(ray) for ray, _ in batches])
     assert len(rays) == len(np.unique(rays))
     if budget == 1:
@@ -501,7 +501,7 @@ def test_raster_batches_hold_whole_rays(budget):
     # the same candidate pairs, in whatever batches
     pairs = np.concatenate([ray * len(city) + face for ray, face in batches])
     ref = np.concatenate([ray * len(city) + face for ray, face
-                          in city._raster(plane, nu * nv, None)])
+                          in city._raster(plane, nu * nv, None)[1]])
     assert np.array_equal(np.sort(pairs), np.sort(ref))
     assert len(batches) > 1
 

@@ -103,6 +103,33 @@ def test_launch_points_equal_per_point_sums(half_v_scale):
         assert np.array_equal(points, ref)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       half_v_scale=st.sampled_from([1.0, 0.37, 2.9]),
+       origin_scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_launch_points_of_some_rays_equal_their_grid_rows(
+        seed, half_v_scale, origin_scale):
+    # The engine computes the kept rays' launch points with
+    # ``points(idx)``: rows idx of ``launch_points()``, to the bit, in
+    # any order and with repeats.
+    rng = np.random.default_rng(seed)
+    direction = _unit(rng.normal(size=3))
+    e1 = _unit(np.cross(direction, [0.0, 0.0, 1.0]))
+    e2 = np.cross(direction, e1)
+    half_u = rng.uniform(0.01, 0.2)
+    plane = LaunchPlane(direction=direction,
+                        origin=origin_scale * rng.uniform(-1.0, 1.0, 3),
+                        e1=e1, e2=e2, half_u=half_u,
+                        half_v=half_u * half_v_scale,
+                        spacing=rng.uniform(0.002, 0.02), d_atmosphere=550.0,
+                        sat_position=np.zeros(3))
+    points = plane.launch_points()
+    idx = rng.integers(0, len(points), rng.integers(0, 2 * len(points)))
+    assert np.array_equal(plane.points(idx), points[idx])
+    every = np.arange(len(points))
+    assert np.array_equal(plane.points(every), points)
+
+
 def test_below_horizon_raises():
     scene = ground_plane(500.0)
     with pytest.raises(SatelliteBelowHorizon):
@@ -895,8 +922,8 @@ def test_grid_bound_keeps_every_ray_the_bound_keeps(case):
     # Segment 0's keep, at one bounce and at two, must hold every launch
     # ray whose full-grid hit, reflected as the tracer reflects it,
     # passes the one-bounce bound; every kept ray gets the full grid's
-    # hit to the bit, and a ray that is not kept reports a miss.  No
-    # receiver window, so that the keep stands on the bound alone.
+    # hit to the bit, and the call reports the kept rays and no other.
+    # No receiver window, so that the keep stands on the bound alone.
     plane, scene, rx, rx_radius_m, _ = case
     axes = scene.distinct_normals
     if len(axes) > _BOUND_MAX_NORMALS:
@@ -911,15 +938,27 @@ def test_grid_bound_keeps_every_ray_the_bound_keeps(case):
     p = origins[hit] + t[hit, None] * inc
     out = _reflect(inc, scene.normals[fid[hit]])[2]
     window = np.zeros(len(origins), dtype=bool)
-    keep = _grid_bands(plane, scene, rx, slack, axes, window)
-    needed = _reaches_after_one_bounce(p, out, rx, slack, axes)
-    t_k, fid_k = scene.intersect_batch(
-        origins, dirs, _SELF_HIT_EPS, grid=plane, keep=keep)
-    kept = fid_k >= 0
-    assert kept[hit[needed]].all()
-    assert np.array_equal(fid_k[kept], fid[kept])
-    assert np.array_equal(t_k[kept], t[kept])
-    assert np.isinf(t_k[~kept]).all()
+    bands = _grid_bands(plane, scene, rx, slack, axes, window)
+    masks = []
+
+    def keep(*spans):
+        masks.append(bands(*spans))
+        return masks[-1]
+
+    needed = hit[_reaches_after_one_bounce(p, out, rx, slack, axes)]
+    # one zero-stride row per launch ray: the engine reads the plane
+    m = len(origins)
+    t_k, fid_k, kept = scene.intersect_batch(
+        np.broadcast_to(plane.origin, (m, 3)), dirs, _SELF_HIT_EPS,
+        grid=plane, keep=keep)
+    assert len(masks) == 1
+    assert np.array_equal(kept, np.flatnonzero(masks[0]))
+    assert len(t_k) == len(fid_k) == len(kept)
+    at = np.searchsorted(kept, needed)
+    assert np.array_equal(kept[np.minimum(at, len(kept) - 1)], needed)
+    assert (fid_k[at] >= 0).all()
+    assert np.array_equal(fid_k, fid[kept])
+    assert np.array_equal(t_k, t[kept])
 
 
 def test_grid_bound_work_counts_on_the_demo_pass(monkeypatch):
@@ -943,8 +982,11 @@ def test_grid_bound_work_counts_on_the_demo_pass(monkeypatch):
 
         def counted(self, origins, directions, t_min=0.0, grid=None,
                     keep=None):
+            if keep is not None and full_grid:
+                def keep(*spans, m=len(origins)):
+                    return np.ones(m, dtype=bool)
             result = query(self, origins, directions, t_min, grid=grid,
-                           keep=None if full_grid else keep)
+                           keep=keep)
             calls.append((origins.copy(), np.array(directions),
                           int((result[1] >= 0).sum())))
             return result
